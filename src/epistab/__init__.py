@@ -5,8 +5,6 @@ from .compound import add_compound, add_compound2_closed, lex_tuples, mult_compo
 from .covid import (
     CovidParams,
     DerivedParams,
-    Equilibrium,
-    InfeasibleError,
     chi_cubic,
     derived,
     det_jp0,
@@ -34,6 +32,7 @@ from .linalg import (
     spectral_radius,
 )
 from .lozinskii import MeasureKind, induced_norm, measure, measure_limit_probe
+from .model import Equilibrium, InfeasibleError
 from .paper_check import build_report
 from .seir import SeirParams, endemic3, figure_params, jacobian3, r0_seir, rhs3, seir_stability
 from .sim import DivergenceError, Trajectory, integrate, invariance_audit, simulate_covid

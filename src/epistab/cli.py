@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: simulate, equilibria, r0, stability, seir, compound, cubic,
-paper-check.  Deterministic by construction: no environment configuration,
+paper-check.  The four model subcommands run the five-compartment model at
+the top level and the three-compartment model under ``seir``, through one
+handler each.  Deterministic by construction: no environment configuration,
 no network, numeric output capped at 12 significant digits.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 infeasible request.
@@ -12,12 +14,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import covid, paper_check, seir, sim
 from .compound import add_compound, mult_compound
 from .linalg import ConvergenceError, SingularMatrixError, as_matrix, inverse, spectral_radius
+from .model import InfeasibleError, population
 from .stability import cardano, cubic_stability
 
 EXIT_OK = 0
@@ -54,14 +59,6 @@ def _emit(obj, stream=None):
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def load_covid_config(path):
-    return covid.CovidParams.from_dict(_load_json(path))
-
-
-def load_seir_config(path):
-    return seir.SeirParams.from_dict(_load_json(path))
 
 
 def read_matrix(path):
@@ -108,82 +105,25 @@ def _parse_state(text, length):
     return np.array(vals)
 
 
-def build_parser():
-    parser = _Parser(prog="epistab",
-                     description="Compound-matrix stability toolkit for small epidemic models.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("simulate", help="integrate the five-compartment model (RK4)")
-    sp.add_argument("--config", required=True, help="JSON parameter file")
-    sp.add_argument("--x0", required=True, help="initial state E,I,C,H,D")
-    sp.add_argument("--dt", type=float, default=0.01)
-    sp.add_argument("--t-end", type=float, default=50.0)
-    sp.add_argument("--out", default=None, help="trajectory CSV path ('-' for stdout)")
-
-    sp = sub.add_parser("equilibria", help="disease-free and endemic points")
-    sp.add_argument("--config", required=True)
-
-    sp = sub.add_parser("r0", help="reproduction number, optionally swept over a parameter")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--sweep", default=None, help="e.g. mu=0.005:0.74:0.015")
-    sp.add_argument("--out", default=None, help="sweep CSV path ('-' for stdout)")
-
-    sp = sub.add_parser("stability", help="full stability report at both equilibria")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--measure", choices=["one", "two", "inf"], default=None,
-                    help="restrict the sufficient-criterion verdicts to one measure")
-
-    seir_p = sub.add_parser("seir", help="same analyses for the three-compartment system")
-    seir_sub = seir_p.add_subparsers(dest="seir_command", required=True)
-    sp = seir_sub.add_parser("r0")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--sweep", default=None)
-    sp.add_argument("--out", default=None)
-    sp = seir_sub.add_parser("equilibria")
-    sp.add_argument("--config", required=True)
-    sp = seir_sub.add_parser("stability")
-    sp.add_argument("--config", required=True)
-    sp = seir_sub.add_parser("simulate")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--x0", required=True, help="initial state S,I1,I2")
-    sp.add_argument("--dt", type=float, default=0.01)
-    sp.add_argument("--t-end", type=float, default=50.0)
-    sp.add_argument("--out", default=None)
-
-    sp = sub.add_parser("compound", help="k-th compound of a matrix file")
-    sp.add_argument("--matrix", required=True, help="matrix file, one comma-separated row per line")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--mode", choices=["additive", "multiplicative"], default="additive")
-
-    sp = sub.add_parser("cubic", help="Cardano roots and Routh-Hurwitz verdict")
-    sp.add_argument("coefficients", nargs=4, type=float, metavar=("a", "b", "c", "d"))
-
-    sp = sub.add_parser("paper-check", help="transcription-check report")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--seir-config", default=None)
-    return parser
+def _load_params(args):
+    return args.model.params.from_dict(_load_json(args.config))
 
 
 def _cmd_simulate(args):
-    p = load_covid_config(args.config)
-    x0 = covid.state(*_parse_state(args.x0, 5))
-    traj = sim.simulate_covid(p, x0, args.dt, args.t_end)
-    csv_text = sim.trajectory_to_csv(traj, "t,E,I,C,H,D")
-    _write_text(args.out, csv_text)
-    audit = sim.invariance_audit(traj, p)
-    _emit(audit, sys.stdout if args.out not in (None, "-") else sys.stderr)
+    m = args.model
+    p = _load_params(args)
+    x0 = population(_parse_state(args.x0, len(m.compartments)))
+    traj = sim.integrate(lambda x: m.rhs(p, x), x0, args.dt, args.t_end)
+    _write_text(args.out, sim.trajectory_to_csv(traj, ",".join(("t",) + m.compartments)))
+    if m.audited:
+        audit = sim.invariance_audit(traj, p)
+        _emit(audit, sys.stdout if args.out not in (None, "-") else sys.stderr)
     return EXIT_OK
 
 
 def _cmd_equilibria(args):
-    p = load_covid_config(args.config)
-    if p.beta1 < p.beta10:
-        sys.stderr.write(
-            "infeasible: beta1 < beta10, so the disease-free point is the unique equilibrium\n")
-        return EXIT_INFEASIBLE
-    out = {"dfe": covid.dfe(p).to_dict()}
-    out["endemic"] = covid.endemic(p).to_dict()
-    _emit(out)
+    dfe, endemic = args.model.equilibria(_load_params(args))
+    _emit({"dfe": dfe.to_dict(), "endemic": endemic.to_dict()})
     return EXIT_OK
 
 
@@ -195,54 +135,24 @@ def _sweep_csv(name, values, fn):
 
 
 def _cmd_r0(args):
-    p = load_covid_config(args.config)
+    m = args.model
+    p = _load_params(args)
     if args.sweep:
         name, values = _parse_sweep(args.sweep)
-        if name not in covid.PARAM_KEYS:
+        if name not in m.params.keys():
             raise UsageError(f"unknown sweep parameter {name!r}")
-        text = _sweep_csv(name, values, lambda v: covid.r0_reduced(p.replace(**{name: v})))
-        _write_text(args.out, text)
+        _write_text(args.out, _sweep_csv(name, values, lambda v: m.r0(p.replace(**{name: v}))))
         return EXIT_OK
-    parts = covid.ngm_full(p, covid.dfe(p).state)
-    _emit({"reduced": covid.r0_reduced(p), "full_dfe": parts.r0})
+    _emit(m.r0_report(p))
     return EXIT_OK
 
 
 def _cmd_stability(args):
-    p = load_covid_config(args.config)
-    report = covid.stability_report(p)
+    report = args.model.stability(_load_params(args))
     if args.measure:
         for spot in report["verdicts"].values():
-            suff = spot.get("li_wang_sufficient", {})
-            spot["li_wang_sufficient"] = {args.measure: suff[args.measure]}
+            spot["li_wang_sufficient"] = {args.measure: spot["li_wang_sufficient"][args.measure]}
     _emit(report)
-    return EXIT_OK
-
-
-def _cmd_seir(args):
-    sp = load_seir_config(args.config)
-    if args.seir_command == "r0":
-        if args.sweep:
-            name, values = _parse_sweep(args.sweep)
-            if name not in seir.SEIR_KEYS:
-                raise UsageError(f"unknown sweep parameter {name!r}")
-            text = _sweep_csv(name, values, lambda v: seir.r0_seir(sp.replace(**{name: v})))
-            _write_text(args.out, text)
-        else:
-            fm, vm = seir.seir_ngm_matrices(sp)
-            _emit({"r0": seir.r0_seir(sp),
-                   "ngm_spectral_radius": spectral_radius(-fm @ inverse(vm))})
-        return EXIT_OK
-    if args.seir_command == "equilibria":
-        out = {"dfe": seir.dfe3(sp).to_dict(), "endemic": seir.endemic3(sp).to_dict()}
-        _emit(out)
-        return EXIT_OK
-    if args.seir_command == "stability":
-        _emit(seir.seir_stability(sp))
-        return EXIT_OK
-    traj = sim.integrate(lambda x: seir.rhs3(sp, x), _parse_state(args.x0, 3),
-                         args.dt, args.t_end)
-    _write_text(args.out, sim.trajectory_to_csv(traj, "t,S,I1,I2"))
     return EXIT_OK
 
 
@@ -265,36 +175,133 @@ def _cmd_cubic(args):
 
 
 def _cmd_paper_check(args):
-    p = load_covid_config(args.config)
-    sp = load_seir_config(args.seir_config) if args.seir_config else None
+    p = covid.CovidParams.from_dict(_load_json(args.config))
+    sp = seir.SeirParams.from_dict(_load_json(args.seir_config)) if args.seir_config else None
     claims = paper_check.build_report(p, sp)
     _emit(paper_check.report_to_dicts(claims))
     return EXIT_OK
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "equilibria": _cmd_equilibria,
-    "r0": _cmd_r0,
-    "stability": _cmd_stability,
-    "seir": _cmd_seir,
-    "compound": _cmd_compound,
-    "cubic": _cmd_cubic,
-    "paper-check": _cmd_paper_check,
+@dataclass(frozen=True)
+class _Model:
+    """What the four model subcommands need to know about one model.
+
+    The callables reach model functions through their module when a command
+    runs, so a later rebinding of a module attribute takes effect.
+    """
+
+    name: str
+    commands: tuple         # the four subcommand names, in usage-listing order
+    params: type            # a model.Params subclass
+    compartments: tuple     # order of --x0 and of the trajectory CSV columns
+    r0: Callable            # p -> R0, evaluated along ``r0 --sweep``
+    r0_report: Callable     # p -> the ``r0`` JSON object
+    equilibria: Callable    # p -> (disease-free, endemic) equilibria
+    stability: Callable     # p -> report with per-equilibrium "verdicts"
+    rhs: Callable           # (p, x) -> dx/dt
+    audited: bool           # ``simulate`` also prints the invariance audit
+
+
+def _covid_r0_report(p):
+    parts = covid.ngm_full(p, covid.dfe(p).state)
+    return {"reduced": covid.r0_reduced(p), "full_dfe": parts.r0}
+
+
+def _covid_equilibria(p):
+    if p.beta1 < p.beta10:
+        raise InfeasibleError(
+            "beta1 < beta10, so the disease-free point is the unique equilibrium")
+    return covid.dfe(p), covid.endemic(p)
+
+
+def _seir_r0_report(sp):
+    fm, vm = seir.seir_ngm_matrices(sp)
+    return {"r0": seir.r0_seir(sp), "ngm_spectral_radius": spectral_radius(-fm @ inverse(vm))}
+
+
+_COVID = _Model(
+    name="five-compartment", commands=("simulate", "equilibria", "r0", "stability"),
+    params=covid.CovidParams, compartments=("E", "I", "C", "H", "D"),
+    r0=lambda p: covid.r0_reduced(p), r0_report=_covid_r0_report,
+    equilibria=_covid_equilibria, stability=lambda p: covid.stability_report(p),
+    rhs=lambda p, x: covid.rhs(p, x), audited=True)
+
+_SEIR = _Model(
+    name="three-compartment", commands=("r0", "equilibria", "stability", "simulate"),
+    params=seir.SeirParams, compartments=("S", "I1", "I2"),
+    r0=lambda sp: seir.r0_seir(sp), r0_report=_seir_r0_report,
+    equilibria=lambda sp: (seir.dfe3(sp), seir.endemic3(sp)),
+    stability=lambda sp: seir.seir_stability(sp),
+    rhs=lambda sp, x: seir.rhs3(sp, x), audited=False)
+
+
+_MODEL_COMMANDS = {
+    "simulate": (_cmd_simulate, "integrate the {} model (RK4)"),
+    "equilibria": (_cmd_equilibria, "disease-free and endemic points"),
+    "r0": (_cmd_r0, "reproduction number, optionally swept over a parameter"),
+    "stability": (_cmd_stability, "full stability report at both equilibria"),
 }
+
+
+def _add_model_commands(sub, m):
+    """Add simulate, equilibria, r0 and stability for model ``m``."""
+    sp = {}
+    for name in m.commands:
+        handler, help_text = _MODEL_COMMANDS[name]
+        sp[name] = sub.add_parser(name, help=help_text.format(m.name))
+        sp[name].set_defaults(handler=handler, model=m)
+        sp[name].add_argument("--config", required=True, help="JSON parameter file")
+
+    sp["simulate"].add_argument("--x0", required=True,
+                                help=f"initial state {','.join(m.compartments)}")
+    sp["simulate"].add_argument("--dt", type=float, default=0.01)
+    sp["simulate"].add_argument("--t-end", type=float, default=50.0)
+    sp["simulate"].add_argument("--out", default=None, help="trajectory CSV path ('-' for stdout)")
+
+    sp["r0"].add_argument("--sweep", default=None, help="e.g. mu=0.005:0.74:0.015")
+    sp["r0"].add_argument("--out", default=None, help="sweep CSV path ('-' for stdout)")
+
+    sp["stability"].add_argument("--measure", choices=["one", "two", "inf"], default=None,
+                                 help="restrict the sufficient-criterion verdicts to one measure")
+
+
+def build_parser():
+    parser = _Parser(prog="epistab",
+                     description="Compound-matrix stability toolkit for small epidemic models.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    _add_model_commands(sub, _COVID)
+
+    seir_p = sub.add_parser("seir", help="same analyses for the three-compartment system")
+    _add_model_commands(seir_p.add_subparsers(dest="seir_command", required=True), _SEIR)
+
+    sp = sub.add_parser("compound", help="k-th compound of a matrix file")
+    sp.set_defaults(handler=_cmd_compound)
+    sp.add_argument("--matrix", required=True, help="matrix file, one comma-separated row per line")
+    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--mode", choices=["additive", "multiplicative"], default="additive")
+
+    sp = sub.add_parser("cubic", help="Cardano roots and Routh-Hurwitz verdict")
+    sp.set_defaults(handler=_cmd_cubic)
+    sp.add_argument("coefficients", nargs=4, type=float, metavar=("a", "b", "c", "d"))
+
+    sp = sub.add_parser("paper-check", help="transcription-check report")
+    sp.set_defaults(handler=_cmd_paper_check)
+    sp.add_argument("--config", required=True)
+    sp.add_argument("--seir-config", default=None)
+    return parser
 
 
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     except (ValueError, OSError) as exc:
-        if isinstance(exc, covid.InfeasibleError):
+        if isinstance(exc, InfeasibleError):
             sys.stderr.write(f"infeasible: {exc}\n")
             return EXIT_INFEASIBLE
         sys.stderr.write(f"usage error: {exc}\n")

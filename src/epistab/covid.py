@@ -13,25 +13,16 @@ batches of states integrate in one call.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, model
 from .compound import add_compound
 from .linalg import determinant, eigenvalues, inverse, spectral_radius
-from .lozinskii import MeasureKind
-from .stability import CubicRoots, cardano, dominance, hurwitz_exact, li_wang_exact, li_wang_sufficient
-
-RESIDUAL_RTOL = 1e-10
-
-PARAM_KEYS = ("B", "mu", "beta1", "beta2", "beta3", "beta4", "beta5",
-              "beta6", "beta7", "beta8", "beta9", "beta10")
-
-
-class InfeasibleError(ValueError):
-    """A requested equilibrium or ratio does not exist for these parameters."""
+from .model import InfeasibleError
+from .stability import CubicRoots, cardano, criterion_verdicts, dominance
+from .stability import li_wang_exact  # noqa: F401  re-exported; perfbench's tests pin it
 
 
 class DegenerateSplittingError(ValueError):
@@ -39,8 +30,10 @@ class DegenerateSplittingError(ValueError):
 
 
 @dataclass(frozen=True)
-class CovidParams:
+class CovidParams(model.Params):
     """Nonnegative epidemiological rates (per day)."""
+
+    MISSING_NOTE = " (beta10 has no default and must be given explicitly)"
 
     B: float
     mu: float
@@ -55,30 +48,8 @@ class CovidParams:
     beta9: float
     beta10: float
 
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"parameter {f.name} must be finite and >= 0, got {v}")
 
-    @classmethod
-    def from_dict(cls, d):
-        missing = [k for k in PARAM_KEYS if k not in d]
-        if missing:
-            raise ValueError(f"missing parameters: {', '.join(missing)} "
-                             "(beta10 has no default and must be given explicitly)")
-        extra = [k for k in d if k not in PARAM_KEYS]
-        if extra:
-            raise ValueError(f"unknown parameters: {', '.join(sorted(extra))}")
-        return cls(**{k: float(d[k]) for k in PARAM_KEYS})
-
-    def to_dict(self):
-        return {k: getattr(self, k) for k in PARAM_KEYS}
-
-    def replace(self, **kw):
-        d = self.to_dict()
-        d.update(kw)
-        return CovidParams(**d)
+PARAM_KEYS = CovidParams.keys()
 
 
 def table_params(beta10):
@@ -131,16 +102,8 @@ def derived(p):
 
 
 def state(e, i, c, h, d):
-    """Validated compartment state: populations are finite and nonnegative.
-
-    Internal evaluation points (linearisation probes, perturbations) are
-    plain arrays and may go negative; this constructor is for actual
-    population states such as initial conditions.
-    """
-    x = np.array([e, i, c, h, d], dtype=float)
-    if not np.isfinite(x).all() or (x < 0).any():
-        raise ValueError("compartment populations must be finite and >= 0")
-    return x
+    """Validated compartment state (see :func:`epistab.model.population`)."""
+    return model.population([e, i, c, h, d])
 
 
 def rhs(p, x):
@@ -166,21 +129,16 @@ def sum_rate(p, x):
     no -mu*D term, so the total population is *not* damped through D.  (The
     often-quoted identity with mu*(E+I+C+H+D) overstates the damping by
     mu*D; both values are exposed by the transcription-check report.)
+
+    A single state gives a float, a batch (..., 5) an array of shape (...).
     """
-    return float(np.sum(rhs(p, x), axis=-1))
+    total = np.sum(rhs(p, x), axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def jacobian_fd(p, x, h=1e-6):
     """Central-difference Jacobian of :func:`rhs`; the ground-truth oracle."""
-    if not 1e-8 <= h <= 1e-4:
-        raise ValueError(f"step h must lie in [1e-8, 1e-4], got {h}")
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for j in range(5):
-        dx = np.zeros(5)
-        dx[j] = h
-        cols.append((rhs(p, x + dx) - rhs(p, x - dx)) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+    return model.jacobian_fd(rhs, p, x, h)
 
 
 def jacobian_closed(p, x):
@@ -198,34 +156,11 @@ def jacobian_closed(p, x):
     ])
 
 
-@dataclass(frozen=True)
-class Equilibrium:
-    state: np.ndarray
-    kind: str  # "dfe" | "endemic"
-    feasible: bool
-    residual: float
-
-    def to_dict(self):
-        return {"state": [float(v) for v in self.state], "kind": self.kind,
-                "feasible": self.feasible, "residual": self.residual}
-
-
-def _make_equilibrium(p, state, kind):
-    residual = float(abs(rhs(p, state)).max())
-    gate = RESIDUAL_RTOL * (1.0 + float(abs(state).max()))
-    if residual >= gate:
-        raise ArithmeticError(
-            f"{kind} equilibrium residual {residual:.3e} exceeds gate {gate:.3e}")
-    return Equilibrium(np.asarray(state, dtype=float), kind,
-                       feasible=bool((np.asarray(state) > 0).all()),
-                       residual=residual)
-
-
 def dfe(p):
     """Disease-free equilibrium (B/mu, 0, 0, 0, 0)."""
     if p.mu <= 0:
         raise ValueError("disease-free equilibrium needs mu > 0")
-    return _make_equilibrium(p, np.array([p.B / p.mu, 0.0, 0.0, 0.0, 0.0]), "dfe")
+    return model.equilibrium(rhs, p, np.array([p.B / p.mu, 0.0, 0.0, 0.0, 0.0]), "dfe")
 
 
 def endemic(p):
@@ -247,7 +182,7 @@ def endemic(p):
     h_star = (p.B - p.mu * e_star) / den
     state = np.array([e_star, dp.alpha_hat * h_star, dp.beta_hat * h_star,
                       h_star, dp.gamma_hat * h_star])
-    return _make_equilibrium(p, state, "endemic")
+    return model.equilibrium(rhs, p, state, "endemic")
 
 
 def r0_reduced(p):
@@ -392,6 +327,16 @@ class DfeDeterminant:
                 "beta1_gt_beta10": self.beta1_gt_beta10}
 
 
+def _dfe_groups(p):
+    """(E*, a, alpha, beta, gamma) at the disease-free point: E* = B/mu,
+    a = beta1 - beta10, alpha = beta2 + beta6 + beta8 + mu, the published
+    grouping beta = beta2 + beta5 + mu, and gamma = beta4 + beta9 + mu."""
+    if p.mu <= 0:
+        raise ValueError("needs mu > 0")
+    return (p.B / p.mu, p.beta1 - p.beta10, p.beta2 + p.beta6 + p.beta8 + p.mu,
+            p.beta2 + p.beta5 + p.mu, p.beta4 + p.beta9 + p.mu)
+
+
 def det_jp0(p):
     """Disease-free Jacobian determinant: published closed form vs. oracle.
 
@@ -401,13 +346,7 @@ def det_jp0(p):
     the re-derived Jacobian at the disease-free point; ``condition_ii`` is
     the published sign predicate.
     """
-    if p.mu <= 0:
-        raise ValueError("needs mu > 0")
-    e_star = p.B / p.mu
-    a = p.beta1 - p.beta10
-    alpha = p.beta2 + p.beta6 + p.beta8 + p.mu
-    beta_s = p.beta2 + p.beta5 + p.mu
-    gamma = p.beta4 + p.beta9 + p.mu
+    e_star, a, alpha, beta_s, gamma = _dfe_groups(p)
     bracket = 2.0 * p.beta8 * a * e_star + alpha * gamma + p.beta8 * p.beta9 - p.beta8 * alpha
     closed = -p.mu * p.beta7 * beta_s * e_star * bracket
     numeric = determinant(jacobian_closed(p, dfe(p).state))
@@ -423,11 +362,8 @@ def splitting_matrices(p):
     reproduces the *published* disease-free Jacobian (including its dropped
     row-5 entries), which is what the splitting cubic is about.
     """
-    e_star = p.B / p.mu
-    aa = (p.beta1 - p.beta10) * e_star
-    alpha = p.beta2 + p.beta6 + p.beta8 + p.mu
-    beta_s = p.beta2 + p.beta5 + p.mu
-    gamma = p.beta4 + p.beta9 + p.mu
+    e_star, a, alpha, beta_s, gamma = _dfe_groups(p)
+    aa = a * e_star
     m = np.array([
         [0.0, 0.0, 0.0, p.beta9, p.beta7 * e_star],
         [0.0, aa, 0.0, 0.0, 0.0],
@@ -465,13 +401,8 @@ def chi_cubic(p):
     M E^-1 (two zero eigenvalues plus a cubic) is the oracle the
     transcription checks compare against.
     """
-    if p.mu <= 0:
-        raise ValueError("needs mu > 0")
-    e_star = p.B / p.mu
-    aa = (p.beta1 - p.beta10) * e_star
-    alpha = p.beta2 + p.beta6 + p.beta8 + p.mu
-    beta_s = p.beta2 + p.beta5 + p.mu
-    gamma = p.beta4 + p.beta9 + p.mu
+    e_star, a, alpha, beta_s, gamma = _dfe_groups(p)
+    aa = a * e_star
     gap = alpha - aa
     if abs(gap) <= 1e-12 * (1.0 + abs(alpha) + abs(aa)):
         raise DegenerateSplittingError("splitting degenerate: alpha equals (beta1-beta10)*B/mu")
@@ -502,18 +433,6 @@ def _threshold_verdict(r0):
     return "inconclusive"
 
 
-def _verdicts_at(p, state):
-    j = jacobian_closed(p, state)
-    out = {
-        "hurwitz": hurwitz_exact(j).to_dict(),
-        "li_wang_exact": li_wang_exact(j).to_dict(),
-        "li_wang_sufficient": {
-            kind.value: li_wang_sufficient(j, kind).to_dict() for kind in MeasureKind
-        },
-    }
-    return out
-
-
 def stability_report(p):
     """Everything the threshold and compound criteria say about both equilibria.
 
@@ -530,8 +449,7 @@ def stability_report(p):
     parts = ngm_full(p, point.state)
     dj = det_jp0(p)
 
-    e_star = p.B / p.mu
-    beta_s = p.beta2 + p.beta5 + p.mu
+    e_star, _, _, beta_s, _ = _dfe_groups(p)
     cond_a = p.beta3 < beta_s
     cond_b = 2.0 * (p.beta1 - p.beta10) * e_star < p.beta6 + p.mu
     cond_c = p.beta9 < p.beta7 * e_star
@@ -560,12 +478,12 @@ def stability_report(p):
             "compound_diag_negative": bool(np.diag(j2).max() < 0),
         },
         "equilibria": {"dfe": point.to_dict()},
-        "verdicts": {"dfe": _verdicts_at(p, point.state)},
+        "verdicts": {"dfe": criterion_verdicts(jacobian_closed(p, point.state))},
     }
     try:
         end = endemic(p)
         report["equilibria"]["endemic"] = end.to_dict()
-        report["verdicts"]["endemic"] = _verdicts_at(p, end.state)
+        report["verdicts"]["endemic"] = criterion_verdicts(jacobian_closed(p, end.state))
     except (InfeasibleError, ArithmeticError) as exc:
         report["equilibria"]["endemic"] = {"error": str(exc)}
     return report

@@ -100,35 +100,32 @@ def determinant(a):
     return float(sign * np.prod(np.diag(lu)))
 
 
-def solve(a, b):
-    """Solve A x = b through the pivoted LU, honouring the pivot threshold."""
-    m = as_square(a)
-    rhs = np.array(b, dtype=float)
+def _lu_solve(m, b):
+    """Solve M X = B through the pivoted LU, honouring the pivot threshold.
+
+    B is a vector or a matrix of right-hand-side columns.
+    """
     lu, perm, _, min_pivot = _lu(m)
     if min_pivot <= _pivot_floor(m):
         raise SingularMatrixError("matrix is singular to working precision", min_pivot)
-    x = rhs[perm].astype(float)
+    x = b[perm]
     n = m.shape[0]
     for k in range(n):        # forward: L y = P b
-        x[k + 1:] -= lu[k + 1:, k] * x[k]
+        x[k + 1:] -= np.multiply.outer(lu[k + 1:, k], x[k])
     for k in range(n - 1, -1, -1):   # backward: U x = y
         x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
     return x
 
 
+def solve(a, b):
+    """Solve A x = b through the pivoted LU, honouring the pivot threshold."""
+    return _lu_solve(as_square(a), np.array(b, dtype=float))
+
+
 def inverse(a):
     """A^-1 with A * inverse(A) = I to inf-norm 1e-9 for well-scaled inputs."""
     m = as_square(a)
-    n = m.shape[0]
-    lu, perm, _, min_pivot = _lu(m)
-    if min_pivot <= _pivot_floor(m):
-        raise SingularMatrixError("matrix is singular to working precision", min_pivot)
-    inv = np.eye(n)[:, perm].T.copy()  # rows of P applied to I
-    for k in range(n):
-        inv[k + 1:] -= np.outer(lu[k + 1:, k], inv[k])
-    for k in range(n - 1, -1, -1):
-        inv[k] = (inv[k] - lu[k, k + 1:] @ inv[k + 1:]) / lu[k, k]
-    return inv
+    return _lu_solve(m, np.eye(m.shape[0]))
 
 
 def eigenvalues(a):

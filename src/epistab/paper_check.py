@@ -65,6 +65,14 @@ def _claim(claim_id, paper, oracle, diff, tol, note=""):
                        verdict=MATCH if diff <= tol else FLAGGED, note=note)
 
 
+def _worst_claim(claim_id, states, paper, oracle, tol, note=""):
+    """Claim with the values at the first state and the largest
+    |paper(x) - oracle(x)| over all states."""
+    pairs = [(paper(x), oracle(x)) for x in states]
+    diff = max(float(np.max(abs(pv - ov))) for pv, ov in pairs)
+    return _claim(claim_id, pairs[0][0], pairs[0][1], diff, tol, note=note)
+
+
 def _probe_states(rng, count=4):
     states = [np.array([1.0, 0.8, 0.6, 0.4, 0.2])]
     for _ in range(count - 1):
@@ -130,27 +138,15 @@ def second_compound5_display(a):
 # --- individual claims ---
 
 def claim_sum_identity(p, states):
-    diffs, paper, oracle = [], None, None
-    for x in states:
-        total = float(np.sum(x))
-        val = p.B - p.mu * total
-        got = covid.sum_rate(p, x)
-        if paper is None:
-            paper, oracle = val, got
-        diffs.append(abs(val - got))
-    return _claim("covid_sum_identity_all_compartments", paper, oracle, max(diffs), 1e-9,
-                  note="the D equation carries no -mu*D term; sum is B - mu*(E+I+C+H)")
+    return _worst_claim("covid_sum_identity_all_compartments", states,
+                        lambda x: p.B - p.mu * float(np.sum(x)),
+                        lambda x: covid.sum_rate(p, x), 1e-9,
+                        note="the D equation carries no -mu*D term; sum is B - mu*(E+I+C+H)")
 
 
 def _entry_claim(claim_id, p, states, i, j, note=""):
-    diffs, paper, oracle = [], None, None
-    for x in states:
-        tv = jacobian_transcribed(p, x)[i, j]
-        ov = covid.jacobian_closed(p, x)[i, j]
-        if paper is None:
-            paper, oracle = tv, ov
-        diffs.append(abs(tv - ov))
-    return _claim(claim_id, paper, oracle, max(diffs), 1e-9, note=note)
+    return _worst_claim(claim_id, states, lambda x: jacobian_transcribed(p, x)[i, j],
+                        lambda x: covid.jacobian_closed(p, x)[i, j], 1e-9, note=note)
 
 
 def claim_jacobian_entries(p, states):
@@ -166,12 +162,9 @@ def claim_jacobian_entries(p, states):
     mask = np.ones((5, 5), dtype=bool)
     for i, j in ((1, 0), (2, 2), (3, 3)):
         mask[i, j] = False
-    diffs = [float(abs((jacobian_transcribed(p, x) - covid.jacobian_closed(p, x))[mask]).max())
-             for x in states]
-    rest = _claim("covid_jacobian_other_entries",
-                  jacobian_transcribed(p, states[0]) * mask,
-                  covid.jacobian_closed(p, states[0]) * mask,
-                  max(diffs), 1e-9)
+    rest = _worst_claim("covid_jacobian_other_entries", states,
+                        lambda x: jacobian_transcribed(p, x) * mask,
+                        lambda x: covid.jacobian_closed(p, x) * mask, 1e-9)
     return flagged + [rest]
 
 
@@ -294,17 +287,10 @@ def claim_second_compound5_display(rng):
 
 
 def claim_seir_jacobian(sp, rng):
-    diffs = []
-    first = None
-    for _ in range(5):
-        x = rng.uniform(0.05, 3.0, size=3)
-        tv = seir.jacobian3(sp, x)
-        ov = seir.jacobian3_fd(sp, x)
-        if first is None:
-            first = (tv, ov)
-        diffs.append(float(abs(tv - ov).max()))
-    return _claim("seir_jacobian", first[0], first[1], max(diffs), 1e-6,
-                  note="the printed three-compartment Jacobian is correct")
+    states = [rng.uniform(0.05, 3.0, size=3) for _ in range(5)]
+    return _worst_claim("seir_jacobian", states, lambda x: seir.jacobian3(sp, x),
+                        lambda x: seir.jacobian3_fd(sp, x), 1e-6,
+                        note="the printed three-compartment Jacobian is correct")
 
 
 def claim_seir_compound_display(sp):

@@ -12,24 +12,20 @@ the endemic Jacobian after the diagonal similarity P = diag(I2*, I1*, S*).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .compound import add_compound
-from .covid import Equilibrium, InfeasibleError
 from .linalg import determinant, eigenvalues, inverse
 from .lozinskii import MeasureKind, measure
-from .stability import dominance, hurwitz_exact, li_wang_exact, li_wang_sufficient
-
-RESIDUAL_RTOL = 1e-10
-
-SEIR_KEYS = ("Lambda", "beta1", "beta2", "mu", "gamma", "d")
+from .model import InfeasibleError
+from .stability import criterion_verdicts, dominance
 
 
 @dataclass(frozen=True)
-class SeirParams:
+class SeirParams(model.Params):
     Lambda: float
     beta1: float
     beta2: float
@@ -37,33 +33,12 @@ class SeirParams:
     gamma: float
     d: float
 
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"parameter {f.name} must be finite and >= 0, got {v}")
-
     @property
     def delta(self):
         return self.gamma / (self.mu + self.d)
 
-    @classmethod
-    def from_dict(cls, d):
-        missing = [k for k in SEIR_KEYS if k not in d]
-        if missing:
-            raise ValueError(f"missing parameters: {', '.join(missing)}")
-        extra = [k for k in d if k not in SEIR_KEYS]
-        if extra:
-            raise ValueError(f"unknown parameters: {', '.join(sorted(extra))}")
-        return cls(**{k: float(d[k]) for k in SEIR_KEYS})
 
-    def to_dict(self):
-        return {k: getattr(self, k) for k in SEIR_KEYS}
-
-    def replace(self, **kw):
-        d = self.to_dict()
-        d.update(kw)
-        return SeirParams(**d)
+SEIR_KEYS = SeirParams.keys()
 
 
 def figure_params(mu=0.1):
@@ -95,13 +70,8 @@ def jacobian3(p, x):
 
 
 def jacobian3_fd(p, x, h=1e-6):
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for j in range(3):
-        dx = np.zeros(3)
-        dx[j] = h
-        cols.append((rhs3(p, x + dx) - rhs3(p, x - dx)) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+    """Central-difference Jacobian of :func:`rhs3`; the ground-truth oracle."""
+    return model.jacobian_fd(rhs3, p, x, h)
 
 
 def r0_seir(p):
@@ -123,7 +93,7 @@ def dfe3(p):
     if p.mu <= 0:
         raise ValueError("needs mu > 0")
     state = np.array([p.Lambda / p.mu, 0.0, 0.0])
-    return _equilibrium3(p, state, "dfe")
+    return model.equilibrium(rhs3, p, state, "dfe")
 
 
 def endemic3(p):
@@ -139,17 +109,7 @@ def endemic3(p):
     s_star = (p.mu + p.gamma) / den
     i1_star = (p.Lambda - p.mu * s_star) / (p.mu + p.gamma)
     i2_star = p.delta * i1_star
-    return _equilibrium3(p, np.array([s_star, i1_star, i2_star]), "endemic")
-
-
-def _equilibrium3(p, state, kind):
-    residual = float(abs(rhs3(p, state)).max())
-    gate = RESIDUAL_RTOL * (1.0 + float(abs(state).max()))
-    if residual >= gate:
-        raise ArithmeticError(f"{kind} residual {residual:.3e} exceeds gate {gate:.3e}")
-    return Equilibrium(np.asarray(state, dtype=float), kind,
-                       feasible=bool((np.asarray(state) > 0).all()),
-                       residual=residual)
+    return model.equilibrium(rhs3, p, np.array([s_star, i1_star, i2_star]), "endemic")
 
 
 def j2_dfe_transcribed(p):
@@ -218,16 +178,7 @@ def seir_stability(p):
             "measure_inf": measure(transformed, MeasureKind.INF),
         },
         "det_endemic_jacobian": det_j,
-        "verdicts": {
-            "endemic": {
-                "hurwitz": hurwitz_exact(j).to_dict(),
-                "li_wang_exact": li_wang_exact(j).to_dict(),
-                "li_wang_sufficient": {
-                    kind.value: li_wang_sufficient(j, kind).to_dict()
-                    for kind in MeasureKind
-                },
-            }
-        },
+        "verdicts": {"endemic": criterion_verdicts(j)},
     }
 
 

@@ -87,11 +87,8 @@ def invariance_audit(traj, p):
     inside = totals <= bound + 1e-12
     exited = bool((inside[:-1] & ~inside[1:]).any())
     entered = bool((~inside[:-1] & inside[1:]).any())
-    worst = 0.0
-    for k in range(states.shape[0]):
-        x = states[k]
-        ref = p.B - p.mu * (x[0] + x[1] + x[2] + x[3])
-        worst = max(worst, abs(sum_rate(p, x) - ref))
+    ref = p.B - p.mu * (states[:, 0] + states[:, 1] + states[:, 2] + states[:, 3])
+    worst = float(abs(sum_rate(p, states) - ref).max())
     return {
         "min_component": min_component,
         "first_positivity_violation_t": first_violation,

@@ -121,6 +121,17 @@ def li_wang_sufficient(a, kind):
                    measure_kind=kind.value, measure_value=mu2)
 
 
+def criterion_verdicts(a):
+    """The Hurwitz, exact compound and every sufficient-measure verdict on A, as dicts."""
+    return {
+        "hurwitz": hurwitz_exact(a).to_dict(),
+        "li_wang_exact": li_wang_exact(a).to_dict(),
+        "li_wang_sufficient": {
+            kind.value: li_wang_sufficient(a, kind).to_dict() for kind in MeasureKind
+        },
+    }
+
+
 def dominance(a, axis="rows"):
     """Strict diagonal dominance over every row (or every column)."""
     m = as_square(a)

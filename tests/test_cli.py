@@ -101,6 +101,14 @@ def test_simulate_writes_csv_and_audit(covid_config, tmp_path, capsys):
     assert out_csv.read_text().splitlines()[0] == "t,E,I,C,H,D"
 
 
+def test_simulate_rejects_negative_x0(covid_config, seir_config, capsys):
+    for argv in (["simulate", "--config", covid_config, "--x0", "1,-1,1,1,1"],
+                 ["seir", "simulate", "--config", seir_config, "--x0", "1,-0.5,0.2"]):
+        assert main(argv + ["--t-end", "1.0", "--out", "-"]) == 1
+        assert capsys.readouterr() == (
+            "", "usage error: compartment populations must be finite and >= 0\n")
+
+
 def test_simulate_divergence_exit_2(covid_config, capsys):
     code = main(["simulate", "--config", covid_config, "--x0",
                  "1e160,1e160,0,0,0", "--dt", "0.01", "--t-end", "1.0",
@@ -149,6 +157,10 @@ def test_seir_commands(seir_config, tmp_path, capsys):
     assert main(["seir", "stability", "--config", seir_config]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["conditions"]["c2_compound_row_sums_negative"] is True
+
+    assert main(["seir", "stability", "--config", seir_config, "--measure", "inf"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert list(rep["verdicts"]["endemic"]["li_wang_sufficient"]) == ["inf"]
 
     out_csv = tmp_path / "seir.csv"
     assert main(["seir", "simulate", "--config", seir_config, "--x0", "1,0.5,0.2",

@@ -62,6 +62,15 @@ def test_sum_rate_examples(covid_table):
     assert covid.sum_rate(covid_table, np.ones(5)) == pytest.approx(0.76, abs=1e-12)
 
 
+def test_sum_rate_batches(covid_table):
+    rng = np.random.default_rng(504)
+    batch = rng.uniform(-5.0, 5.0, size=(40, 5))
+    np.testing.assert_array_equal(covid.sum_rate(covid_table, batch),
+                                  [covid.sum_rate(covid_table, x) for x in batch])
+    assert covid.sum_rate(covid_table, batch.reshape(8, 5, 5)).shape == (8, 5)
+    assert type(covid.sum_rate(covid_table, batch[0])) is float
+
+
 def test_sum_identity_everywhere(covid_table):
     rng = np.random.default_rng(502)
     for _ in range(50):

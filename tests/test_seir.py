@@ -68,6 +68,8 @@ def test_jacobian_matches_finite_differences(seir_figure):
         x = rng.uniform(0.0, 3.0, size=3)
         gap = abs(seir.jacobian3(seir_figure, x) - seir.jacobian3_fd(seir_figure, x)).max()
         assert gap < 1e-6
+    with pytest.raises(ValueError):
+        seir.jacobian3_fd(seir_figure, np.ones(3), h=1e-2)
 
 
 def test_transcribed_compound_display_gap(seir_figure):
