@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from math import comb
 from typing import Callable
 
 import numpy as np
@@ -29,6 +30,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_INFEASIBLE = 3
+
+# cap on sweep points, trajectory rows and compound entries, checked before allocating
+MAX_SIZE = 10**6
 
 
 class UsageError(Exception):
@@ -49,6 +53,11 @@ def _fmt(value):
     if isinstance(value, (list, tuple)):
         return [_fmt(v) for v in value]
     return value
+
+
+def _check_size(what, count):
+    if not count <= MAX_SIZE:  # also rejects NaN
+        raise UsageError(f"{what} {count:.12g} exceeds the limit of {MAX_SIZE}")
 
 
 def _emit(obj, stream=None):
@@ -86,8 +95,9 @@ def _parse_sweep(text):
         raise UsageError(f"bad sweep spec {text!r}, expected name=lo:hi:step") from exc
     if step <= 0 or lo > hi:
         raise UsageError("sweep needs positive step and lo <= hi")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return name.strip(), [lo + k * step for k in range(count)]
+    count = np.floor((hi - lo) / step + 1e-9) + 1
+    _check_size("sweep points", count)
+    return name.strip(), [lo + k * step for k in range(int(count))]
 
 
 def _write_text(path, text):
@@ -113,6 +123,8 @@ def _cmd_simulate(args):
     m = args.model
     p = _load_params(args)
     x0 = population(_parse_state(args.x0, len(m.compartments)))
+    if args.dt > 0:
+        _check_size("trajectory rows", np.rint(args.t_end / args.dt) + 1)
     traj = sim.integrate(lambda x: m.rhs(p, x), x0, args.dt, args.t_end)
     _write_text(args.out, sim.trajectory_to_csv(traj, ",".join(("t",) + m.compartments)))
     if m.audited:
@@ -158,10 +170,9 @@ def _cmd_stability(args):
 
 def _cmd_compound(args):
     m = read_matrix(args.matrix)
-    if args.mode == "additive":
-        out = add_compound(m, args.k)
-    else:
-        out = mult_compound(m, args.k)
+    if 1 <= args.k <= m.shape[0]:
+        _check_size("compound entries", comb(m.shape[0], args.k) ** 2)
+    out = (add_compound if args.mode == "additive" else mult_compound)(m, args.k)
     sys.stdout.write(format_matrix(out))
     return EXIT_OK
 

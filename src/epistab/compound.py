@@ -10,11 +10,17 @@ index, the entry (-1)^(r+s) * a_{i_s, j_r} with s the 1-based position of the
 leftover index of ((i)) and r that of ((j)).  This orientation reproduces the
 standard closed-form templates for n = 3, 4, 5 and satisfies
 A^[k] = d/dh C_k(I + hA) at h = 0.
+
+Both builders read an index plan cached per (n, k) and built once from
+:func:`lex_tuples` and :func:`tuple_rank`.  C_k(A) gathers all k x k blocks
+in one indexing step and takes their minors over the stack; A^[k] is one
+scatter assignment plus the diagonal sums.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -61,61 +67,60 @@ def tuple_unrank(n, k, rank):
     return tuple(out)
 
 
-def _minor(a, rows, cols):
-    sub = a[np.ix_(rows, cols)]
-    m = sub.shape[0]
-    if m == 1:
-        return sub[0, 0]
-    if m == 2:
-        return sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0]
-    if m == 3:
+@lru_cache(maxsize=64)
+def _plan(n, k):
+    """The (n, k) plan: ``idx``, the tuples 0-based in rank order, and ``scatter``,
+    (row, col, i, j, sign) for each off-diagonal entry of A^[k], whose row and
+    column tuples share all but one index; i and j are the leftover indices."""
+    tups = lex_tuples(n, k)
+    scatter = []
+    for row, t in enumerate(tups):
+        for s, i in enumerate(t):
+            for j in range(1, n + 1):
+                if j not in t:
+                    col = tuple(sorted(t[:s] + t[s + 1:] + (j,)))
+                    sign = (-1) ** (s + col.index(j))
+                    scatter.append((row, tuple_rank(n, col), i - 1, j - 1, sign))
+    idx = np.array(tups, dtype=np.intp) - 1
+    scatter = np.array(scatter, dtype=np.intp).reshape(-1, 5).T
+    idx.flags.writeable = scatter.flags.writeable = False
+    return idx, scatter
+
+
+def _minors(b):
+    """Determinants of the k x k blocks on the last two axes of ``b``."""
+    k = b.shape[-1]
+    if k == 1:
+        return b[..., 0, 0]
+    if k == 2:
+        return b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0]
+    if k == 3:
         return (
-            sub[0, 0] * (sub[1, 1] * sub[2, 2] - sub[1, 2] * sub[2, 1])
-            - sub[0, 1] * (sub[1, 0] * sub[2, 2] - sub[1, 2] * sub[2, 0])
-            + sub[0, 2] * (sub[1, 0] * sub[2, 1] - sub[1, 1] * sub[2, 0])
+            b[..., 0, 0] * (b[..., 1, 1] * b[..., 2, 2] - b[..., 1, 2] * b[..., 2, 1])
+            - b[..., 0, 1] * (b[..., 1, 0] * b[..., 2, 2] - b[..., 1, 2] * b[..., 2, 0])
+            + b[..., 0, 2] * (b[..., 1, 0] * b[..., 2, 1] - b[..., 1, 1] * b[..., 2, 0])
         )
-    return determinant(sub)
+    return np.array([determinant(block) for block in b.reshape(-1, k, k)]).reshape(b.shape[:-2])
 
 
 def mult_compound(a, k):
     """C_k(A): the C(n,k) x C(n,k) matrix of all k x k minors det A(alpha|beta)."""
     m = as_square(a)
-    n = m.shape[0]
-    tups = lex_tuples(n, k)
-    idx = [[v - 1 for v in t] for t in tups]
-    size = len(tups)
-    out = np.empty((size, size))
-    for ri, rows in enumerate(idx):
-        for ci, cols in enumerate(idx):
-            out[ri, ci] = _minor(m, rows, cols)
-    return out
+    idx, _ = _plan(m.shape[0], k)
+    return _minors(m[idx[:, None, :, None], idx[None, :, None, :]])
 
 
 def add_compound(a, k):
     """A^[k]: the k-th additive compound."""
     m = as_square(a)
-    n = m.shape[0]
-    tups = lex_tuples(n, k)
-    size = len(tups)
-    out = np.zeros((size, size))
-    sets = [frozenset(t) for t in tups]
-    for ri, ti in enumerate(tups):
-        for ci, tj in enumerate(tups):
-            if ri == ci:
-                v = 0.0
-                for t in ti:
-                    v += m[t - 1, t - 1]
-                out[ri, ci] = v
-                continue
-            only_i = sets[ri] - sets[ci]
-            if len(only_i) != 1:
-                continue
-            i_s = next(iter(only_i))
-            j_r = next(iter(sets[ci] - sets[ri]))
-            s = ti.index(i_s) + 1
-            r = tj.index(j_r) + 1
-            v = m[i_s - 1, j_r - 1]
-            out[ri, ci] = -v if (r + s) % 2 else v
+    idx, (row, col, i, j, sign) = _plan(m.shape[0], k)
+    out = np.zeros((len(idx), len(idx)))
+    out[row, col] = sign * m[i, j]  # assignment: a negated 0.0 stays -0.0
+    # diagonal sums in tuple order from 0.0, so a lone -0.0 term gives 0.0
+    diag = np.zeros(len(idx))
+    for c in range(k):
+        diag += m[idx[:, c], idx[:, c]]
+    np.fill_diagonal(out, diag)
     return out
 
 

@@ -25,7 +25,7 @@ from .stability import CubicRoots, cardano, criterion_verdicts, dominance
 from .stability import li_wang_exact  # noqa: F401  re-exported; perfbench's tests pin it
 
 
-class DegenerateSplittingError(ValueError):
+class DegenerateSplittingError(ArithmeticError):
     """The diagonal splitting of the disease-free Jacobian is not invertible."""
 
 

@@ -97,14 +97,9 @@ def population(values):
 
 
 def jacobian_fd(rhs, p, x, h):
-    """Central-difference Jacobian of ``rhs(p, .)`` at x, one column per coordinate."""
+    """Central-difference Jacobian of ``rhs(p, .)`` at x, all columns in one batched call."""
     if not 1e-8 <= h <= 1e-4:
         raise ValueError(f"step h must lie in [1e-8, 1e-4], got {h}")
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    cols = []
-    for j in range(n):
-        dx = np.zeros(n)
-        dx[j] = h
-        cols.append((rhs(p, x + dx) - rhs(p, x - dx)) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+    x = np.asarray(x, dtype=float)[..., None, :]
+    step = h * np.eye(x.shape[-1])  # row j perturbs coordinate j
+    return ((rhs(p, x + step) - rhs(p, x - step)) / (2.0 * h)).swapaxes(-1, -2)

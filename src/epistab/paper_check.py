@@ -199,39 +199,20 @@ def claim_endemic_ratios(p):
 
 
 def claim_ngm(p, states):
-    states = [covid.dfe(p).state] + list(states)
-    det_diffs, minor_diffs, r0_diffs = [], {"m11": [], "m12": [], "m21": [], "m22": []}, []
-    first = {}
-    for x in states:
-        parts = covid.ngm_full(p, x)
-        det_num = determinant(parts.V)
-        det_diffs.append(abs(parts.detV_closed - det_num))
-        nums = {key: covid.minor(parts.V, i, j)
-                for key, (i, j) in (("m11", (1, 1)), ("m12", (1, 2)),
-                                    ("m21", (2, 1)), ("m22", (2, 2)))}
-        for key, closed in (("m11", parts.m11), ("m12", parts.m12),
-                            ("m21", parts.m21), ("m22", parts.m22)):
-            minor_diffs[key].append(abs(closed - nums[key]))
-        quad = (parts.a_c + parts.d_c + np.sqrt(complex(parts.delta))) / 2.0
-        r0_diffs.append(abs(quad.real - parts.r0))
-        if not first:
-            first = {"detV": (parts.detV_closed, det_num),
-                     "minors": {k: (v, nums[k]) for k, v in
-                                (("m11", parts.m11), ("m12", parts.m12),
-                                 ("m21", parts.m21), ("m22", parts.m22))},
-                     "r0": (quad.real, parts.r0)}
-    claims = [_claim("covid_ngm_det_v", first["detV"][0], first["detV"][1],
-                     max(det_diffs), 1e-8)]
-    notes = {"m11": "", "m12": "printed expression is the (2,1) minor over beta7*E",
-             "m21": "printed expression omits the beta7*E factor",
-             "m22": "printed factor beta1 + mu should be beta1*I + mu"}
-    for key in ("m11", "m12", "m21", "m22"):
-        claims.append(_claim(f"covid_ngm_minor_{key}", first["minors"][key][0],
-                             first["minors"][key][1], max(minor_diffs[key]), 1e-8,
-                             note=notes[key]))
-    claims.append(_claim("covid_ngm_r0_quadratic_formula", first["r0"][0], first["r0"][1],
-                         max(r0_diffs), 1e-8,
-                         note="(a+d+sqrt(delta))/2 from the printed minors vs rho(F V^-1)"))
+    parts = [covid.ngm_full(p, x) for x in [covid.dfe(p).state] + list(states)]
+    claims = [_worst_claim("covid_ngm_det_v", parts, lambda q: q.detV_closed,
+                           lambda q: determinant(q.V), 1e-8)]
+    for key, i, j, note in (
+            ("m11", 1, 1, ""),
+            ("m12", 1, 2, "printed expression is the (2,1) minor over beta7*E"),
+            ("m21", 2, 1, "printed expression omits the beta7*E factor"),
+            ("m22", 2, 2, "printed factor beta1 + mu should be beta1*I + mu")):
+        claims.append(_worst_claim(f"covid_ngm_minor_{key}", parts, lambda q: getattr(q, key),
+                                   lambda q: covid.minor(q.V, i, j), 1e-8, note=note))
+    claims.append(_worst_claim(
+        "covid_ngm_r0_quadratic_formula", parts,
+        lambda q: ((q.a_c + q.d_c + np.sqrt(complex(q.delta))) / 2.0).real, lambda q: q.r0, 1e-8,
+        note="(a+d+sqrt(delta))/2 from the printed minors vs rho(F V^-1)"))
     return claims
 
 

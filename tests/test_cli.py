@@ -128,6 +128,36 @@ def test_compound_command(tmp_path, capsys):
     out = capsys.readouterr().out.strip()
     assert float(out) == pytest.approx(1.5 * -0.5 - 2 * 3)
     assert main(["compound", "--matrix", str(mat), "--k", "3"]) == 1  # k > n
+    mat.write_text("0,0,0\n0,0,0\n0,0,0\n")  # -a13 and -a31 print as -0
+    assert main(["compound", "--matrix", str(mat), "--k", "2"]) == 0
+    assert capsys.readouterr().out == "0,0,-0\n0,0,0\n-0,0,0\n"
+
+
+def test_sizes_over_the_cap_are_usage_errors(covid_config, tmp_path, capsys):
+    mat = tmp_path / "eye46.txt"  # C(46,2)^2 = 1,071,225 entries
+    mat.write_text("\n".join(",".join("1" if i == j else "0" for j in range(46))
+                             for i in range(46)) + "\n")
+    for argv, size in (
+            (["r0", "--config", covid_config, "--sweep", "mu=0.01:inf:0.01"], "inf"),
+            (["r0", "--config", covid_config, "--sweep", "mu=1:1000001:1"], "1000001"),
+            (["simulate", "--config", covid_config, "--x0", "1,1,1,1,1", "--t-end", "1e12"],
+             "1e+14"),
+            (["simulate", "--config", covid_config, "--x0", "1,1,1,1,1", "--dt", "0.1",
+              "--t-end", "100000"], "1000001"),
+            (["compound", "--matrix", str(mat), "--k", "2"], "1071225")):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: ") and f" {size} exceeds the limit of 1000000\n" in err
+
+
+def test_degenerate_splitting_exit_2(tmp_path, capsys):
+    path = tmp_path / "degenerate.json"  # alpha equals (beta1 - beta10) * B / mu
+    path.write_text(json.dumps(table_params(0.537375).to_dict()))
+    assert main(["paper-check", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numeric failure: splitting degenerate")
 
 
 def test_compound_rejects_ragged_matrix(tmp_path, capsys):

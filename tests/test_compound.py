@@ -56,6 +56,14 @@ def test_mult_compound_matches_direct_minors():
         for ci, cols in enumerate(tups):
             sub = a[np.ix_([r - 1 for r in rows], [c - 1 for c in cols])]
             assert c3[ri, ci] == pytest.approx(determinant(sub), abs=1e-12)
+    # k >= 4 minors run through determinant itself, so they agree exactly
+    b = rng.normal(size=(6, 6))
+    c4 = mult_compound(b, 4)
+    tups = lex_tuples(6, 4)
+    for ri, rows in enumerate(tups):
+        for ci, cols in enumerate(tups):
+            sub = b[np.ix_([r - 1 for r in rows], [c - 1 for c in cols])]
+            assert c4[ri, ci] == determinant(sub)
 
 
 def test_add_compound_examples():
@@ -63,6 +71,12 @@ def test_add_compound_examples():
     np.testing.assert_allclose(add_compound(a, 2), [[1.0]])  # trace
     np.testing.assert_allclose(add_compound(np.diag([1.0, 2.0, 3.0]), 2),
                                np.diag([3.0, 4.0, 5.0]))
+    # signed zeros: for n = 3, A^[2] holds -a13 at (1,3) and -a31 at (3,1)
+    np.testing.assert_array_equal(np.signbit(add_compound(np.zeros((3, 3)), 2)),
+                                  [[0, 0, 1], [0, 0, 0], [1, 0, 0]])
+    # negating -0.0 gives +0.0, and each diagonal sum starts from +0.0
+    np.testing.assert_array_equal(np.signbit(add_compound(np.full((3, 3), -0.0), 2)),
+                                  [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
 
 def test_add_compound_matches_printed_3x3_template():
