@@ -110,16 +110,19 @@ def rhs(p, x):
     """Right-hand side of the five ODEs, exactly as printed.
 
     ``x`` has shape (..., 5); the result matches.  Negative states are
-    allowed (the linearised dynamics evaluate off the positive cone).
+    allowed (the linearised dynamics evaluate off the positive cone).  A
+    single state (x.ndim == 1) is evaluated on Python floats, a batch on
+    arrays; both run the same expressions, so the bits agree.
     """
     x = np.asarray(x, dtype=float)
-    e, i, c, h, d = (x[..., k] for k in range(5))
+    single = x.ndim == 1
+    e, i, c, h, d = x.tolist() if single else (x[..., k] for k in range(5))
     f1 = p.B - p.beta1 * e * i + p.beta7 * e * d + p.beta9 * h + p.beta10 * e * i - p.mu * e
     f2 = p.beta1 * e * i - p.beta2 * i - p.beta6 * i - p.beta8 * i - p.beta10 * e * i - p.mu * i
     f3 = p.beta2 * i - p.beta5 * c - p.beta3 * c + p.beta4 * h - p.mu * c
     f4 = p.beta3 * c - p.beta4 * h + p.beta8 * i - p.beta9 * h - p.mu * h
     f5 = p.beta5 * c + p.beta6 * i - p.beta7 * d * e
-    return np.stack([f1, f2, f3, f4, f5], axis=-1)
+    return np.array([f1, f2, f3, f4, f5]) if single else np.stack([f1, f2, f3, f4, f5], axis=-1)
 
 
 def sum_rate(p, x):

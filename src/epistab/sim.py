@@ -7,6 +7,7 @@ the audits exist to surface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,35 +36,66 @@ class Trajectory:
 
 
 def integrate(f, x0, dt, t_end):
-    """Classical RK4 with fixed step dt over [0, t_end].
+    """Classical RK4 with fixed step dt over [0, t_end], a whole number of steps.
 
-    ``f`` maps a state array (..., d) to its derivative; batches of initial
-    states broadcast through unchanged.  Deterministic: identical inputs give
-    bit-identical trajectories.
+    ``f`` maps a state array (..., d) to its derivative array.  ``x0.ndim``
+    picks one of two paths with the same operand order, hence the same bits:
+
+    * a single state (1-D ``x0``) keeps the RK4 sums on Python float lists,
+      calling ``f`` with a (d,) array and reading its result with
+      ``tolist()``; this skips numpy's per-operation overhead on 5-vectors;
+    * any other shape, such as a batch of initial states (..., d),
+      broadcasts through ``f`` and the sums as numpy arrays.
+
+    Deterministic: identical inputs give bit-identical trajectories.
     """
     if not 0.0 < dt <= 0.1:
         raise ValueError(f"dt must lie in (0, 0.1], got {dt}")
     if t_end <= 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
+    n_steps = int(round(t_end / dt))
+    if abs(n_steps * dt - t_end) > 1e-9 * t_end:
+        raise ValueError(
+            f"t_end must be a whole number of steps of dt, got t_end/dt = {t_end / dt:.12g}")
     x = np.array(x0, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("initial state must be finite")
-    n_steps = int(round(t_end / dt))
     times = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1,) + x.shape)
     states[0] = x
     # blow-ups surface as DivergenceError, not as overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            k1 = f(x)
-            k2 = f(x + (dt / 2.0) * k1)
-            k3 = f(x + (dt / 2.0) * k2)
-            k4 = f(x + dt * k3)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(x).all():
-                raise DivergenceError(times[k + 1])
-            states[k + 1] = x
+        steps = _steps_floats if x.ndim == 1 else _steps_arrays
+        steps(f, x, dt, times, states)
     return Trajectory(times=times, states=states)
+
+
+def _steps_arrays(f, x, dt, times, states):
+    for k in range(len(times) - 1):
+        k1 = f(x)
+        k2 = f(x + (dt / 2.0) * k1)
+        k3 = f(x + (dt / 2.0) * k2)
+        k4 = f(x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(x).all():
+            raise DivergenceError(times[k + 1])
+        states[k + 1] = x
+
+
+def _steps_floats(f, x, dt, times, states):
+    """:func:`_steps_arrays` for one state, element by element on Python floats."""
+    half, sixth = dt / 2.0, dt / 6.0
+    x = x.tolist()
+    for k in range(len(times) - 1):
+        k1 = f(np.array(x)).tolist()
+        k2 = f(np.array([a + half * b for a, b in zip(x, k1)])).tolist()
+        k3 = f(np.array([a + half * b for a, b in zip(x, k2)])).tolist()
+        k4 = f(np.array([a + dt * b for a, b in zip(x, k3)])).tolist()
+        x = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+        if not all(map(math.isfinite, x)):
+            raise DivergenceError(times[k + 1])
+        states[k + 1] = x
 
 
 def invariance_audit(traj, p):
@@ -108,11 +140,9 @@ def simulate_covid(p, x0, dt, t_end):
 
 def trajectory_to_csv(traj, header):
     """Render a trajectory as CSV text, 12 significant digits, newline-terminated."""
-    states = np.asarray(traj.states)
-    lines = [header]
-    for t, row in zip(traj.times, states):
-        lines.append(",".join(f"{v:.12g}" for v in (t, *row)))
-    return "\n".join(lines) + "\n"
+    table = np.column_stack([traj.times, traj.states])
+    row = ",".join(["%.12g"] * table.shape[1])
+    return "\n".join([header] + [row % tuple(r) for r in table.tolist()]) + "\n"
 
 
 def trajectory_from_csv(text):

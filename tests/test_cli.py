@@ -1,11 +1,16 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+import epistab.cli as cli
 from epistab import r0_reduced, table_params
 from epistab.cli import main
-from epistab.sim import trajectory_from_csv
+from epistab.covid import DegenerateSplittingError
+from epistab.linalg import ConvergenceError, SingularMatrixError
+from epistab.model import InfeasibleError
+from epistab.sim import DivergenceError, trajectory_from_csv
 
 
 @pytest.fixture
@@ -115,6 +120,73 @@ def test_simulate_divergence_exit_2(covid_config, capsys):
                  "--out", "-"])
     assert code == 2
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_simulate_rejects_a_partial_last_step(covid_config, seir_config, capsys):
+    for argv in (["simulate", "--config", covid_config, "--x0", "1,1,1,1,1"],
+                 ["seir", "simulate", "--config", seir_config, "--x0", "1,0.5,0.2"]):
+        assert main(argv + ["--dt", "0.05", "--t-end", "0.02", "--out", "-"]) == 1
+        assert capsys.readouterr() == (
+            "", "usage error: t_end must be a whole number of steps of dt, got t_end/dt = 0.4\n")
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+# SHA-256 of the trajectory CSV, stdout and stderr of the README's two
+# ``simulate`` examples (dt = 0.01, T = 50); the model arithmetic is only
+# +, - and *, so these bytes do not depend on the platform's libm
+README_SIMULATE = {
+    "covid": ("7d843efd1f36418baad2cf5cb353605374355e06719cdd9306b7f4af0ce03b7f",
+              "d758f61a5f692d9c66fbeda71676ef8413efa56cc18b736f78920bd11afd9931",
+              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "seir": ("6fb697259abb874e5a52133c99e81d6d7a7f72372cc12a2702a02c7e09e1a598",
+             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+@pytest.mark.parametrize("model", sorted(README_SIMULATE))
+def test_readme_simulate_golden_bytes(model, covid_config, seir_config, tmp_path, capsys):
+    out_csv = tmp_path / "traj.csv"
+    argv = (["simulate", "--config", covid_config, "--x0", "1,1,1,1,1"] if model == "covid"
+            else ["seir", "simulate", "--config", seir_config, "--x0", "1,0.5,0.2"])
+    assert main(argv + ["--dt", "0.01", "--t-end", "50", "--out", str(out_csv)]) == 0
+    out, err = capsys.readouterr()
+    assert (_sha256(out_csv.read_bytes()), _sha256(out.encode()),
+            _sha256(err.encode())) == README_SIMULATE[model]
+
+
+def _exit_case(exc, code, message, **kw):
+    return pytest.param(exc, code, message, id=type(exc).__name__, **kw)
+
+
+# each exception class that ``main`` handles, with its exit code and message
+EXIT_CODES = [
+    _exit_case(cli.UsageError("u"), 1, "usage error: u\n"),
+    _exit_case(ValueError("v"), 1, "usage error: v\n"),
+    _exit_case(OSError("o"), 1, "usage error: o\n"),
+    _exit_case(InfeasibleError("i"), 3, "infeasible: i\n"),
+    _exit_case(DegenerateSplittingError("g"), 2, "numeric failure: g\n"),
+    _exit_case(SingularMatrixError("s", 0.0), 2, "numeric failure: s (pivot magnitude 0.000e+00)\n"),
+    _exit_case(ConvergenceError("c"), 2, "numeric failure: c\n"),
+    _exit_case(DivergenceError(1.5), 2, "numeric failure: non-finite state at t = 1.5\n"),
+    _exit_case(ArithmeticError("a"), 2, "numeric failure: a\n"),
+    _exit_case(np.linalg.LinAlgError("l"), 2, "numeric failure: l\n", marks=pytest.mark.xfail(
+        strict=True, reason="LinAlgError subclasses ValueError, so main reports it as exit 1")),
+]
+
+
+@pytest.mark.parametrize("exc, code, message", EXIT_CODES)
+def test_exit_code_of_each_handled_exception(exc, code, message, monkeypatch, capsys):
+    def handler(args):
+        raise exc
+    monkeypatch.setattr(cli, "_cmd_cubic", handler)
+    assert main(["cubic", "1", "-6", "11", "-6"]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(message)  # a usage error also prints the usage line
 
 
 def test_compound_command(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import epistab.covid as covid
+import epistab.seir as seir
 from epistab.sim import (
     DivergenceError,
     integrate,
@@ -16,6 +17,16 @@ def _linear_params(mu):
     return covid.CovidParams(B=0.8, mu=mu, **{f"beta{i}": 0.0 for i in range(1, 11)})
 
 
+MODELS = {"covid": (covid.rhs, lambda: covid.table_params(0.1), 5),
+          "seir": (seir.rhs3, lambda: seir.figure_params(0.1), 3)}
+
+
+def _draw_params(rng, model):
+    # every rate scaled by its own factor in [0.5, 1.5]
+    p = MODELS[model][1]()
+    return p.replace(**{k: v * float(rng.uniform(0.5, 1.5)) for k, v in p.to_dict().items()})
+
+
 def test_integrate_validates_arguments(covid_table):
     f = lambda x: covid.rhs(covid_table, x)
     with pytest.raises(ValueError):
@@ -24,6 +35,18 @@ def test_integrate_validates_arguments(covid_table):
         integrate(f, np.ones(5), dt=0.01, t_end=0.0)
     with pytest.raises(ValueError):
         integrate(f, np.array([np.inf, 0, 0, 0, 0]), dt=0.01, t_end=1.0)
+
+
+def test_t_end_must_be_a_whole_number_of_steps(covid_table):
+    f = lambda x: covid.rhs(covid_table, x)
+    for x0 in (np.ones(5), np.ones((2, 5))):
+        for dt, t_end in ((0.05, 0.02), (0.01, 1.005), (0.1, 0.35)):
+            with pytest.raises(ValueError, match="whole number of steps"):
+                integrate(f, x0, dt=dt, t_end=t_end)
+    rng = np.random.default_rng(404)
+    for dt in rng.uniform(0.001, 0.1, 50):
+        steps = int(rng.integers(1, 40))
+        assert len(integrate(f, np.ones(5), dt=dt, t_end=steps * dt)) == steps + 1
 
 
 def test_uniform_time_grid(covid_table):
@@ -82,6 +105,17 @@ def test_divergence_raises_with_time(covid_table):
         with pytest.raises(DivergenceError) as exc:
             simulate_covid(covid_table, x0, dt=0.01, t_end=1.0)
     assert exc.value.time > 0.0
+    # a later blow-up is reported at the same time by the 1-D and the batch path
+    for rhs, make, dim in MODELS.values():
+        p = make()
+        x0 = np.full(dim, 1e3)
+        times = []
+        for x in (x0, x0[None, :], np.stack([np.ones(dim), x0])):
+            with pytest.raises(DivergenceError) as exc:
+                integrate(lambda x: rhs(p, x), x, dt=0.01, t_end=5.0)
+            times.append(exc.value.time)
+        assert times[0] > 0.01
+        assert times == [times[0]] * 3
 
 
 def test_positivity_audit_clean_run(covid_table):
@@ -131,3 +165,36 @@ def test_batched_states_broadcast(covid_table):
     assert traj.states.shape == (101, 2, 5)
     single = simulate_covid(covid_table, x0[1], dt=0.01, t_end=1.0)
     assert np.array_equal(traj.states[:, 1, :], single.states)
+    # both models, seeded draws: the 1-D path (Python floats) and the batch
+    # path (arrays) give the same bits
+    for model, seed in [(m, s) for m in sorted(MODELS) for s in (11, 12, 13)]:
+        rhs, _, dim = MODELS[model]
+        rng = np.random.default_rng(seed)
+        p = _draw_params(rng, model)
+        dt = float(rng.uniform(0.005, 0.1))
+        steps = int(rng.integers(20, 120))
+        x0 = rng.uniform(0.0, 3.0, (4, dim))
+        x0[0, :2] = 0.0, -0.0
+        f = lambda x: rhs(p, x)
+        batch = integrate(f, x0, dt=dt, t_end=steps * dt)
+        assert batch.states.shape == (steps + 1, 4, dim)
+        for m in range(4):
+            single = integrate(f, x0[m], dt=dt, t_end=steps * dt)
+            assert single.states.tobytes() == np.ascontiguousarray(batch.states[:, m]).tobytes()
+            assert single.times.tobytes() == batch.times.tobytes()
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_single_state_rhs_matches_batch_row_bytes(model):
+    rhs, make, dim = MODELS[model]
+    rng = np.random.default_rng(505)
+    zero_rates = make().replace(**{k: 0.0 for k in make().keys()})
+    states = [np.zeros(dim), np.full(dim, -0.0), np.resize([0.0, -0.0], dim),
+              np.resize([-0.0, 1.5, 0.0], dim), rng.uniform(-2.0, 2.0, dim)]
+    for p in (make(), zero_rates, _draw_params(rng, model)):
+        for x in states:
+            one = rhs(p, x)
+            assert one.shape == (dim,) and one.dtype == np.float64
+            assert one.tobytes() == rhs(p, x[None, :])[0].tobytes()
+    # a -0.0 rate of change survives the 1-D path
+    assert np.signbit(rhs(make(), np.resize([0.0, -0.0], dim))).any()
