@@ -22,7 +22,7 @@ import numpy as np
 
 from . import covid, paper_check, seir, sim
 from .compound import add_compound, mult_compound
-from .linalg import ConvergenceError, SingularMatrixError, as_matrix, inverse, spectral_radius
+from .linalg import as_matrix, inverse, spectral_radius
 from .model import InfeasibleError, population
 from .stability import cardano, cubic_stability
 
@@ -311,16 +311,17 @@ def main(argv=None):
         sys.stderr.write(f"usage error: {exc}\n")
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
+    # before ValueError: LinAlgError subclasses it; every numeric error class
+    # here (singular, convergence, divergence, splitting) is an ArithmeticError
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        sys.stderr.write(f"numeric failure: {exc}\n")
+        return EXIT_NUMERIC
     except (ValueError, OSError) as exc:
         if isinstance(exc, InfeasibleError):
             sys.stderr.write(f"infeasible: {exc}\n")
             return EXIT_INFEASIBLE
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except (SingularMatrixError, ConvergenceError, sim.DivergenceError,
-            ArithmeticError, np.linalg.LinAlgError) as exc:
-        sys.stderr.write(f"numeric failure: {exc}\n")
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

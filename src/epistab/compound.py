@@ -13,8 +13,9 @@ A^[k] = d/dh C_k(I + hA) at h = 0.
 
 Both builders read an index plan cached per (n, k) and built once from
 :func:`lex_tuples` and :func:`tuple_rank`.  C_k(A) gathers all k x k blocks
-in one indexing step and takes their minors over the stack; A^[k] is one
-scatter assignment plus the diagonal sums.
+in one indexing step and takes their minors over the stack (closed forms for
+k <= 3, one batched LAPACK determinant for k >= 4); A^[k] is one scatter
+assignment plus the diagonal sums.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import comb
 
 import numpy as np
 
-from .linalg import as_square, determinant
+from .linalg import as_square
 
 
 def lex_tuples(n, k):
@@ -100,7 +101,7 @@ def _minors(b):
             - b[..., 0, 1] * (b[..., 1, 0] * b[..., 2, 2] - b[..., 1, 2] * b[..., 2, 0])
             + b[..., 0, 2] * (b[..., 1, 0] * b[..., 2, 1] - b[..., 1, 1] * b[..., 2, 0])
         )
-    return np.array([determinant(block) for block in b.reshape(-1, k, k)]).reshape(b.shape[:-2])
+    return np.linalg.det(b)
 
 
 def mult_compound(a, k):

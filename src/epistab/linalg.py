@@ -1,7 +1,8 @@
 """Dense real linear algebra for small matrices (n <= 16).
 
-Determinants and inverses go through an in-house row-pivoted LU so that the
-singularity threshold is explicit and scale-aware (a pivot below
+Determinants go through LAPACK (``numpy.linalg.det``).  The in-house
+row-pivoted LU serves :func:`solve` and :func:`inverse` and their singularity
+threshold, which is explicit and scale-aware (a pivot below
 ``1e-13 * max initial row inf-norm`` is treated as singular).  Full complex
 spectra are delegated to LAPACK's Hessenberg + shifted-QR path via
 ``numpy.linalg.eigvals``; non-convergence is re-raised, never swallowed.
@@ -58,58 +59,40 @@ def _pivot_floor(m):
     return PIVOT_RTOL * max(scale, 1e-300)
 
 
-def _lu(a):
-    """Row-pivoted elimination.  Returns (lu, perm, sign, min_pivot).
+def determinant(a):
+    """det(A) via LAPACK (``numpy.linalg.det``); 1.0 for 0x0, no singular error.
 
-    ``lu`` holds U on and above the diagonal and the multipliers below it;
-    ``perm`` is the row permutation applied; ``sign`` the permutation sign.
-    ``min_pivot`` is the smallest pivot magnitude encountered (0.0 if a whole
-    pivot column vanished, in which case elimination of that column is skipped
-    and the determinant is exactly zero).
+    The in-house pivoted LU serves :func:`solve`/:func:`inverse` and their
+    singularity threshold, not determinants.
     """
-    lu = as_square(a).copy()
+    return float(np.linalg.det(as_square(a)))
+
+
+def _lu_solve(m, b):
+    """Solve M X = B by row-pivoted elimination, honouring the pivot threshold.
+
+    B is a vector or a matrix of right-hand-side columns.  Raises
+    :class:`SingularMatrixError` with the smallest pivot magnitude met when it
+    is at or below the scale-aware floor.
+    """
+    lu = m.copy()
     n = lu.shape[0]
     perm = np.arange(n)
-    sign = 1.0
     min_pivot = np.inf
     for k in range(n):
         p = k + int(np.argmax(abs(lu[k:, k])))
         piv = abs(lu[p, k])
         min_pivot = min(min_pivot, piv)
         if piv == 0.0:
-            continue
+            break  # a vanished pivot column: singular whatever follows
         if p != k:
             lu[[k, p]] = lu[[p, k]]
             perm[[k, p]] = perm[[p, k]]
-            sign = -sign
         lu[k + 1:, k] /= lu[k, k]
         lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    if n == 0:
-        min_pivot = 0.0
-    return lu, perm, sign, min_pivot
-
-
-def determinant(a):
-    """det(A) by pivoted elimination; exact sign, no singularity exception."""
-    m = as_square(a)
-    if m.shape[0] == 0:
-        return 1.0
-    lu, _, sign, min_pivot = _lu(m)
-    if min_pivot == 0.0:
-        return 0.0
-    return float(sign * np.prod(np.diag(lu)))
-
-
-def _lu_solve(m, b):
-    """Solve M X = B through the pivoted LU, honouring the pivot threshold.
-
-    B is a vector or a matrix of right-hand-side columns.
-    """
-    lu, perm, _, min_pivot = _lu(m)
     if min_pivot <= _pivot_floor(m):
         raise SingularMatrixError("matrix is singular to working precision", min_pivot)
     x = b[perm]
-    n = m.shape[0]
     for k in range(n):        # forward: L y = P b
         x[k + 1:] -= np.multiply.outer(lu[k + 1:, k], x[k])
     for k in range(n - 1, -1, -1):   # backward: U x = y

@@ -1,11 +1,11 @@
 """Transcription checks: published closed forms vs. independent numeric oracles.
 
 Each claim pins one closed-form expression from the source publication
-against a numeric oracle computed from the printed ODE systems (pivoted
-elimination for determinants and minors, central differences for Jacobians,
-eigenvalue-based characteristic polynomials, equilibrium residuals).  A claim
-whose worst deviation exceeds its tolerance is ``flagged``; nothing is
-repaired silently.
+against a numeric oracle computed from the printed ODE systems (LAPACK
+determinants for the determinant and minor claims, central differences for
+Jacobians, eigenvalue-based characteristic polynomials, equilibrium
+residuals).  A claim whose worst deviation exceeds its tolerance is
+``flagged``; nothing is repaired silently.
 
 The report is the single place where the known transcription slips are
 quantified: the Jacobian entries (2,1), (3,3), (4,4); the dropped row-5

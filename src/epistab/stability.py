@@ -67,16 +67,24 @@ class Verdict:
         return d
 
 
+def _band(*margins):
+    """The dead-band rule on quantities that are positive when stable.
+
+    STABLE if every margin is > MARGIN, UNSTABLE if any is < -MARGIN,
+    INCONCLUSIVE otherwise.  Callers pass -s for an abscissa s, so each test
+    is the same IEEE comparison as ``s < -MARGIN`` / ``s > MARGIN``.
+    """
+    if all(m > MARGIN for m in margins):
+        return STABLE
+    if any(m < -MARGIN for m in margins):
+        return UNSTABLE
+    return INCONCLUSIVE
+
+
 def hurwitz_exact(a):
     """Verdict from the spectral abscissa itself."""
     s = spectral_abscissa(a)
-    if s < -MARGIN:
-        outcome = STABLE
-    elif s > MARGIN:
-        outcome = UNSTABLE
-    else:
-        outcome = INCONCLUSIVE
-    return Verdict(outcome, "hurwitz", abscissa=s)
+    return Verdict(_band(-s), "hurwitz", abscissa=s)
 
 
 def li_wang_exact(a):
@@ -90,13 +98,7 @@ def li_wang_exact(a):
         raise ValueError(f"exact compound criterion supports 2 <= n <= 6, got n={n}")
     sgn = (-1.0) ** n * determinant(m)
     s2 = spectral_abscissa(add_compound(m, 2))
-    if sgn > MARGIN and s2 < -MARGIN:
-        outcome = STABLE
-    elif sgn < -MARGIN or s2 > MARGIN:
-        outcome = UNSTABLE
-    else:
-        outcome = INCONCLUSIVE
-    return Verdict(outcome, "li-wang-exact", det_sign=sgn, abscissa=s2)
+    return Verdict(_band(sgn, -s2), "li-wang-exact", det_sign=sgn, abscissa=s2)
 
 
 def li_wang_sufficient(a, kind):
@@ -111,12 +113,9 @@ def li_wang_sufficient(a, kind):
     n = m.shape[0]
     sgn = (-1.0) ** n * determinant(m)
     mu2 = measure(add_compound(m, 2), kind)
-    if sgn < -MARGIN:
-        outcome = UNSTABLE
-    elif sgn > MARGIN and mu2 < -MARGIN:
-        outcome = STABLE
-    else:
-        outcome = INCONCLUSIVE
+    outcome = _band(sgn, -mu2)
+    if outcome == UNSTABLE and _band(sgn) != UNSTABLE:
+        outcome = INCONCLUSIVE  # mu2 > 0 alone proves nothing
     return Verdict(outcome, "li-wang-sufficient", det_sign=sgn,
                    measure_kind=kind.value, measure_value=mu2)
 
@@ -272,14 +271,7 @@ def cubic_stability(a1, a2, a3):
     Evidence carries the discriminant and its root-structure class.
     """
     roots = cardano(1.0, a1, a2, a3)
-    tests = (a1, a3, a1 * a2 - a3)
-    if all(t > MARGIN for t in tests):
-        outcome = STABLE
-    elif any(t < -MARGIN for t in tests):
-        outcome = UNSTABLE
-    else:
-        outcome = INCONCLUSIVE
-    return Verdict(outcome, "routh-hurwitz-cubic", det_sign=a3,
+    return Verdict(_band(a1, a3, a1 * a2 - a3), "routh-hurwitz-cubic", det_sign=a3,
                    discriminant=roots.discriminant, cubic_class=roots.klass)
 
 

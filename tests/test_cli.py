@@ -173,8 +173,7 @@ EXIT_CODES = [
     _exit_case(ConvergenceError("c"), 2, "numeric failure: c\n"),
     _exit_case(DivergenceError(1.5), 2, "numeric failure: non-finite state at t = 1.5\n"),
     _exit_case(ArithmeticError("a"), 2, "numeric failure: a\n"),
-    _exit_case(np.linalg.LinAlgError("l"), 2, "numeric failure: l\n", marks=pytest.mark.xfail(
-        strict=True, reason="LinAlgError subclasses ValueError, so main reports it as exit 1")),
+    _exit_case(np.linalg.LinAlgError("l"), 2, "numeric failure: l\n"),
 ]
 
 

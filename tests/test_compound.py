@@ -56,14 +56,16 @@ def test_mult_compound_matches_direct_minors():
         for ci, cols in enumerate(tups):
             sub = a[np.ix_([r - 1 for r in rows], [c - 1 for c in cols])]
             assert c3[ri, ci] == pytest.approx(determinant(sub), abs=1e-12)
-    # k >= 4 minors run through determinant itself, so they agree exactly
-    b = rng.normal(size=(6, 6))
-    c4 = mult_compound(b, 4)
-    tups = lex_tuples(6, 4)
-    for ri, rows in enumerate(tups):
-        for ci, cols in enumerate(tups):
-            sub = b[np.ix_([r - 1 for r in rows], [c - 1 for c in cols])]
-            assert c4[ri, ci] == determinant(sub)
+    # k >= 4 minors are one batched LAPACK determinant over the stack of blocks;
+    # it agrees bit for bit with determinant on each block
+    for n in (6, 8):
+        b = rng.normal(size=(n, n))
+        c4 = mult_compound(b, 4)
+        tups = lex_tuples(n, 4)
+        for ri, rows in enumerate(tups):
+            for ci, cols in enumerate(tups):
+                sub = b[np.ix_([r - 1 for r in rows], [c - 1 for c in cols])]
+                assert c4[ri, ci] == determinant(sub)
 
 
 def test_add_compound_examples():

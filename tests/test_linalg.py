@@ -31,6 +31,11 @@ def test_determinant_examples():
     assert determinant(np.diag([-1.0, -2.0, -3.0, -4.0, -5.0])) == pytest.approx(-120.0, rel=1e-12)
     # 2x2 cofactor by hand: 2*2 - 1*1
     assert determinant([[2.0, 1.0], [1.0, 2.0]]) == pytest.approx(3.0, rel=1e-12)
+    assert determinant(np.zeros((0, 0))) == 1.0  # the empty product
+    # exactly singular: +0.0, also when the LU diagonal holds a negative entry
+    for a in ([[0.0, 1.0], [0.0, -1.0]], np.zeros((3, 3)), [[1.0, 2.0], [2.0, 4.0]], [[-0.0]]):
+        d = determinant(a)
+        assert d == 0.0 and not np.signbit(d)
 
 
 def test_determinant_multiplicative_on_random_pairs():
@@ -49,6 +54,7 @@ def test_inverse_examples():
     # adjugate by hand: inv = (1/3)[[2,1],[1,2]]
     np.testing.assert_allclose(inverse([[2.0, -1.0], [-1.0, 2.0]]),
                                np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0, atol=1e-12)
+    assert inverse(np.zeros((0, 0))).shape == (0, 0)  # the empty matrix is invertible
 
 
 def test_inverse_reconstruction_inf_norm():
