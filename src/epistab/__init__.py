@@ -31,7 +31,7 @@ from .linalg import (
     spectral_abscissa,
     spectral_radius,
 )
-from .lozinskii import MeasureKind, induced_norm, measure, measure_limit_probe
+from .lozinskii import MeasureKind, measure
 from .model import Equilibrium, InfeasibleError
 from .paper_check import build_report
 from .seir import SeirParams, endemic3, figure_params, jacobian3, r0_seir, rhs3, seir_stability

@@ -4,7 +4,13 @@ Subcommands: simulate, equilibria, r0, stability, seir, compound, cubic,
 paper-check.  The four model subcommands run the five-compartment model at
 the top level and the three-compartment model under ``seir``, through one
 handler each.  Deterministic by construction: no environment configuration,
-no network, numeric output capped at 12 significant digits.
+no network, numeric output capped at 12 significant digits; a NaN or
+infinite value in a JSON object is a numeric failure, and the object is not
+printed.
+
+The parser is built once per process, on the first ``main`` call, and reused.
+It stores each subcommand's handler by name, and ``main`` looks the name up
+in this module when the command runs, so a rebound ``_cmd_*`` takes effect.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 infeasible request.
 """
@@ -12,10 +18,11 @@ Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 infeasible request.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 from typing import Callable
 
 import numpy as np
@@ -47,6 +54,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(value):
     if isinstance(value, float):
+        if not isfinite(value):
+            raise ArithmeticError(f"non-finite value {value} in the output")
         return float(f"{value:.12g}")
     if isinstance(value, dict):
         return {k: _fmt(v) for k, v in value.items()}
@@ -246,11 +255,11 @@ _SEIR = _Model(
     rhs=lambda sp, x: seir.rhs3(sp, x), audited=False)
 
 
-_MODEL_COMMANDS = {
-    "simulate": (_cmd_simulate, "integrate the {} model (RK4)"),
-    "equilibria": (_cmd_equilibria, "disease-free and endemic points"),
-    "r0": (_cmd_r0, "reproduction number, optionally swept over a parameter"),
-    "stability": (_cmd_stability, "full stability report at both equilibria"),
+_MODEL_HELP = {
+    "simulate": "integrate the {} model (RK4)",
+    "equilibria": "disease-free and endemic points",
+    "r0": "reproduction number, optionally swept over a parameter",
+    "stability": "full stability report at both equilibria",
 }
 
 
@@ -258,9 +267,8 @@ def _add_model_commands(sub, m):
     """Add simulate, equilibria, r0 and stability for model ``m``."""
     sp = {}
     for name in m.commands:
-        handler, help_text = _MODEL_COMMANDS[name]
-        sp[name] = sub.add_parser(name, help=help_text.format(m.name))
-        sp[name].set_defaults(handler=handler, model=m)
+        sp[name] = sub.add_parser(name, help=_MODEL_HELP[name].format(m.name))
+        sp[name].set_defaults(handler=f"_cmd_{name}", model=m)
         sp[name].add_argument("--config", required=True, help="JSON parameter file")
 
     sp["simulate"].add_argument("--x0", required=True,
@@ -276,7 +284,9 @@ def _add_model_commands(sub, m):
                                  help="restrict the sufficient-criterion verdicts to one measure")
 
 
+@functools.cache
 def build_parser():
+    """The process's one parser, built on the first call; callers must not change it."""
     parser = _Parser(prog="epistab",
                      description="Compound-matrix stability toolkit for small epidemic models.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -286,17 +296,17 @@ def build_parser():
     _add_model_commands(seir_p.add_subparsers(dest="seir_command", required=True), _SEIR)
 
     sp = sub.add_parser("compound", help="k-th compound of a matrix file")
-    sp.set_defaults(handler=_cmd_compound)
+    sp.set_defaults(handler="_cmd_compound")
     sp.add_argument("--matrix", required=True, help="matrix file, one comma-separated row per line")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--mode", choices=["additive", "multiplicative"], default="additive")
 
     sp = sub.add_parser("cubic", help="Cardano roots and Routh-Hurwitz verdict")
-    sp.set_defaults(handler=_cmd_cubic)
+    sp.set_defaults(handler="_cmd_cubic")
     sp.add_argument("coefficients", nargs=4, type=float, metavar=("a", "b", "c", "d"))
 
     sp = sub.add_parser("paper-check", help="transcription-check report")
-    sp.set_defaults(handler=_cmd_paper_check)
+    sp.set_defaults(handler="_cmd_paper_check")
     sp.add_argument("--config", required=True)
     sp.add_argument("--seir-config", default=None)
     return parser
@@ -306,7 +316,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        return globals()[args.handler](args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         parser.print_usage(sys.stderr)

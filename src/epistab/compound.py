@@ -12,10 +12,11 @@ standard closed-form templates for n = 3, 4, 5 and satisfies
 A^[k] = d/dh C_k(I + hA) at h = 0.
 
 Both builders read an index plan cached per (n, k) and built once from
-:func:`lex_tuples` and :func:`tuple_rank`.  C_k(A) gathers all k x k blocks
-in one indexing step and takes their minors over the stack (closed forms for
-k <= 3, one batched LAPACK determinant for k >= 4); A^[k] is one scatter
-assignment plus the diagonal sums.
+:func:`lex_tuples` and :func:`tuple_rank`.  C_k(A) gathers the k x k blocks
+a few plan rows at a time, each chunk's stack within ``_STACK_BYTES``, and
+takes their minors over the stack (closed forms for k <= 3, batched LAPACK
+determinants for k >= 4); A^[k] is one scatter assignment plus the diagonal
+sums.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ from math import comb
 import numpy as np
 
 from .linalg import as_square
+
+# bytes of one gathered stack of k x k blocks in mult_compound; a 10x10
+# matrix at k = 3 (1,036,800 bytes) still takes a single chunk
+_STACK_BYTES = 2**20
 
 
 def lex_tuples(n, k):
@@ -108,7 +113,12 @@ def mult_compound(a, k):
     """C_k(A): the C(n,k) x C(n,k) matrix of all k x k minors det A(alpha|beta)."""
     m = as_square(a)
     idx, _ = _plan(m.shape[0], k)
-    return _minors(m[idx[:, None, :, None], idx[None, :, None, :]])
+    size = len(idx)
+    out = np.empty((size, size))
+    rows = max(1, _STACK_BYTES // (size * k * k * m.itemsize))  # plan rows per chunk
+    for r in range(0, size, rows):
+        out[r:r + rows] = _minors(m[idx[r:r + rows, None, :, None], idx[None, :, None, :]])
+    return out
 
 
 def add_compound(a, k):

@@ -3,10 +3,6 @@
 mu_1 uses column sums, mu_inf row sums, and mu_2 is the spectral abscissa of
 the symmetric part (A + A^T)/2.  Each upper-bounds the spectral abscissa:
 s(A) <= mu(A), with -mu(-A) the matching lower bound.
-
-``measure_limit_probe`` evaluates the defining one-sided limit
-(||I + hA|| - 1)/h at a finite h.  It exists to validate the closed formulas
-against the definition in tests, not as a production path.
 """
 
 from __future__ import annotations
@@ -30,19 +26,6 @@ class MeasureKind(enum.Enum):
         return cls(str(kind).lower())
 
 
-def induced_norm(a, kind):
-    """Operator norm induced by the matching vector norm (1, 2 or inf)."""
-    m = as_square(a)
-    kind = MeasureKind.coerce(kind)
-    if kind is MeasureKind.ONE:
-        return float(abs(m).sum(axis=0).max())
-    if kind is MeasureKind.INF:
-        return float(abs(m).sum(axis=1).max())
-    # largest singular value via the symmetric eigensolver on A^T A
-    w = np.linalg.eigvalsh(m.T @ m)
-    return float(np.sqrt(max(w[-1], 0.0)))
-
-
 def measure(a, kind):
     """The Lozinskii measure mu_kind(A)."""
     m = as_square(a)
@@ -54,16 +37,3 @@ def measure(a, kind):
         return float((np.diag(m) + off.sum(axis=1)).max())
     w = np.linalg.eigvalsh((m + m.T) / 2.0)
     return float(w[-1])
-
-
-def measure_limit_probe(a, kind, h):
-    """Finite-h probe (||I + hA|| - 1)/h of the defining limit.
-
-    For the 1- and inf-norms this equals the measure once h < 1/(1+max|a_ii|)
-    up to float rounding; for the 2-norm the gap is O(h * ||A||^2).
-    """
-    m = as_square(a)
-    if not 0.0 < h <= 1e-3:
-        raise ValueError(f"probe step h must lie in (0, 1e-3], got {h}")
-    eye = np.eye(m.shape[0])
-    return (induced_norm(eye + h * m, kind) - 1.0) / h

@@ -72,12 +72,13 @@ def equilibrium(rhs, p, state, kind):
     """``state`` as an Equilibrium, provided max|rhs| stays below its gate.
 
     The gate is RESIDUAL_RTOL * (1 + max|state|); a closed form that misses
-    it raises ArithmeticError rather than being reported as an equilibrium.
+    it, or whose residual is NaN, raises ArithmeticError rather than being
+    reported as an equilibrium.
     """
     state = np.asarray(state, dtype=float)
     residual = float(abs(rhs(p, state)).max())
     gate = RESIDUAL_RTOL * (1.0 + float(abs(state).max()))
-    if residual >= gate:
+    if not residual < gate:  # also fails a NaN residual
         raise ArithmeticError(
             f"{kind} equilibrium residual {residual:.3e} exceeds gate {gate:.3e}")
     return Equilibrium(state, kind, feasible=bool((state > 0).all()), residual=residual)

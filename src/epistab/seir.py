@@ -18,7 +18,7 @@ import numpy as np
 
 from . import model
 from .compound import add_compound
-from .linalg import determinant, eigenvalues, inverse
+from .linalg import determinant, inverse
 from .lozinskii import MeasureKind, measure
 from .model import InfeasibleError
 from .stability import criterion_verdicts, dominance
@@ -184,14 +184,3 @@ def seir_stability(p):
         "det_endemic_jacobian": det_j,
         "verdicts": {"endemic": criterion_verdicts(j)},
     }
-
-
-def similarity_eigencheck(p):
-    """Max eigenvalue displacement under the diagonal similarity (test oracle)."""
-    end = endemic3(p)
-    s_star, i1_star, i2_star = end.state
-    j2 = add_compound(jacobian3(p, end.state), 2)
-    pmat = np.diag([i2_star, i1_star, s_star])
-    ev1 = np.sort_complex(eigenvalues(j2))
-    ev2 = np.sort_complex(eigenvalues(pmat @ j2 @ inverse(pmat)))
-    return float(abs(ev1 - ev2).max())

@@ -106,7 +106,8 @@ def invariance_audit(traj, p):
     E+I+C+H+D <= B/mu was occupied/exited/entered, and the worst gap between
     the summed rates and B - mu*(E+I+C+H).  Region exits with positive D are
     expected: the D compartment is undamped, so the printed region bound is
-    not actually invariant.
+    not actually invariant.  When B/mu is not finite (mu = 0 included) the
+    region is the whole space: ``region_bound`` is None and every row is inside.
     """
     states = np.asarray(traj.states, dtype=float)
     if states.ndim != 2 or states.shape[1] != 5:
@@ -115,7 +116,7 @@ def invariance_audit(traj, p):
     below = (states < -1e-9).any(axis=1)
     first_violation = float(traj.times[int(np.argmax(below))]) if below.any() else None
     totals = states.sum(axis=1)
-    bound = p.B / p.mu
+    bound = p.B / p.mu if p.mu > 0 else math.inf
     inside = totals <= bound + 1e-12
     exited = bool((inside[:-1] & ~inside[1:]).any())
     entered = bool((~inside[:-1] & inside[1:]).any())
@@ -124,7 +125,7 @@ def invariance_audit(traj, p):
     return {
         "min_component": min_component,
         "first_positivity_violation_t": first_violation,
-        "region_bound": bound,
+        "region_bound": bound if math.isfinite(bound) else None,
         "initially_inside_region": bool(inside[0]),
         "finally_inside_region": bool(inside[-1]),
         "region_exited": exited,

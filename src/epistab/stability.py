@@ -29,7 +29,6 @@ from .linalg import (
     SingularMatrixError,
     as_square,
     determinant,
-    eigenvalues,
     inverse,
     solve,
     spectral_abscissa,
@@ -355,15 +354,3 @@ def m_matrix(a):
         is_nonsingular_m=z_pattern and minors_pos,
         note=note,
     )
-
-
-def gershgorin_contains_spectrum(a):
-    """True when every eigenvalue lies in the union of row Gershgorin discs."""
-    m = as_square(a)
-    off = abs(m) - np.diag(np.diag(abs(m)))
-    radii = off.sum(axis=1)
-    centers = np.diag(m)
-    for lam in eigenvalues(m):
-        if not (abs(lam - centers) <= radii + 1e-8).any():
-            return False
-    return True

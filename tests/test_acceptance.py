@@ -17,7 +17,7 @@ import epistab.covid as covid
 import epistab.seir as seir
 from epistab.compound import add_compound, add_compound2_closed, mult_compound
 from epistab.linalg import determinant, eigenvalues, inverse, spectral_abscissa, spectral_radius
-from epistab.lozinskii import MeasureKind, measure, measure_limit_probe
+from epistab.lozinskii import MeasureKind, measure
 from epistab.sim import integrate
 from epistab.stability import (
     ONE_REAL_TWO_COMPLEX,
@@ -34,6 +34,7 @@ from epistab.stability import (
 )
 
 from conftest import match_multisets
+from reference import measure_limit_probe
 
 
 def criterion_01_compound_spectral_laws():

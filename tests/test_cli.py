@@ -158,6 +158,115 @@ def test_readme_simulate_golden_bytes(model, covid_config, seir_config, tmp_path
             _sha256(err.encode())) == README_SIMULATE[model]
 
 
+# the README's other examples: argv with {covid}, {seir}, {matrix} and {out}
+# filled in, and the SHA-256 of stdout and of the --out file (None without
+# one); stderr stays empty.  The compound matrix holds a -0.0 entry.
+README_COMMANDS = {
+    "r0": ("r0 --config {covid}",
+           "f30d58c7c2484b8909ad1dd34d4362cbc1f862203f2dcdb6983800388746b310", None),
+    "r0-sweep": ("r0 --config {covid} --sweep mu=0.005:0.74:0.015 --out {out}",
+                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                 "b443be980817aca9128bcf9643cec7b785759df191174a02dc001ec44a77078e"),
+    "equilibria": ("equilibria --config {covid}",
+                   "2c3cd90573d3443d54dbb36536dfa9e013583e9fb717fc060e246cd732c1f0e4", None),
+    "stability": ("stability --config {covid} --measure one",
+                  "734fe1903deafc0512d2d390ee99f58155ad828dfd3f83b3b7da38c8f4f0aa09", None),
+    "compound-additive": (
+        "compound --matrix {matrix} --k 2 --mode additive",
+        "9311c8228634e97963dd789c19a1b6f361628d76f1caa90224cf7a47213ff552", None),
+    "compound-multiplicative": (
+        "compound --matrix {matrix} --k 2 --mode multiplicative",
+        "9ca44f4bc2d1d6bd5e1c6695c9973d74e04bce178ebfca3afdb821d6d343435a", None),
+    "cubic": ("cubic 1 -6 11 -6",
+              "d4ab51ee617c5e8c2ad8d44ac02ba1dd1a3176548e2069e002343bf87c0d3ce7", None),
+    "paper-check": ("paper-check --config {covid}",
+                    "e499e053521c3382545721bd6b1eedf852a26c83e2c60ee361cf6628b3d038c4", None),
+    "seir-r0": ("seir r0 --config {seir}",
+                "319dc5c855c5d456b1a85764de31ca5f99a41c251bb57912e41ec2cbc7196d29", None),
+    "seir-r0-sweep": ("seir r0 --config {seir} --sweep mu=0.05:1.0:0.05 --out {out}",
+                      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                      "0a609c6f3898f4c03153b31a01c13ca2c14d05fe21c21688108ed30b70dfe925"),
+    "seir-equilibria": ("seir equilibria --config {seir}",
+                        "9e4f25c83014de1919d4ceee12c4fc69830522068c638e08d145180218a4f285", None),
+    "seir-stability": ("seir stability --config {seir} --measure inf",
+                       "9d3053c4d0b23bb7ffe911f3a214afd606ed868cfdaf8082f9f75e9052948b8d", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(README_COMMANDS))
+def test_readme_golden_bytes(name, covid_config, seir_config, tmp_path, capsys):
+    command, stdout_sha, out_sha = README_COMMANDS[name]
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("1.5,-0.0,2,0.25\n-1,3,0.5,-2\n0,4,-3,1\n2.5,-0.5,1,-1\n")
+    out_path = tmp_path / "out.csv"
+    argv = command.format(covid=covid_config, seir=seir_config, matrix=matrix,
+                          out=out_path).split()
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert _sha256(out.encode()) == stdout_sha
+    assert (_sha256(out_path.read_bytes()) if out_path.exists() else None) == out_sha
+
+
+def test_parser_is_built_once_and_reused(covid_config, monkeypatch, capsys):
+    progs = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kw):
+        progs.append(kw.get("prog"))
+        init(self, *args, **kw)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert main(["cubic", "1", "-6", "11", "-6"]) == 0
+    assert main(["r0", "--config", covid_config, "--sweep", "mu=1:0:0.1"]) == 1
+    assert main(["seir", "no-such-command"]) == 1
+    assert main(["equilibria", "--config", covid_config]) == 0
+    assert progs.count("epistab") == 1
+    built = len(progs)
+    fresh = cli.build_parser.__wrapped__()
+    assert len(progs) == 2 * built  # one build constructs every subparser once
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser().format_help() == fresh.format_help()
+
+
+def _config(tmp_path, **changes):
+    path = tmp_path / "changed.json"
+    path.write_text(json.dumps(table_params(0.1).replace(**changes).to_dict()))
+    return str(path)
+
+
+def test_nan_equilibrium_residual_exit_2(tmp_path, capsys):
+    assert main(["equilibria", "--config", _config(tmp_path, B=1e300, mu=1e-300)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numeric failure: dfe equilibrium residual nan exceeds gate")
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-320])
+def test_simulate_audit_without_a_finite_region_bound(mu, tmp_path, capsys):
+    out_csv = tmp_path / "traj.csv"
+    assert main(["simulate", "--config", _config(tmp_path, mu=mu), "--x0", "1,1,1,1,1",
+                 "--dt", "0.01", "--t-end", "1.0", "--out", str(out_csv)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    audit = json.loads(out)
+    assert audit["region_bound"] is None
+    assert audit["initially_inside_region"] and audit["finally_inside_region"]
+    assert not audit["region_exited"] and not audit["region_entered"]
+    assert len(out_csv.read_text().splitlines()) == 102
+
+
+def test_non_finite_output_exit_2(capsys):
+    assert main(["cubic", "1e-310", "1", "1", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numeric failure: ")
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ArithmeticError):
+            cli._fmt({"x": [1.0, bad]})
+
+
 def _exit_case(exc, code, message, **kw):
     return pytest.param(exc, code, message, id=type(exc).__name__, **kw)
 

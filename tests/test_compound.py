@@ -1,9 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from epistab.compound import (
+    _STACK_BYTES,
     add_compound,
     add_compound2_closed,
     lex_tuples,
@@ -66,6 +68,21 @@ def test_mult_compound_matches_direct_minors():
             for ci, cols in enumerate(tups):
                 sub = b[np.ix_([r - 1 for r in rows], [c - 1 for c in cols])]
                 assert c4[ri, ci] == determinant(sub)
+
+
+def test_mult_compound_memory_is_bounded():
+    rng = np.random.default_rng(207)
+    for n, k in ((8, 4), (10, 4), (10, 5)):
+        a = rng.normal(size=(n, n))
+        idx = np.array(lex_tuples(n, k)) - 1
+        whole = np.linalg.det(a[idx[:, None, :, None], idx[None, :, None, :]])
+        tracemalloc.start()
+        out = mult_compound(a, k)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert out.tobytes() == whole.tobytes()
+        # the whole gathered stack would take len(idx)**2 * k*k * 8 bytes
+        assert peak < out.nbytes + 3 * _STACK_BYTES, (n, k, peak)
 
 
 def test_add_compound_examples():

@@ -112,6 +112,12 @@ def test_dfe(covid_table):
         covid.dfe(covid_table.replace(mu=0.0))
 
 
+def test_nan_residual_fails_the_gate(covid_table):
+    # B/mu overflows to inf, so rhs at the point is NaN and the gate inf
+    with pytest.raises(ArithmeticError, match="residual nan"):
+        covid.dfe(covid_table.replace(B=1e300, mu=1e-300))
+
+
 def test_derived_groups(covid_table):
     dp = covid.derived(covid_table)
     assert dp.a == pytest.approx(0.45, abs=1e-15)

@@ -3,7 +3,7 @@ import pytest
 
 import epistab.seir as seir
 from epistab.compound import add_compound
-from epistab.linalg import determinant, inverse, spectral_radius
+from epistab.linalg import determinant, eigenvalues, inverse, spectral_radius
 from epistab.stability import STABLE, li_wang_exact
 
 
@@ -86,7 +86,14 @@ def test_transcribed_compound_display_gap(seir_figure):
 
 
 def test_similarity_preserves_spectrum(seir_figure):
-    assert seir.similarity_eigencheck(seir_figure) < 1e-8
+    # the diagonal similarity P J^[2] P^-1 at the endemic point moves no eigenvalue
+    end = seir.endemic3(seir_figure)
+    s_star, i1_star, i2_star = end.state
+    j2 = add_compound(seir.jacobian3(seir_figure, end.state), 2)
+    pmat = np.diag([i2_star, i1_star, s_star])
+    ev1 = np.sort_complex(eigenvalues(j2))
+    ev2 = np.sort_complex(eigenvalues(pmat @ j2 @ inverse(pmat)))
+    assert abs(ev1 - ev2).max() < 1e-8
 
 
 def test_conditions_at_figure_params(seir_figure):
