@@ -5,8 +5,8 @@ paper-check.  The four model subcommands run the five-compartment model at
 the top level and the three-compartment model under ``seir``, through one
 handler each.  Deterministic by construction: no environment configuration,
 no network, numeric output capped at 12 significant digits; a NaN or
-infinite value in a JSON object is a numeric failure, and the object is not
-printed.
+infinite value in a JSON object or a sweep's R0 column is a numeric failure,
+and nothing is printed.
 
 The parser is built once per process, on the first ``main`` call, and reused.
 It stores each subcommand's handler by name, and ``main`` looks the name up
@@ -151,7 +151,10 @@ def _cmd_equilibria(args):
 def _sweep_csv(name, values, fn):
     lines = [f"{name},R0"]
     for v in values:
-        lines.append(f"{v:.12g},{fn(v):.12g}")
+        r0 = fn(v)
+        if not isfinite(r0):  # as in the JSON commands: exit 2, nothing written
+            raise ArithmeticError(f"non-finite R0 {r0} at {name}={v:.12g}")
+        lines.append(f"{v:.12g},{r0:.12g}")
     return "\n".join(lines) + "\n"
 
 

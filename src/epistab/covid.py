@@ -1,11 +1,12 @@
 """Five-compartment epidemic model (exposed, infected, critical, hospitalised,
 dead) with mass-action cross terms.
 
-The printed ODE system is ground truth; every downstream closed form
-(Jacobian entries, endemic ratios, the next-generation-matrix determinant and
-minors, the disease-free determinant, the splitting cubic) is re-derived from
-it here.  The transcribed versions from the source publication live in
-:mod:`epistab.paper_check`, which diffs them against these oracles.
+The printed ODE system is ground truth; Jacobians, endemic ratios and
+equilibria are re-derived from it here.  ``ngm_full``, ``det_jp0``,
+``splitting_matrices`` and ``chi_cubic`` also evaluate closed forms as
+printed in the source publication, because the stability report and the
+tests read them; the other transcribed forms live in
+:mod:`epistab.paper_check`, which diffs all of them against oracles.
 
 State vectors are (E, I, C, H, D).  ``rhs`` broadcasts over leading axes so
 batches of states integrate in one call.
@@ -231,14 +232,6 @@ def ngm_matrices(p, x):
     return f, v
 
 
-def minor(a, i, j):
-    """Determinant of ``a`` with 1-based row i and column j deleted."""
-    m = linalg.as_square(a)
-    keep_r = [r for r in range(m.shape[0]) if r != i - 1]
-    keep_c = [c for c in range(m.shape[1]) if c != j - 1]
-    return determinant(m[np.ix_(keep_r, keep_c)])
-
-
 @dataclass(frozen=True)
 class NgmParts:
     """Next-generation-matrix factors and the transcribed reduction quantities.
@@ -265,52 +258,38 @@ class NgmParts:
     r0: float
 
 
-def detv_closed_form(p, x):
-    """Published closed form for det V (verified correct against elimination)."""
-    e, i, c, h, d = np.asarray(x, dtype=float)
-    dp_beta = p.beta3 + p.beta5 + p.mu
-    dp_gamma = p.beta4 + p.beta9 + p.mu
-    alpha_l = p.beta10 * e + p.beta8 + p.beta6 + p.beta2 + p.mu
-    core = dp_beta * dp_gamma - p.beta3 * p.beta4
-    return p.beta7 * e * ((p.beta1 * i + p.mu) * alpha_l * core
-                          - p.beta10 * i * p.beta1 * e * core
-                          + p.beta10 * i * p.beta9 * (p.beta2 * p.beta3 + dp_beta * p.beta8))
-
-
-def ngm_minors_closed(p, x):
-    """The published minor expressions (m11, m12, m21, m22) of the V factor.
-
-    m11 matches the true minor; m12/m21 are printed as one shared expression
-    (m21's value divided by beta7*E) and m22 is printed without the I factor
-    on beta1 -- all diffs are reported by the transcription checks.
-    """
-    e, i, c, h, d = np.asarray(x, dtype=float)
-    dp_beta = p.beta3 + p.beta5 + p.mu
-    dp_gamma = p.beta4 + p.beta9 + p.mu
-    alpha_l = p.beta10 * e + p.beta8 + p.beta6 + p.beta2 + p.mu
-    core = dp_beta * dp_gamma - p.beta3 * p.beta4
-    m11 = alpha_l * p.beta7 * e * core
-    m12 = p.beta1 * e * core - p.beta9 * (p.beta2 * p.beta3 + dp_beta * p.beta8)
-    m21 = m12
-    m22 = p.beta7 * e * (p.beta1 + p.mu) * core
-    return m11, m12, m21, m22
-
-
 def ngm_full(p, x):
-    """Assemble the published F and V and the reduction quantities at state x."""
+    """Assemble the published F and V and the reduction quantities at state x.
+
+    ``detV_closed`` is the published closed form for det V, which is correct.
+    Of the published minors of V, m11 matches the true minor; m12 and m21 are
+    printed as one shared expression (m21's value divided by beta7*E), and
+    m22 is printed without the I factor on beta1.  The transcription checks
+    report every gap.
+    """
     f, v = ngm_matrices(p, x)
     det_v = determinant(v)
     if abs(det_v) < 1e-300:
         raise linalg.SingularMatrixError("transition matrix V is singular", abs(det_v))
     e, i, c, h, d = np.asarray(x, dtype=float)
-    m11, m12, m21, m22 = ngm_minors_closed(p, x)
+    dp_beta = p.beta3 + p.beta5 + p.mu
+    dp_gamma = p.beta4 + p.beta9 + p.mu
+    alpha_l = p.beta10 * e + p.beta8 + p.beta6 + p.beta2 + p.mu
+    core = dp_beta * dp_gamma - p.beta3 * p.beta4
+    cross = p.beta2 * p.beta3 + dp_beta * p.beta8
+    detv_closed = p.beta7 * e * ((p.beta1 * i + p.mu) * alpha_l * core
+                                 - p.beta10 * i * p.beta1 * e * core
+                                 + p.beta10 * i * p.beta9 * cross)
+    m11 = alpha_l * p.beta7 * e * core
+    m12 = m21 = p.beta1 * e * core - p.beta9 * cross
+    m22 = p.beta7 * e * (p.beta1 + p.mu) * core
     a_c = ((p.beta7 * d + p.beta10 * i) * m11 + p.beta10 * e * m12) / det_v
     b_c = -((p.beta7 * d + p.beta10 * i) * m21 + p.beta10 * e * m22) / det_v
     c_c = -(p.beta1 * i * m11 + p.beta1 * e * m12) / det_v
     d_c = (p.beta1 * i * m21 + p.beta1 * e * m22) / det_v
     delta = (a_c + d_c) ** 2 - 4.0 * (a_c * d_c - b_c * c_c)
     r0 = spectral_radius(f @ inverse(v))
-    return NgmParts(F=f, V=v, detV_closed=detv_closed_form(p, x),
+    return NgmParts(F=f, V=v, detV_closed=detv_closed,
                     m11=m11, m12=m12, m21=m21, m22=m22,
                     a_c=a_c, b_c=b_c, c_c=c_c, d_c=d_c, delta=delta, r0=r0)
 
@@ -390,10 +369,6 @@ class ChiCubic:
     a2: float
     a3: float
     roots: CubicRoots
-
-    def to_dict(self):
-        return {"a1": self.a1, "a2": self.a2, "a3": self.a3,
-                "roots": self.roots.to_dict()}
 
 
 def chi_cubic(p):

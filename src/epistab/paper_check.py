@@ -4,8 +4,9 @@ Each claim pins one closed-form expression from the source publication
 against a numeric oracle computed from the printed ODE systems (LAPACK
 determinants for the determinant and minor claims, central differences for
 Jacobians, eigenvalue-based characteristic polynomials, equilibrium
-residuals).  A claim whose worst deviation exceeds its tolerance is
-``flagged``; nothing is repaired silently.
+residuals).  One constructor, ``_claim``, builds every claim from (paper,
+oracle) pairs; a claim whose largest |paper - oracle| exceeds its tolerance
+is ``flagged``; nothing is repaired silently.
 
 The report is the single place where the known transcription slips are
 quantified: the Jacobian entries (2,1), (3,3), (4,4); the dropped row-5
@@ -59,18 +60,18 @@ def _as_value(v):
     return float(v)
 
 
-def _claim(claim_id, paper, oracle, diff, tol, note=""):
+def _claim(claim_id, pairs, tol, note=""):
+    """Claim with the values of the first (paper, oracle) pair and the largest
+    max|paper - oracle| over all pairs."""
+    diff = max(float(np.max(abs(pv - ov))) for pv, ov in pairs)
+    paper, oracle = pairs[0]
     return ClaimResult(claim_id=claim_id, paper_value=_as_value(paper),
-                       oracle_value=_as_value(oracle), max_abs_diff=float(diff),
+                       oracle_value=_as_value(oracle), max_abs_diff=diff,
                        verdict=MATCH if diff <= tol else FLAGGED, note=note)
 
 
 def _worst_claim(claim_id, states, paper, oracle, tol, note=""):
-    """Claim with the values at the first state and the largest
-    |paper(x) - oracle(x)| over all states."""
-    pairs = [(paper(x), oracle(x)) for x in states]
-    diff = max(float(np.max(abs(pv - ov))) for pv, ov in pairs)
-    return _claim(claim_id, pairs[0][0], pairs[0][1], diff, tol, note=note)
+    return _claim(claim_id, [(paper(x), oracle(x)) for x in states], tol, note)
 
 
 def _probe_states(rng, count=4):
@@ -98,16 +99,11 @@ def jacobian_transcribed(p, x):
 
 
 def dfe_jacobian_transcribed(p):
-    """The published disease-free Jacobian display (row 5 zeroed except (5,5))."""
-    e = p.B / p.mu
-    alpha = p.beta2 + p.beta6 + p.beta8 + p.mu
-    return np.array([
-        [-p.mu, (p.beta10 - p.beta1) * e, 0.0, p.beta9, p.beta7 * e],
-        [-p.mu, (p.beta1 - p.beta10) * e - alpha, 0.0, 0.0, 0.0],
-        [0.0, p.beta2, -(p.beta2 + p.beta5 + p.mu), p.beta4, 0.0],
-        [0.0, p.beta8, p.beta3, p.beta8 - p.beta4 - p.beta9 - p.mu, 0.0],
-        [0.0, 0.0, 0.0, 0.0, -p.beta7 * e],
-    ])
+    """The published disease-free Jacobian display: the general display at
+    (B/mu, 0, 0, 0, 0) with row 5 zeroed except (5,5)."""
+    j = jacobian_transcribed(p, (p.B / p.mu, 0.0, 0.0, 0.0, 0.0))
+    j[4, :4] = 0.0
+    return j
 
 
 def alpha_hat_transcribed(p):
@@ -169,33 +165,26 @@ def claim_jacobian_entries(p, states):
 
 
 def claim_dfe_jacobian_display(p):
-    paper = dfe_jacobian_transcribed(p)
     oracle = covid.jacobian_closed(p, covid.dfe(p).state)
-    return _claim("covid_dfe_jacobian_display", paper, oracle,
-                  float(abs(paper - oracle).max()), 1e-9,
+    return _claim("covid_dfe_jacobian_display", [(dfe_jacobian_transcribed(p), oracle)], 1e-9,
                   note="display also zeroes entries (5,2) and (5,3), which are beta6 and beta5")
 
 
 def claim_endemic_ratios(p):
     dp = covid.derived(p)
-    out = [
-        _claim("covid_endemic_ratio_alpha_hat", alpha_hat_transcribed(p), dp.alpha_hat,
-               abs(alpha_hat_transcribed(p) - dp.alpha_hat), 1e-9,
-               note="numerator should be (beta3+beta5+mu)(beta4+beta9+mu) - beta3*beta4"),
-    ]
     bh_paper = (p.beta8 * p.beta4 + p.beta2 * (p.beta4 + p.beta9 + p.mu)) / (
         p.beta2 * p.beta3 + p.beta8 * (p.beta5 + p.beta3 + p.mu))
-    out.append(_claim("covid_endemic_ratio_beta_hat", bh_paper, dp.beta_hat,
-                      abs(bh_paper - dp.beta_hat), 1e-9))
     e_star = dp.alpha / dp.a
     gh_paper = (p.beta6 / (p.beta7 * e_star)) * dp.alpha_hat + (p.beta5 / (p.beta7 * e_star)) * dp.beta_hat
-    out.append(_claim("covid_endemic_ratio_gamma_hat", gh_paper, dp.gamma_hat,
-                      abs(gh_paper - dp.gamma_hat), 1e-9))
     end = covid.endemic(p)
-    out.append(_claim("covid_endemic_h_star_convention", end.residual, 0.0,
-                      end.residual, 1e-10,
-                      note="the printed H* denominator sign satisfies rhs(P*) = 0"))
-    return out
+    return [
+        _claim("covid_endemic_ratio_alpha_hat", [(alpha_hat_transcribed(p), dp.alpha_hat)], 1e-9,
+               note="numerator should be (beta3+beta5+mu)(beta4+beta9+mu) - beta3*beta4"),
+        _claim("covid_endemic_ratio_beta_hat", [(bh_paper, dp.beta_hat)], 1e-9),
+        _claim("covid_endemic_ratio_gamma_hat", [(gh_paper, dp.gamma_hat)], 1e-9),
+        _claim("covid_endemic_h_star_convention", [(end.residual, 0.0)], 1e-10,
+               note="the printed H* denominator sign satisfies rhs(P*) = 0"),
+    ]
 
 
 def claim_ngm(p, states):
@@ -207,8 +196,9 @@ def claim_ngm(p, states):
             ("m12", 1, 2, "printed expression is the (2,1) minor over beta7*E"),
             ("m21", 2, 1, "printed expression omits the beta7*E factor"),
             ("m22", 2, 2, "printed factor beta1 + mu should be beta1*I + mu")):
-        claims.append(_worst_claim(f"covid_ngm_minor_{key}", parts, lambda q: getattr(q, key),
-                                   lambda q: covid.minor(q.V, i, j), 1e-8, note=note))
+        claims.append(_worst_claim(
+            f"covid_ngm_minor_{key}", parts, lambda q: getattr(q, key),
+            lambda q: determinant(np.delete(np.delete(q.V, i - 1, 0), j - 1, 1)), 1e-8, note=note))
     claims.append(_worst_claim(
         "covid_ngm_r0_quadratic_formula", parts,
         lambda q: ((q.a_c + q.d_c + np.sqrt(complex(q.delta))) / 2.0).real, lambda q: q.r0, 1e-8,
@@ -218,8 +208,7 @@ def claim_ngm(p, states):
 
 def claim_dfe_determinant(p):
     dj = covid.det_jp0(p)
-    return _claim("covid_dfe_jacobian_determinant", dj.closed, dj.numeric,
-                  abs(dj.closed - dj.numeric), 1e-8,
+    return _claim("covid_dfe_jacobian_determinant", [(dj.closed, dj.numeric)], 1e-8,
                   note="closed form descends from the transcribed Jacobian")
 
 
@@ -229,8 +218,7 @@ def claim_splitting_cubic(p):
     paper = np.array([[chi.a1, chi.a2, chi.a3]])
     oracle = np.array([coeffs[1:4]])
     tail = float(max(abs(coeffs[4]), abs(coeffs[5])))
-    diff = float(abs(paper - oracle).max())
-    return _claim("covid_splitting_cubic_coefficients", paper, oracle, diff, 1e-8,
+    return _claim("covid_splitting_cubic_coefficients", [(paper, oracle)], 1e-8,
                   note=f"char poly of M E^-1 has lambda^2 factor (tail {tail:.2e}); "
                        "printed a1,a2,a3 drop/misplace the beta9 cross terms")
 
@@ -250,8 +238,7 @@ def claim_cubic_conjugate_pair(rng):
         poly = lambda x: a * x ** 3 + b * x ** 2 + c * x + d
         worst_paper = max(worst_paper, abs(poly(x2_paper)))
         worst_fixed = max(worst_fixed, abs(poly(x2)))
-    return _claim("cubic_conjugate_pair_half_factor", worst_paper, worst_fixed,
-                  abs(worst_paper - worst_fixed), 1e-8,
+    return _claim("cubic_conjugate_pair_half_factor", [(worst_paper, worst_fixed)], 1e-8,
                   note="printed conjugate roots omit the 1/2 on i*sqrt(3)*(S-T); "
                        "values are worst cubic residuals")
 
@@ -260,10 +247,8 @@ def claim_second_compound5_display(rng):
     a = rng.normal(size=(5, 5))
     for i, j in ((1, 3), (2, 3), (2, 4), (2, 5), (3, 1), (3, 5), (4, 1), (4, 5), (5, 4)):
         a[i - 1, j - 1] = 0.0
-    paper = second_compound5_display(a)
-    oracle = add_compound2_closed(a)
-    return _claim("second_compound_10x10_display", paper, oracle,
-                  float(abs(paper - oracle).max()), 1e-12,
+    return _claim("second_compound_10x10_display",
+                  [(second_compound5_display(a), add_compound2_closed(a))], 1e-12,
                   note="display entry (10,9) prints -a43 where the template has +a43")
 
 
@@ -275,10 +260,8 @@ def claim_seir_jacobian(sp, rng):
 
 
 def claim_seir_compound_display(sp):
-    paper = seir.j2_dfe_transcribed(sp)
     oracle = add_compound(seir.jacobian3(sp, seir.dfe3(sp).state), 2)
-    return _claim("seir_dfe_compound_display", paper, oracle,
-                  float(abs(paper - oracle).max()), 1e-9,
+    return _claim("seir_dfe_compound_display", [(seir.j2_dfe_transcribed(sp), oracle)], 1e-9,
                   note="printed (3,3) omits the beta1*Lambda/mu term")
 
 
@@ -290,8 +273,7 @@ def claim_seir_endemic_i1(sp):
     bad[1] = i1_paper
     bad[2] = sp.delta * i1_paper
     res_paper = float(abs(seir.rhs3(sp, bad)).max())
-    return _claim("seir_endemic_i1_divisor", i1_paper, end.state[1],
-                  abs(i1_paper - end.state[1]), 1e-9,
+    return _claim("seir_endemic_i1_divisor", [(i1_paper, end.state[1])], 1e-9,
                   note=f"printed divisor mu+d leaves residual {res_paper:.3e}; "
                        "mu+gamma satisfies the equilibrium equations")
 

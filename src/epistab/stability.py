@@ -299,14 +299,6 @@ class MMatrixFlags:
     is_nonsingular_m: bool
     note: str = ""
 
-    def to_dict(self):
-        d = {k: getattr(self, k) for k in (
-            "z_pattern", "leading_minors_positive", "inverse_nonnegative",
-            "dominant_after_scaling", "is_nonsingular_m")}
-        if self.note:
-            d["note"] = self.note
-        return d
-
 
 def m_matrix(a):
     """Evaluate the M-matrix condition flags, each on its own.
@@ -319,38 +311,21 @@ def m_matrix(a):
     """
     m = as_square(a)
     n = m.shape[0]
-    off = m - np.diag(np.diag(m))
-    z_pattern = bool((off <= 0).all())
-
-    minors_pos = True
-    for k in range(1, n + 1):
-        if determinant(m[:k, :k]) <= 0:
-            minors_pos = False
-            break
-
-    note = ""
+    z_pattern = bool((m - np.diag(np.diag(m)) <= 0).all())
+    # stops at the first minor <= 0; a NaN minor (overflow) does not stop it
+    minors_pos = not any(determinant(m[:k, :k]) <= 0 for k in range(1, n + 1))
+    flags = dict(z_pattern=z_pattern, leading_minors_positive=minors_pos,
+                 is_nonsingular_m=z_pattern and minors_pos)
     try:
         inv = inverse(m)
-        inverse_nonneg = bool((inv >= -1e-10).all())
     except SingularMatrixError:
-        inverse_nonneg = False
-        note = "singular: inverse-based conditions reported false"
-
+        return MMatrixFlags(**flags, inverse_nonnegative=False, dominant_after_scaling=False,
+                            note="singular: inverse-based conditions reported false")
+    # same elimination as inverse(m), so it passes the same pivot floor
+    x = solve(m, np.ones(n))
     dominant_scaled = False
-    try:
-        x = solve(m, np.ones(n))
-        if (x > 0).all():
-            scaled = m * x  # columns scaled by x_j
-            dominant_scaled = bool((np.diag(scaled) > 0).all()) and dominance(scaled, "rows")
-    except SingularMatrixError:
-        if not note:
-            note = "singular: inverse-based conditions reported false"
-
-    return MMatrixFlags(
-        z_pattern=z_pattern,
-        leading_minors_positive=minors_pos,
-        inverse_nonnegative=inverse_nonneg,
-        dominant_after_scaling=dominant_scaled,
-        is_nonsingular_m=z_pattern and minors_pos,
-        note=note,
-    )
+    if (x > 0).all():
+        scaled = m * x  # columns scaled by x_j
+        dominant_scaled = bool((np.diag(scaled) > 0).all()) and dominance(scaled, "rows")
+    return MMatrixFlags(**flags, inverse_nonnegative=bool((inv >= -1e-10).all()),
+                        dominant_after_scaling=dominant_scaled)

@@ -236,6 +236,34 @@ def _config(tmp_path, **changes):
     return str(path)
 
 
+# SHA-256 of the ``paper-check`` report for three more configs: beta10 = 0.2,
+# beta10 = 0.6 (beta1 < beta10, so no feasible endemic point) and a
+# three-compartment set other than the figure set, passed with --seir-config
+PAPER_CHECK_GOLDENS = {
+    "beta10-0.2": ({"beta10": 0.2}, None,
+                   "cbea0dc80974ef4de01793ce65b36c629e2938de004013abb6424e05441d545b"),
+    "beta10-0.6": ({"beta10": 0.6}, None,
+                   "115b0aeadba5f20588a7a513e73f56e6181609f707b12b594a505893a5231161"),
+    "seir-config": ({}, {"Lambda": 1.2, "beta1": 0.4, "beta2": 0.5, "mu": 0.2,
+                         "gamma": 0.15, "d": 0.05},
+                    "de5f2fc2058213c3c2958a8d18320a68a5d6fd39978555de37be43d345d83926"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_CHECK_GOLDENS))
+def test_paper_check_golden_bytes(name, tmp_path, capsys):
+    changes, seir_params, stdout_sha = PAPER_CHECK_GOLDENS[name]
+    argv = ["paper-check", "--config", _config(tmp_path, **changes)]
+    if seir_params is not None:
+        seir_path = tmp_path / "seir.json"
+        seir_path.write_text(json.dumps(seir_params))
+        argv += ["--seir-config", str(seir_path)]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert _sha256(out.encode()) == stdout_sha
+
+
 def test_nan_equilibrium_residual_exit_2(tmp_path, capsys):
     assert main(["equilibria", "--config", _config(tmp_path, B=1e300, mu=1e-300)]) == 2
     out, err = capsys.readouterr()
@@ -257,11 +285,19 @@ def test_simulate_audit_without_a_finite_region_bound(mu, tmp_path, capsys):
     assert len(out_csv.read_text().splitlines()) == 102
 
 
-def test_non_finite_output_exit_2(capsys):
+def test_non_finite_output_exit_2(covid_config, tmp_path, capsys):
     assert main(["cubic", "1e-310", "1", "1", "1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("numeric failure: ")
+    out_csv = tmp_path / "sweep.csv"
+    for dest in ("-", str(out_csv)):  # R0 overflows to inf at beta1 = 1e308
+        assert main(["r0", "--config", covid_config,
+                     "--sweep", "beta1=1e308:1e308:1", "--out", dest]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numeric failure: non-finite R0 inf")
+    assert not out_csv.exists()
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ArithmeticError):
             cli._fmt({"x": [1.0, bad]})

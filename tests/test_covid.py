@@ -314,6 +314,15 @@ def test_stability_report_stable_regime():
     assert rep["verdicts"]["dfe"]["li_wang_exact"]["outcome"] == STABLE
 
 
+def test_threshold_verdict_inside_the_dead_band():
+    p = covid.table_params(0.1)
+    alpha = p.beta2 + p.beta6 + p.beta8 + p.mu
+    p = p.replace(beta1=(alpha * p.mu + p.beta10 * p.B) / p.B)
+    rep = covid.stability_report(p)
+    assert rep["r0"]["reduced"] == pytest.approx(1.0, abs=covid.R0_BAND)
+    assert rep["r0"]["threshold_verdict"] == "inconclusive"
+
+
 def test_threshold_coherence_with_findings():
     rng = np.random.default_rng(506)
     findings = []
