@@ -1,7 +1,7 @@
 """Stability analysis toolkit: compound matrices, Lozinskii measures, and
 threshold/criterion checks for two small epidemic ODE models."""
 
-from .compound import add_compound, add_compound2_closed, lex_tuples, mult_compound, tuple_rank, tuple_unrank
+from .compound import add_compound, add_compound2_closed, lex_tuples, mult_compound
 from .covid import (
     CovidParams,
     DerivedParams,

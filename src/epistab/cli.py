@@ -5,8 +5,8 @@ paper-check.  The four model subcommands run the five-compartment model at
 the top level and the three-compartment model under ``seir``, through one
 handler each.  Deterministic by construction: no environment configuration,
 no network, numeric output capped at 12 significant digits; a NaN or
-infinite value in a JSON object or a sweep's R0 column is a numeric failure,
-and nothing is printed.
+infinite value in a JSON object, a sweep's R0 column or a compound matrix is
+a numeric failure, and nothing is printed.
 
 The parser is built once per process, on the first ``main`` call, and reused.
 It stores each subcommand's handler by name, and ``main`` looks the name up
@@ -184,7 +184,10 @@ def _cmd_compound(args):
     m = read_matrix(args.matrix)
     if 1 <= args.k <= m.shape[0]:
         _check_size("compound entries", comb(m.shape[0], args.k) ** 2)
-    out = (add_compound if args.mode == "additive" else mult_compound)(m, args.k)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        out = (add_compound if args.mode == "additive" else mult_compound)(m, args.k)
+    if not np.isfinite(out).all():  # as in the JSON commands: exit 2, nothing printed
+        raise ArithmeticError(f"non-finite entry {out[~np.isfinite(out)][0]} in the compound")
     sys.stdout.write(format_matrix(out))
     return EXIT_OK
 

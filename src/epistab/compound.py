@@ -12,18 +12,17 @@ standard closed-form templates for n = 3, 4, 5 and satisfies
 A^[k] = d/dh C_k(I + hA) at h = 0.
 
 Both builders read an index plan cached per (n, k) and built once from
-:func:`lex_tuples` and :func:`tuple_rank`.  C_k(A) gathers the k x k blocks
-a few plan rows at a time, each chunk's stack within ``_STACK_BYTES``, and
-takes their minors over the stack (closed forms for k <= 3, batched LAPACK
-determinants for k >= 4); A^[k] is one scatter assignment plus the diagonal
-sums.
+:func:`lex_tuples` alone: a tuple's rank is its position in that list.
+C_k(A) gathers the k x k blocks a few plan rows at a time, each chunk's
+stack within ``_STACK_BYTES``, and takes their minors over the stack (closed
+forms for k <= 3, batched LAPACK determinants for k >= 4); A^[k] is one
+scatter assignment plus the diagonal sums.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -41,44 +40,13 @@ def lex_tuples(n, k):
     return list(itertools.combinations(range(1, n + 1), k))
 
 
-def tuple_rank(n, indices):
-    """0-based lexicographic rank of a strictly increasing tuple of 1..n."""
-    t = tuple(indices)
-    k = len(t)
-    if not 1 <= k <= n or any(not 1 <= v <= n for v in t) or list(t) != sorted(set(t)):
-        raise ValueError(f"not a strictly increasing tuple of 1..{n}: {indices}")
-    rank = 0
-    prev = 0
-    for pos, v in enumerate(t):
-        for w in range(prev + 1, v):
-            rank += comb(n - w, k - pos - 1)
-        prev = v
-    return rank
-
-
-def tuple_unrank(n, k, rank):
-    """Inverse of :func:`tuple_rank`."""
-    if not 0 <= rank < comb(n, k):
-        raise ValueError(f"rank {rank} out of range for C({n},{k})")
-    out = []
-    prev = 0
-    r = rank
-    for pos in range(k):
-        v = prev + 1
-        while r >= comb(n - v, k - pos - 1):
-            r -= comb(n - v, k - pos - 1)
-            v += 1
-        out.append(v)
-        prev = v
-    return tuple(out)
-
-
 @lru_cache(maxsize=64)
 def _plan(n, k):
     """The (n, k) plan: ``idx``, the tuples 0-based in rank order, and ``scatter``,
     (row, col, i, j, sign) for each off-diagonal entry of A^[k], whose row and
     column tuples share all but one index; i and j are the leftover indices."""
     tups = lex_tuples(n, k)
+    rank = {t: r for r, t in enumerate(tups)}
     scatter = []
     for row, t in enumerate(tups):
         for s, i in enumerate(t):
@@ -86,7 +54,7 @@ def _plan(n, k):
                 if j not in t:
                     col = tuple(sorted(t[:s] + t[s + 1:] + (j,)))
                     sign = (-1) ** (s + col.index(j))
-                    scatter.append((row, tuple_rank(n, col), i - 1, j - 1, sign))
+                    scatter.append((row, rank[col], i - 1, j - 1, sign))
     idx = np.array(tups, dtype=np.intp) - 1
     scatter = np.array(scatter, dtype=np.intp).reshape(-1, 5).T
     idx.flags.writeable = scatter.flags.writeable = False

@@ -50,9 +50,6 @@ class CovidParams(model.Params):
     beta10: float
 
 
-PARAM_KEYS = CovidParams.keys()
-
-
 def table_params(beta10):
     """The published rate table.  beta10 carries no table value, so it is required."""
     return CovidParams(B=0.80, mu=0.01, beta1=0.55, beta2=0.40, beta3=0.60,
@@ -140,9 +137,9 @@ def sum_rate(p, x):
     return float(total) if total.ndim == 0 else total
 
 
-def jacobian_fd(p, x, h=1e-6):
+def jacobian_fd(p, x):
     """Central-difference Jacobian of :func:`rhs`; the ground-truth oracle."""
-    return model.jacobian_fd(rhs, p, x, h)
+    return model.jacobian_fd(rhs, p, x)
 
 
 def jacobian_closed(p, x):
@@ -432,7 +429,8 @@ def stability_report(p):
     cond_b = 2.0 * (p.beta1 - p.beta10) * e_star < p.beta6 + p.mu
     cond_c = p.beta9 < p.beta7 * e_star
     cond_d = p.beta8 + p.beta7 * e_star < p.mu
-    j2 = add_compound(jacobian_closed(p, point.state), 2)
+    j_dfe = jacobian_closed(p, point.state)
+    j2 = add_compound(j_dfe, 2)
     report = {
         "params": p.to_dict(),
         "r0": {
@@ -456,7 +454,7 @@ def stability_report(p):
             "compound_diag_negative": bool(np.diag(j2).max() < 0),
         },
         "equilibria": {"dfe": point.to_dict()},
-        "verdicts": {"dfe": criterion_verdicts(jacobian_closed(p, point.state))},
+        "verdicts": {"dfe": criterion_verdicts(j_dfe)},
     }
     try:
         end = endemic(p)

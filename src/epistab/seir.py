@@ -38,9 +38,6 @@ class SeirParams(model.Params):
         return self.gamma / (self.mu + self.d)
 
 
-SEIR_KEYS = SeirParams.keys()
-
-
 def figure_params(mu=0.1):
     """The parameter set used for the R0-vs-mu curves."""
     return SeirParams(Lambda=0.7, beta1=0.3, beta2=0.8, mu=float(mu), gamma=0.1, d=0.04)
@@ -73,9 +70,9 @@ def jacobian3(p, x):
     ])
 
 
-def jacobian3_fd(p, x, h=1e-6):
+def jacobian3_fd(p, x):
     """Central-difference Jacobian of :func:`rhs3`; the ground-truth oracle."""
-    return model.jacobian_fd(rhs3, p, x, h)
+    return model.jacobian_fd(rhs3, p, x)
 
 
 def r0_seir(p):

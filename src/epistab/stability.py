@@ -157,13 +157,10 @@ def price_bounds(a):
     return float(np.prod(d - r)), float(np.prod(d + r))
 
 
-def det_bounds(a, split=None):
-    """Determinant bracketing from a diagonal split a_ii = l_i + r_i.
-
-    ``split`` is an optional list of (l_i, r_i) pairs; by default
-    r_i = sum_{j>i} |a_ij| and l_i = a_ii - r_i.  The split must satisfy
-    l_i >= sum_{j<i} |a_ij| and r_i >= sum_{j>i} |a_ij|.  Returns
-    (lower, upper) with
+def det_bounds(a):
+    """Determinant bracketing from the diagonal split a_ii = l_i + r_i with
+    r_i = sum_{j>i} |a_ij| and l_i = a_ii - r_i; row dominance (checked) gives
+    l_i >= sum_{j<i} |a_ij|.  Returns (lower, upper) with
 
         lower = sum_k  prod_{i<=k} l_i * prod_{i>k} r_i
         upper = sum_k  prod_{i<k} (l_i + 2 r_i) * l_k * prod_{i>k} r_i
@@ -173,21 +170,8 @@ def det_bounds(a, split=None):
     m = as_square(a)
     _check_dominant_hypothesis(m)
     n = m.shape[0]
-    low_sums = np.array([abs(m[i, :i]).sum() for i in range(n)])
-    up_sums = np.array([abs(m[i, i + 1:]).sum() for i in range(n)])
-    if split is None:
-        r = up_sums
-        l = np.diag(m) - r
-    else:
-        if len(split) != n:
-            raise ValueError(f"split must provide {n} (l_i, r_i) pairs")
-        l = np.array([p[0] for p in split], dtype=float)
-        r = np.array([p[1] for p in split], dtype=float)
-        tol = 1e-12 * (1.0 + abs(np.diag(m)).max())
-        if (abs(l + r - np.diag(m)) > tol).any():
-            raise ValueError("split must satisfy l_i + r_i = a_ii")
-        if (l < low_sums - tol).any() or (r < up_sums - tol).any():
-            raise ValueError("split violates l_i >= sum_{j<i}|a_ij|, r_i >= sum_{j>i}|a_ij|")
+    r = np.array([abs(m[i, i + 1:]).sum() for i in range(n)])
+    l = np.diag(m) - r
     lower = 0.0
     for k in range(n + 1):
         lower += np.prod(l[:k]) * np.prod(r[k:])

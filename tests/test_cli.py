@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -298,6 +299,16 @@ def test_non_finite_output_exit_2(covid_config, tmp_path, capsys):
         assert out == ""
         assert err.startswith("numeric failure: non-finite R0 inf")
     assert not out_csv.exists()
+    mat = tmp_path / "m.txt"
+    for text, mode, value in (("1e200,1e200\n1e200,-1e200\n", "multiplicative", "-inf"),
+                              ("1e308,1\n1,1e308\n", "additive", "inf")):
+        mat.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would reach stderr
+            assert main(["compound", "--matrix", str(mat), "--k", "2", "--mode", mode]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"numeric failure: non-finite entry {value} in the compound\n"
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ArithmeticError):
             cli._fmt({"x": [1.0, bad]})

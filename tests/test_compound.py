@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 
@@ -10,8 +11,6 @@ from epistab.compound import (
     add_compound2_closed,
     lex_tuples,
     mult_compound,
-    tuple_rank,
-    tuple_unrank,
 )
 from epistab.linalg import determinant, eigenvalues
 
@@ -29,18 +28,6 @@ def test_lex_tuples_examples():
         lex_tuples(3, 4)
     with pytest.raises(ValueError):
         lex_tuples(3, 0)
-
-
-def test_tuple_rank_round_trip():
-    for n in range(1, 8):
-        for k in range(1, n + 1):
-            for rank, t in enumerate(lex_tuples(n, k)):
-                assert tuple_rank(n, t) == rank
-                assert tuple_unrank(n, k, rank) == t
-    with pytest.raises(ValueError):
-        tuple_rank(5, (2, 2))
-    with pytest.raises(ValueError):
-        tuple_unrank(5, 2, 10)
 
 
 def test_mult_compound_examples():
@@ -215,3 +202,55 @@ def test_closed_template_n5_on_sparse_pattern():
         t[0], [a[0, 0] + a[1, 1], 0.0, 0.0, 0.0, 0.0, -a[0, 3], -a[0, 4], 0.0, 0.0, 0.0])
     assert t[3, 9] == a[0, 3]   # row (1,5), col (4,5) keeps +a14
     assert t[9, 8] == a[3, 2]   # row (4,5), col (3,5) is +a43
+
+
+def _golden_matrix(n):
+    # seeded, with 0.0 and -0.0 entries (n = 1 holds only -0.0)
+    a = np.random.default_rng(300 + n).normal(size=(n, n))
+    a.flat[::4] = -0.0
+    a.flat[1::7] = 0.0
+    return a
+
+
+def _digest(build, n, ks):
+    h = hashlib.sha256()
+    for k in ks:
+        h.update(build(_golden_matrix(n), k).tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of the output bytes for k = 1..n (additive) and k = 1..min(3, n)
+# (multiplicative, whose k >= 4 minors are LAPACK bits that vary by platform)
+ADD_COMPOUND_SHA256 = {
+    1: "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+    2: "a8e38e42dfa5f315f9f19b664ee71a85ac0a4ff4d9621e8b8aac2d3615901c65",
+    3: "75208a1ffadd943a6daffaad0b2f24fa239780c512dd1d5cf74f88ac3cf96828",
+    4: "0e135ac1a6f02ee0d71e368f4736c7c893030696a073c3b6e31dc2a2096965e3",
+    5: "49abd380b77c9502e3cd66a57985613747855af5bc771cfaf82f58ec77b2a1eb",
+    6: "1f8cabfd02b8c8f6a20b601b26fd17fd1e0bb5bdb45e5b6a1fff0c5d02682020",
+    7: "0502fb20ab97d19b9f46ffd9165cb64b1b0bfbce6fdd54470ee8005dcf13374d",
+    8: "34e2ed8b5547c0ff390b61f581cf27a295da58995684ccd07f7bf6abfbb93554",
+    9: "261842067714390570a05711788deb6da06795595c501cd11543adf7b4821827",
+    10: "280842b8ee5d2ffbb6c7bbe4e1fbbb4fb8fb0b748d66774978f9b15fd08cd1ea",
+    11: "6402a12919961f17abe0a1d3bed2a87f14ac71f3a5315314be84737cce5ca137",
+    12: "1b3efb86449f5729e5903c53019ed7cfe0f77318e7568ea722c8b1646e259580",
+}
+MULT_COMPOUND_SHA256 = {
+    1: "e6ad6c9a3a3b7658c35bacf6553fcb8ffe34387534a648fe18f875b8f7a86ddb",
+    2: "517409367a15c8737ab4347c338e41f2f9372ee2c686c44a6e67a193b972d4e0",
+    3: "51b2636dd7c6f7877413448ec26f8f3d6e7471e2e6c6dc2892ac7f2edb25fe63",
+    4: "9a89d82b4205037526ae074ada4cc342b221fea5b459da57bf69c7f0281d5c16",
+    5: "41c53f6ccd82d96cdc510eafd9e4c5037c6b06086a5d5d0f5bce14be08aa2a23",
+    6: "3382dd47aa7d7a9e6c4c647fae27e991b3efef9dd3a972a252f6ad884d244802",
+    7: "ad226294369187c97f6e93dc983bc3f3e64b203f3af6f94513052c420529120f",
+    8: "2ccc5ca5d5b8a9b272c2e7ab85f2c8c077402853df94883f6464d233ea4e6a63",
+    9: "ff1b2f0422e33b3528ba3dbc1369b3b9b125d3d06a7e60b7d7bc2a71ef0b8e4e",
+    10: "f2d894314248dbfc1df523d98a7d3ea18a0fe618638e9e4f93a334e3109c5bfe",
+}
+
+
+def test_compound_golden_digests():
+    assert {n: _digest(add_compound, n, range(1, n + 1))
+            for n in ADD_COMPOUND_SHA256} == ADD_COMPOUND_SHA256
+    assert {n: _digest(mult_compound, n, range(1, min(3, n) + 1))
+            for n in MULT_COMPOUND_SHA256} == MULT_COMPOUND_SHA256

@@ -10,9 +10,9 @@ def test_params_validation():
     with pytest.raises(ValueError):
         covid.table_params(-0.1)
     with pytest.raises(ValueError):
-        covid.CovidParams.from_dict({k: 0.1 for k in covid.PARAM_KEYS if k != "beta10"})
+        covid.CovidParams.from_dict({k: 0.1 for k in covid.CovidParams.keys() if k != "beta10"})
     with pytest.raises(ValueError):
-        covid.CovidParams.from_dict(dict({k: 0.1 for k in covid.PARAM_KEYS}, bogus=1.0))
+        covid.CovidParams.from_dict(dict({k: 0.1 for k in covid.CovidParams.keys()}, bogus=1.0))
     p = covid.table_params(0.1)
     assert covid.CovidParams.from_dict(p.to_dict()) == p
 
@@ -86,8 +86,6 @@ def test_jacobian_fd_examples(covid_table):
     j = covid.jacobian_fd(covid_table, covid.dfe(covid_table).state)
     assert j[0, 1] == pytest.approx((covid_table.beta10 - covid_table.beta1) * 80.0, abs=1e-6)
     assert j[0, 1] == pytest.approx(-36.0, abs=1e-6)
-    with pytest.raises(ValueError):
-        covid.jacobian_fd(covid_table, np.ones(5), h=1e-2)
 
 
 def test_jacobian_closed_matches_fd(covid_table):

@@ -160,11 +160,6 @@ def test_det_bounds_precondition_and_split_validation():
         det_bounds(np.array([[1.0, 2.0], [0.0, 1.0]]))  # violates row dominance
     with pytest.raises(ValueError):
         det_bounds(np.array([[-2.0, 1.0], [0.0, 2.0]]))  # negative diagonal
-    a = np.array([[2.0, 1.0], [1.0, 2.0]])
-    with pytest.raises(ValueError):
-        det_bounds(a, split=[(1.0, 1.0), (0.5, 1.5)])  # l_2 < |a_21|
-    with pytest.raises(ValueError):
-        det_bounds(a, split=[(1.0, 0.5), (2.0, 0.0)])  # l + r != diag
 
 
 def test_det_bounds_bracket_on_random_dominant():
