@@ -107,20 +107,21 @@ def state(e, i, c, h, d):
 def rhs(p, x):
     """Right-hand side of the five ODEs, exactly as printed.
 
-    ``x`` has shape (..., 5); the result matches.  Negative states are
-    allowed (the linearised dynamics evaluate off the positive cone).  A
-    single state (x.ndim == 1) is evaluated on Python floats, a batch on
-    arrays; both run the same expressions, so the bits agree.
+    ``x`` is one state (a list of 5 numbers or a (5,) array) or a batch
+    (..., 5); the float64 result matches.  States may be negative (the
+    linearisation probes leave the positive cone).  Flows shared by two
+    equations are computed once in printed operand and term order: the bits
+    are the printed ones, for one state (Python floats) and a batch alike.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    e, i, c, h, d = x.tolist() if single else (x[..., k] for k in range(5))
-    f1 = p.B - p.beta1 * e * i + p.beta7 * e * d + p.beta9 * h + p.beta10 * e * i - p.mu * e
-    f2 = p.beta1 * e * i - p.beta2 * i - p.beta6 * i - p.beta8 * i - p.beta10 * e * i - p.mu * i
-    f3 = p.beta2 * i - p.beta5 * c - p.beta3 * c + p.beta4 * h - p.mu * c
-    f4 = p.beta3 * c - p.beta4 * h + p.beta8 * i - p.beta9 * h - p.mu * h
-    f5 = p.beta5 * c + p.beta6 * i - p.beta7 * d * e
-    return np.array([f1, f2, f3, f4, f5]) if single else np.stack([f1, f2, f3, f4, f5], axis=-1)
+    (e, i, c, h, d), pack = model.components(x, 5)
+    e_to_i, i_to_e = p.beta1 * e * i, p.beta10 * e * i
+    i_to_c, i_to_d, i_to_h = p.beta2 * i, p.beta6 * i, p.beta8 * i
+    c_to_h, c_to_d, h_to_c, h_to_e = p.beta3 * c, p.beta5 * c, p.beta4 * h, p.beta9 * h
+    return pack([p.B - e_to_i + p.beta7 * e * d + h_to_e + i_to_e - p.mu * e,
+                 e_to_i - i_to_c - i_to_d - i_to_h - i_to_e - p.mu * i,
+                 i_to_c - c_to_d - c_to_h + h_to_c - p.mu * c,
+                 c_to_h - h_to_c + i_to_h - h_to_e - p.mu * h,
+                 c_to_d + i_to_d - p.beta7 * d * e])
 
 
 def sum_rate(p, x):

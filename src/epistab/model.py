@@ -1,9 +1,9 @@
 """Scaffolding shared by the two epidemic models.
 
 Both models hand their right-hand side ``rhs(p, x)`` to the helpers here:
-validated rate parameters, residual-gated equilibria, population states and
-the central-difference Jacobian that serves as the ground-truth oracle, taken
-with the fixed step ``FD_STEP``.
+validated rate parameters, their state reader, residual-gated equilibria,
+population states and the central-difference Jacobian that serves as the
+ground-truth oracle, taken with the fixed step ``FD_STEP``.
 """
 
 from __future__ import annotations
@@ -56,6 +56,28 @@ class Params:
 
     def replace(self, **kw):
         return dataclasses.replace(self, **kw)
+
+
+def _pack_one(f):
+    return np.array(f, dtype=float)
+
+
+def _pack_batch(f):
+    return np.stack(f, axis=-1)
+
+
+def components(x, d):
+    """The d components of state(s) ``x``, and the packer of d right-hand
+    sides into the float64 (d,) or (..., d) result.  A flat list of d numbers
+    (the single-trajectory RK4 state) is read as it stands; anything else
+    goes through ``np.asarray``, a 1-D array into Python floats, a (..., d)
+    batch into its last-axis slices."""
+    if type(x) is list and len(x) == d and isinstance(x[0], (int, float)):
+        return x, _pack_one
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return x.tolist(), _pack_one
+    return [x[..., k] for k in range(d)], _pack_batch
 
 
 @dataclass(frozen=True)

@@ -44,19 +44,15 @@ def figure_params(mu=0.1):
 
 
 def rhs3(p, x):
-    """Right-hand side; broadcasts over leading axes of x (..., 3).
-
-    A single state (x.ndim == 1) is evaluated on Python floats, with the
-    same expressions and bits as a batch.
+    """Right-hand side for one state (a list of 3 numbers or a (3,) array)
+    or a batch (..., 3), as a float64 array of the same shape; one state
+    runs on Python floats with the same expressions and bits as a batch.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    s, i1, i2 = x.tolist() if single else (x[..., k] for k in range(3))
+    (s, i1, i2), pack = model.components(x, 3)
     force = (p.beta1 * i1 + p.beta2 * i2) * s
-    f = [p.Lambda - force - p.mu * s,
-         force - (p.mu + p.gamma) * i1,
-         p.gamma * i1 - (p.mu + p.d) * i2]
-    return np.array(f) if single else np.stack(f, axis=-1)
+    return pack([p.Lambda - force - p.mu * s,
+                 force - (p.mu + p.gamma) * i1,
+                 p.gamma * i1 - (p.mu + p.d) * i2])
 
 
 def jacobian3(p, x):

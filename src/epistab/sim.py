@@ -38,14 +38,12 @@ class Trajectory:
 def integrate(f, x0, dt, t_end):
     """Classical RK4 with fixed step dt over [0, t_end], a whole number of steps.
 
-    ``f`` maps a state array (..., d) to its derivative array.  ``x0.ndim``
-    picks one of two paths with the same operand order, hence the same bits:
-
-    * a single state (1-D ``x0``) keeps the RK4 sums on Python float lists,
-      calling ``f`` with a (d,) array and reading its result with
-      ``tolist()``; this skips numpy's per-operation overhead on 5-vectors;
-    * any other shape, such as a batch of initial states (..., d),
-      broadcasts through ``f`` and the sums as numpy arrays.
+    ``f`` maps a state to its derivative array.  ``x0.ndim`` picks one of
+    two paths with the same operand order, hence the same bits: a single
+    state (1-D ``x0``) keeps the RK4 sums on Python float lists, handing
+    ``f`` a list of d floats and reading its (d,) array with ``tolist()``;
+    any other shape, such as a batch of initial states (..., d), broadcasts
+    arrays through ``f`` and the sums.
 
     Deterministic: identical inputs give bit-identical trajectories.
     """
@@ -87,10 +85,10 @@ def _steps_floats(f, x, dt, times, states):
     half, sixth = dt / 2.0, dt / 6.0
     x = x.tolist()
     for k in range(len(times) - 1):
-        k1 = f(np.array(x)).tolist()
-        k2 = f(np.array([a + half * b for a, b in zip(x, k1)])).tolist()
-        k3 = f(np.array([a + half * b for a, b in zip(x, k2)])).tolist()
-        k4 = f(np.array([a + dt * b for a, b in zip(x, k3)])).tolist()
+        k1 = f(x).tolist()
+        k2 = f([a + half * b for a, b in zip(x, k1)]).tolist()
+        k3 = f([a + half * b for a, b in zip(x, k2)]).tolist()
+        k4 = f([a + dt * b for a, b in zip(x, k3)]).tolist()
         x = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
              for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
         if not all(map(math.isfinite, x)):
@@ -142,8 +140,8 @@ def simulate_covid(p, x0, dt, t_end):
 def trajectory_to_csv(traj, header):
     """Render a trajectory as CSV text, 12 significant digits, newline-terminated."""
     table = np.column_stack([traj.times, traj.states])
-    row = ",".join(["%.12g"] * table.shape[1])
-    return "\n".join([header] + [row % tuple(r) for r in table.tolist()]) + "\n"
+    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    return header + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
 
 
 def trajectory_from_csv(text):

@@ -1,10 +1,17 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import covid_rhs_printed, csv_per_row, seir_rhs3_printed
 
 import epistab.covid as covid
 import epistab.seir as seir
 from epistab.sim import (
     DivergenceError,
+    Trajectory,
     integrate,
     invariance_audit,
     simulate_covid,
@@ -198,3 +205,141 @@ def test_single_state_rhs_matches_batch_row_bytes(model):
             assert one.tobytes() == rhs(p, x[None, :])[0].tobytes()
     # a -0.0 rate of change survives the 1-D path
     assert np.signbit(rhs(make(), np.resize([0.0, -0.0], dim))).any()
+
+
+PRINTED = {"covid": covid_rhs_printed, "seir": seir_rhs3_printed}
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_rhs_matches_printed_expressions_bit_for_bit(model):
+    # seeded rates on the {0, -0.0, 1.5, -2}^d grid and on mixed-magnitude states
+    rhs, make, dim = MODELS[model]
+    rng = np.random.default_rng(606)
+    grid = np.array(list(itertools.product([0.0, -0.0, 1.5, -2.0], repeat=dim)))
+    mixed = rng.uniform(-1.0, 1.0, (64, dim)) * 10.0 ** rng.integers(-150, 150, (64, dim))
+    states = np.concatenate([grid, mixed])
+    for p in (make(), make().replace(**{k: 0.0 for k in make().keys()}),
+              _draw_params(rng, model), _draw_params(rng, model)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = PRINTED[model](p, states)
+            assert rhs(p, states).tobytes() == want.tobytes()
+            for x, row in zip(states, want):
+                assert rhs(p, x).tobytes() == PRINTED[model](p, x).tobytes() == row.tobytes()
+                assert rhs(p, x.tolist()).tobytes() == row.tobytes()
+
+
+_signed = st.one_of(st.sampled_from([0.0, -0.0]),
+                    st.floats(-1e150, 1e150, allow_nan=False),
+                    st.floats(-1e-150, 1e-150, allow_nan=False))
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_rhs_matches_printed_expressions_on_drawn_states(model, data):
+    rhs, make, dim = MODELS[model]
+    x = data.draw(st.lists(_signed, min_size=dim, max_size=dim))
+    rates = data.draw(st.lists(st.one_of(st.sampled_from([0.0, 0.1, 0.35]),
+                                         st.floats(0.0, 1e3)),
+                               min_size=len(make().keys()), max_size=len(make().keys())))
+    p = make().replace(**dict(zip(make().keys(), rates)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = PRINTED[model](p, np.array(x)).tobytes()
+        assert rhs(p, x).tobytes() == want
+        assert rhs(p, np.array(x)).tobytes() == want
+        assert rhs(p, np.array([x, x]))[1].tobytes() == want
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_rhs_list_contract(model):
+    rhs, make, dim = MODELS[model]
+    p = make()
+    floats = np.random.default_rng(707).uniform(-2.0, 2.0, dim).tolist()
+    ints = list(range(1, dim + 1))
+    for x in (floats, ints):
+        out = rhs(p, x)
+        assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == (dim,)
+        assert out.tobytes() == rhs(p, np.array(x, dtype=float)).tobytes()
+    nested = [floats, ints, [0.0, -0.0] + floats[2:]]
+    batch = rhs(p, nested)
+    assert batch.shape == (3, dim)
+    assert batch.tobytes() == rhs(p, np.array(nested)).tobytes()
+    # a -0.0 rate of change survives the list path
+    x = np.resize([0.0, -0.0], dim).tolist()
+    assert np.signbit(rhs(p, x)).tobytes() == np.signbit(rhs(p, np.array(x))).tobytes()
+    assert np.signbit(rhs(p, x)).any()
+
+
+def test_integrate_hands_a_single_state_to_f_as_a_list(covid_table):
+    seen = []
+
+    def f(x):
+        seen.append(type(x))
+        return covid.rhs(covid_table, x)
+
+    integrate(f, np.ones(5), dt=0.01, t_end=0.05)
+    assert seen == [list] * 20
+    seen.clear()
+    integrate(f, np.ones((2, 5)), dt=0.01, t_end=0.05)
+    assert seen == [np.ndarray] * 20
+
+
+# SHA-256 of times.tobytes(), then of states.tobytes() for a single x0 and for
+# a batch of four, on seeded (p, x0, dt, steps) with 0.0 and -0.0 in x0; the
+# model arithmetic is only +, - and *, so these bits do not depend on libm
+TRAJECTORY_SHA256 = {
+    ("covid", 901): ("ea5b0eef261315358f964bbedf70c55661b6e9f9fc3cb4da13f271fe9e321ba3",
+                       "070b1429f9f4f3237edc6fdcefb1d1662ce9ea351082ee6a7e597422973fd07a",
+                       "aea9c4c681faa8fddc36cb85c8ab754c37c2896fa15a00732c15017ecf8750d8"),
+    ("covid", 902): ("7f5206ea2714ae2a2dbe55ce1ac6bc3bf01ef89b9f5fa542d40a0b4403476d8e",
+                       "b0f4751bd88bb0d700492424fc55a74d2ae99c6257a757b554329bc8a26dddc9",
+                       "afa8f53dfedba206b4d164a93d4076ed3aad86157107f4294d7728e8f1f6176f"),
+    ("covid", 903): ("37107506ca7e9406c2221e4e7b4ddc72f17f2ca2765b8d204048b497ccf7fab2",
+                       "cbb764d3594d30b1041b90ec8b5f9e906d3dd43a2ee7b23a2aab8abab7547526",
+                       "c00adafd1b57b95924cbe97cd8b8209c4e0995612c34a052ae20d33ee035e9f8"),
+    ("seir", 901): ("c27819969f266b55c6ca5e51eb3b38f2e26326de6d711f95784eb7b83884d06a",
+                       "8199acce52e7ccb8ca91b7e5f618ba0ac31678dd7a8501966a4b841c6998830d",
+                       "e5984c9444d6e3e5873ee166cea7944f2f679a4ab57fd974859058309b67a188"),
+    ("seir", 902): ("c51b41f2ee6f705d59b9f49e33d7e212298af4ecd32c9b35aebbc76ff9e64c92",
+                       "8720367fbd3494bcc794f47646fa8e5ad309915510432295b09aefe221c601dd",
+                       "d7c595dfc8481335a448d3414e6b06afbbc287d1b65d28e4e2dd55d0ab6eb0f9"),
+    ("seir", 903): ("7f5a4843c2fef46948f7b2d9fa0788415ae4d1b9ef24a5aa53ef2412c904ade6",
+                       "ead4dd2c81cba5590d5b10a7e933522abf76c6dfd2c392d278bf236fc48428b0",
+                       "9e50b36ab29ad6e2dca7b8b4e2de31343e31ff918051bc472c06eaeaa6253184"),
+}
+_ZERO_COLUMNS = {"covid": (2, 3), "seir": (0, 2)}
+
+
+@pytest.mark.parametrize("model, seed", sorted(TRAJECTORY_SHA256))
+def test_trajectory_golden_bits(model, seed):
+    rhs, _, dim = MODELS[model]
+    digests = []
+    for shape in (dim, (4, dim)):
+        rng = np.random.default_rng(seed)
+        p = _draw_params(rng, model)
+        dt = float(rng.choice([0.01, 0.025, 0.1]))
+        steps = int(rng.integers(50, 300))
+        x0 = rng.uniform(0.0, 3.0, shape)
+        zero, neg_zero = _ZERO_COLUMNS[model]
+        x0[..., zero], x0[..., neg_zero] = 0.0, -0.0
+        traj = integrate(lambda x: rhs(p, x), x0, dt=dt, t_end=steps * dt)
+        digests.append((hashlib.sha256(traj.times.tobytes()).hexdigest(),
+                        hashlib.sha256(traj.states.tobytes()).hexdigest()))
+    (times, single), (batch_times, batch) = digests
+    assert batch_times == times
+    assert (times, single, batch) == TRAJECTORY_SHA256[model, seed]
+
+
+def test_trajectory_csv_matches_per_row_formatting():
+    times = np.arange(6) * 0.1
+    states = np.array([[-0.0, 0.0, 1e-300, -1e-300],
+                       [1e21, -1e21, 123456789012345.0, -123456789012345.0],
+                       [3.0, -7.0, 1e15, 2.0 ** 53],
+                       [0.1, 1.0 / 3.0, -2.5e-7, 1e16],
+                       [5e-324, 1.7976931348623157e308, 999999999999.5, 12.0],
+                       [np.pi, -np.e, 0.5, 100.0]])
+    traj = Trajectory(times=times, states=states)
+    for header in ("t,S,I1,I2,X", ""):
+        assert trajectory_to_csv(traj, header) == csv_per_row(traj, header)
+    one_row = Trajectory(times=times[:1], states=states[:1])
+    assert trajectory_to_csv(one_row, "t,a,b,c,d") == csv_per_row(one_row, "t,a,b,c,d")
