@@ -75,21 +75,28 @@ class DerivedParams:
     gamma_hat: float
 
 
-def derived(p):
-    """Derived rate groups and endemic ratios, re-derived from the ODEs.
-
-    alpha_hat and beta_hat solve the linear pair of the C and H equilibrium
-    equations; gamma_hat then follows from the D equation at E* = alpha / a.
-    """
-    a = p.beta1 - p.beta10
+def _linear_ratios(p):
+    """(alpha, beta_c, gamma_c, alpha_hat, beta_hat): alpha_hat and beta_hat
+    solve the linear pair of the C and H equilibrium equations, so they stay
+    defined at beta1 == beta10."""
     alpha = p.beta2 + p.beta6 + p.beta8 + p.mu
     beta_c = p.beta3 + p.beta5 + p.mu
     gamma_c = p.beta4 + p.beta9 + p.mu
     den = p.beta2 * p.beta3 + p.beta8 * beta_c
     if den <= 0:
         raise InfeasibleError("endemic ratios undefined: beta2*beta3 + beta8*(beta3+beta5+mu) vanishes")
-    alpha_hat = (beta_c * gamma_c - p.beta3 * p.beta4) / den
-    beta_hat = (p.beta8 * p.beta4 + p.beta2 * gamma_c) / den
+    return (alpha, beta_c, gamma_c, (beta_c * gamma_c - p.beta3 * p.beta4) / den,
+            (p.beta8 * p.beta4 + p.beta2 * gamma_c) / den)
+
+
+def derived(p):
+    """Derived rate groups and endemic ratios, re-derived from the ODEs.
+
+    alpha_hat and beta_hat come from :func:`_linear_ratios`; gamma_hat then
+    follows from the D equation at E* = alpha / a.
+    """
+    alpha, beta_c, gamma_c, alpha_hat, beta_hat = _linear_ratios(p)
+    a = p.beta1 - p.beta10
     if a == 0:
         raise InfeasibleError("endemic ratios undefined: beta1 == beta10")
     e_star = alpha / a
@@ -293,18 +300,13 @@ def ngm_full(p, x):
 
 
 @dataclass(frozen=True)
-class DfeDeterminant:
+class DfeDeterminant(model.Record):
     closed: float
     numeric: float
+    closed_negative: bool
+    numeric_negative: bool
     condition_ii: bool
     beta1_gt_beta10: bool
-
-    def to_dict(self):
-        return {"closed": self.closed, "numeric": self.numeric,
-                "closed_negative": self.closed < 0.0,
-                "numeric_negative": self.numeric < 0.0,
-                "condition_ii": self.condition_ii,
-                "beta1_gt_beta10": self.beta1_gt_beta10}
 
 
 def _dfe_groups(p):
@@ -323,15 +325,16 @@ def det_jp0(p):
     The closed form is -mu*beta7*beta*E*(2*beta8*a*E + alpha*gamma
     + beta8*beta9 - beta8*alpha) with beta = beta2 + beta5 + mu (the grouping
     the publication uses in this section).  ``numeric`` is the determinant of
-    the re-derived Jacobian at the disease-free point; ``condition_ii`` is
-    the published sign predicate.
+    the re-derived Jacobian at the disease-free point, ``closed_negative``
+    and ``numeric_negative`` their signs; ``condition_ii`` is the published
+    sign predicate.
     """
     e_star, a, alpha, beta_s, gamma = _dfe_groups(p)
     bracket = 2.0 * p.beta8 * a * e_star + alpha * gamma + p.beta8 * p.beta9 - p.beta8 * alpha
     closed = -p.mu * p.beta7 * beta_s * e_star * bracket
     numeric = determinant(jacobian_closed(p, dfe(p).state))
-    return DfeDeterminant(closed=closed, numeric=numeric,
-                          condition_ii=bool(bracket > 0),
+    return DfeDeterminant(closed=closed, numeric=numeric, closed_negative=closed < 0.0,
+                          numeric_negative=numeric < 0.0, condition_ii=bool(bracket > 0),
                           beta1_gt_beta10=bool(p.beta1 > p.beta10))
 
 
@@ -420,7 +423,7 @@ def stability_report(p):
     verdicts at both equilibria.
     """
     point = dfe(p)
-    dp = derived(p)
+    alpha, _, _, alpha_hat, beta_hat = _linear_ratios(p)
     r0 = r0_reduced(p)
     parts = ngm_full(p, point.state)
     dj = det_jp0(p)
@@ -442,7 +445,7 @@ def stability_report(p):
         "unique_dfe_conditions": {
             "beta1_lt_beta10": bool(p.beta1 < p.beta10),
             "alpha_alphahat_lt_beta5_betahat_plus_beta9": bool(
-                dp.alpha * dp.alpha_hat < p.beta5 * dp.beta_hat + p.beta9),
+                alpha * alpha_hat < p.beta5 * beta_hat + p.beta9),
         },
         "dfe_determinant": dj.to_dict(),
         "dfe_compound_dominance": {

@@ -3,7 +3,8 @@
 Both models hand their right-hand side ``rhs(p, x)`` to the helpers here:
 validated rate parameters, their state reader, residual-gated equilibria,
 population states and the central-difference Jacobian that serves as the
-ground-truth oracle, taken with the fixed step ``FD_STEP``.
+ground-truth oracle, taken with the fixed step ``FD_STEP``.  ``Record`` is
+the base of every result record and holds its one JSON rule, ``to_dict``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,27 @@ class InfeasibleError(ValueError):
     """A requested equilibrium or ratio does not exist for these parameters."""
 
 
-class Params:
+class Record:
+    """Base of every result record that leaves the program as JSON."""
+
+    def to_dict(self):
+        """Fields in order, leaving out None and ""; an array or tuple as a
+        list, a complex number as [re, im]."""
+        return {k: _plain(v) for k, v in vars(self).items()  # never asks an array for its truth
+                if v is not None and (type(v) is not str or v)}
+
+
+def _plain(v):
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, tuple):
+        return [_plain(x) for x in v]
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    return v
+
+
+class Params(Record):
     """Base for a model's frozen rate dataclass (per day): every field
     finite and >= 0.  ``MISSING_NOTE`` ends the missing-parameters message.
     """
@@ -51,9 +72,6 @@ class Params:
             raise ValueError(f"unknown parameters: {', '.join(sorted(extra))}")
         return cls(**{k: float(d[k]) for k in keys})
 
-    def to_dict(self):
-        return {k: getattr(self, k) for k in self.keys()}
-
     def replace(self, **kw):
         return dataclasses.replace(self, **kw)
 
@@ -81,15 +99,11 @@ def components(x, d):
 
 
 @dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(Record):
     state: np.ndarray
     kind: str  # "dfe" | "endemic"
     feasible: bool
     residual: float
-
-    def to_dict(self):
-        return {"state": [float(v) for v in self.state], "kind": self.kind,
-                "feasible": self.feasible, "residual": self.residual}
 
 
 def equilibrium(rhs, p, state, kind):

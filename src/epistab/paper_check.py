@@ -27,6 +27,7 @@ import numpy as np
 from . import covid, seir
 from .compound import add_compound, add_compound2_closed
 from .linalg import determinant
+from .model import Record
 
 MATCH = "match"
 FLAGGED = "flagged"
@@ -34,31 +35,13 @@ SEED = 20260809  # seeds the probe states and random inputs of every report
 
 
 @dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(Record):
     claim_id: str
-    paper_value: object  # float or nested list at the canonical probe
+    paper_value: object  # float or matrix at the canonical probe
     oracle_value: object
     max_abs_diff: float
     verdict: str
     note: str = ""
-
-    def to_dict(self):
-        d = {
-            "claim_id": self.claim_id,
-            "paper_value": self.paper_value,
-            "oracle_value": self.oracle_value,
-            "max_abs_diff": self.max_abs_diff,
-            "verdict": self.verdict,
-        }
-        if self.note:
-            d["note"] = self.note
-        return d
-
-
-def _as_value(v):
-    if isinstance(v, np.ndarray):
-        return [[float(x) for x in row] for row in v]
-    return float(v)
 
 
 def _claim(claim_id, pairs, tol, note=""):
@@ -66,9 +49,8 @@ def _claim(claim_id, pairs, tol, note=""):
     max|paper - oracle| over all pairs."""
     diff = max(float(np.max(abs(pv - ov))) for pv, ov in pairs)
     paper, oracle = pairs[0]
-    return ClaimResult(claim_id=claim_id, paper_value=_as_value(paper),
-                       oracle_value=_as_value(oracle), max_abs_diff=diff,
-                       verdict=MATCH if diff <= tol else FLAGGED, note=note)
+    return ClaimResult(claim_id=claim_id, paper_value=paper, oracle_value=oracle,
+                       max_abs_diff=diff, verdict=MATCH if diff <= tol else FLAGGED, note=note)
 
 
 def _worst_claim(claim_id, states, paper, oracle, tol, note=""):

@@ -35,6 +35,7 @@ from .linalg import (
     spectral_radius,
 )
 from .lozinskii import MeasureKind, measure
+from .model import Record
 
 MARGIN = 1e-9
 
@@ -44,7 +45,7 @@ INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Stability outcome plus the evidence that produced it."""
 
     outcome: str
@@ -55,15 +56,6 @@ class Verdict:
     abscissa: float | None = None
     discriminant: float | None = None
     cubic_class: str | None = None
-
-    def to_dict(self):
-        d = {"criterion": self.criterion, "outcome": self.outcome}
-        for key in ("det_sign", "measure_kind", "measure_value", "abscissa",
-                    "discriminant", "cubic_class"):
-            v = getattr(self, key)
-            if v is not None:
-                d[key] = v
-        return d
 
 
 def _band(*margins):
@@ -187,17 +179,10 @@ ONE_REAL_TWO_COMPLEX = "one_real_two_complex"
 
 
 @dataclass(frozen=True)
-class CubicRoots:
+class CubicRoots(Record):
     roots: tuple
     discriminant: float
     klass: str
-
-    def to_dict(self):
-        return {
-            "roots": [[z.real, z.imag] for z in self.roots],
-            "discriminant": self.discriminant,
-            "klass": self.klass,
-        }
 
 
 def cardano(a, b, c, d):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import epistab.cli as cli
-from epistab import r0_reduced, table_params
+from epistab import figure_params, r0_reduced, table_params
 from epistab.cli import main
 from epistab.covid import DegenerateSplittingError
 from epistab.linalg import ConvergenceError, SingularMatrixError
@@ -94,6 +94,22 @@ def test_stability_command(covid_config, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["r0"]["threshold_verdict"] == "unstable"
     assert list(rep["verdicts"]["dfe"]["li_wang_sufficient"]) == ["one"]
+
+
+def test_stability_at_beta1_equal_to_beta10_reports_the_disease_free_point(tmp_path, capsys):
+    # the endemic ratios need E* = alpha / (beta1 - beta10); the
+    # disease-free sections do not
+    assert main(["stability", "--config", _config(tmp_path, beta10=0.6)]) == 0
+    infeasible = json.loads(capsys.readouterr().out)
+    assert main(["stability", "--config", _config(tmp_path, beta10=0.55)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rep = json.loads(out)
+    assert sorted(rep) == sorted(infeasible)
+    assert rep["equilibria"]["endemic"] == {"error": "endemic ratios undefined: beta1 == beta10"}
+    assert list(rep["verdicts"]) == ["dfe"]
+    assert main(["r0", "--config", _config(tmp_path, beta10=0.55)]) == 0
+    assert rep["r0"]["reduced"] == json.loads(capsys.readouterr().out)["reduced"] == 0.977560542102
 
 
 def test_simulate_writes_csv_and_audit(covid_config, tmp_path, capsys):
@@ -270,6 +286,18 @@ def test_nan_equilibrium_residual_exit_2(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("numeric failure: dfe equilibrium residual nan exceeds gate")
+
+
+@pytest.mark.parametrize("command", ["r0", "equilibria", "stability",
+                                     "seir r0", "seir equilibria", "seir stability"])
+def test_single_point_commands_at_mu_0_are_usage_errors(command, tmp_path, capsys):
+    params = figure_params() if command.startswith("seir") else table_params(0.1)
+    config = tmp_path / "mu0.json"
+    config.write_text(json.dumps(params.replace(mu=0.0).to_dict()))
+    assert main(command.split() + ["--config", str(config)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: ") and "needs mu > 0" in err
 
 
 @pytest.mark.parametrize("mu", [0.0, 1e-320])
