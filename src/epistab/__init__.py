@@ -4,12 +4,11 @@ threshold/criterion checks for two small epidemic ODE models."""
 from .compound import add_compound, add_compound2_closed, lex_tuples, mult_compound
 from .covid import (
     CovidParams,
-    DerivedParams,
     chi_cubic,
-    derived,
     det_jp0,
     dfe,
     endemic,
+    endemic_ratios,
     jacobian_closed,
     jacobian_fd,
     ngm_full,

@@ -241,7 +241,7 @@ def _covid_equilibria(p):
 
 
 def _seir_r0_report(sp):
-    r0 = seir.r0_seir(sp)  # its mu > 0 guard runs before the NGM divides by mu
+    r0 = seir.r0_seir(sp)
     fm, vm = seir.seir_ngm_matrices(sp)
     return {"r0": r0, "ngm_spectral_radius": spectral_radius(-fm @ inverse(vm))}
 

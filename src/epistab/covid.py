@@ -2,11 +2,15 @@
 dead) with mass-action cross terms.
 
 The printed ODE system is ground truth; Jacobians, endemic ratios and
-equilibria are re-derived from it here.  ``ngm_full``, ``det_jp0``,
-``splitting_matrices`` and ``chi_cubic`` also evaluate closed forms as
-printed in the source publication, because the stability report and the
-tests read them; the other transcribed forms live in
-:mod:`epistab.paper_check`, which diffs all of them against oracles.
+equilibria are re-derived from it here, from rate groups that are
+properties of :class:`CovidParams`: a = beta1 - beta10, the I, C and H
+outflows alpha = beta2+beta6+beta8+mu, beta_c = beta3+beta5+mu and gamma_c =
+beta4+beta9+mu, and the disease-free ``e_dfe`` = B/mu, the model's one
+"needs mu > 0" check.  ``ngm_full``, ``det_jp0``, ``splitting_matrices`` and
+``chi_cubic`` also evaluate closed forms as printed in the source
+publication, because the stability report and the tests read them; the other
+transcribed forms live in :mod:`epistab.paper_check`, which diffs all of
+them against oracles.
 
 State vectors are (E, I, C, H, D).  ``rhs`` broadcasts over leading axes so
 batches of states integrate in one call.
@@ -49,6 +53,29 @@ class CovidParams(model.Params):
     beta9: float
     beta10: float
 
+    @property
+    def a(self):
+        return self.beta1 - self.beta10
+
+    @property
+    def alpha(self):
+        return self.beta2 + self.beta6 + self.beta8 + self.mu
+
+    @property
+    def beta_c(self):
+        return self.beta3 + self.beta5 + self.mu
+
+    @property
+    def gamma_c(self):
+        return self.beta4 + self.beta9 + self.mu
+
+    @property
+    def e_dfe(self):
+        """E at the disease-free point, B/mu; it exists only for mu > 0."""
+        if self.mu <= 0:
+            raise ValueError("disease-free equilibrium needs mu > 0")
+        return self.B / self.mu
+
 
 def table_params(beta10):
     """The published rate table.  beta10 carries no table value, so it is required."""
@@ -57,53 +84,28 @@ def table_params(beta10):
                        beta8=0.30, beta9=0.35, beta10=float(beta10))
 
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Compound rate groups reused across the closed forms.
-
-    a = beta1 - beta10, alpha = beta2 + beta6 + beta8 + mu,
-    beta_c = beta3 + beta5 + mu, gamma_c = beta4 + beta9 + mu, and the
-    endemic ratios I*/H*, C*/H*, D*/H* (alpha_hat, beta_hat, gamma_hat).
-    """
-
-    a: float
-    alpha: float
-    beta_c: float
-    gamma_c: float
-    alpha_hat: float
-    beta_hat: float
-    gamma_hat: float
-
-
 def _linear_ratios(p):
-    """(alpha, beta_c, gamma_c, alpha_hat, beta_hat): alpha_hat and beta_hat
-    solve the linear pair of the C and H equilibrium equations, so they stay
+    """(alpha_hat, beta_hat), the endemic ratios I*/H* and C*/H*: they solve
+    the linear pair of the C and H equilibrium equations, so they stay
     defined at beta1 == beta10."""
-    alpha = p.beta2 + p.beta6 + p.beta8 + p.mu
-    beta_c = p.beta3 + p.beta5 + p.mu
-    gamma_c = p.beta4 + p.beta9 + p.mu
-    den = p.beta2 * p.beta3 + p.beta8 * beta_c
+    den = p.beta2 * p.beta3 + p.beta8 * p.beta_c
     if den <= 0:
         raise InfeasibleError("endemic ratios undefined: beta2*beta3 + beta8*(beta3+beta5+mu) vanishes")
-    return (alpha, beta_c, gamma_c, (beta_c * gamma_c - p.beta3 * p.beta4) / den,
-            (p.beta8 * p.beta4 + p.beta2 * gamma_c) / den)
+    return ((p.beta_c * p.gamma_c - p.beta3 * p.beta4) / den,
+            (p.beta8 * p.beta4 + p.beta2 * p.gamma_c) / den)
 
 
-def derived(p):
-    """Derived rate groups and endemic ratios, re-derived from the ODEs.
-
-    alpha_hat and beta_hat come from :func:`_linear_ratios`; gamma_hat then
-    follows from the D equation at E* = alpha / a.
-    """
-    alpha, beta_c, gamma_c, alpha_hat, beta_hat = _linear_ratios(p)
-    a = p.beta1 - p.beta10
-    if a == 0:
+def endemic_ratios(p):
+    """(alpha_hat, beta_hat, gamma_hat), the endemic ratios I*/H*, C*/H* and
+    D*/H* re-derived from the ODEs: gamma_hat follows from the D equation
+    at E* = alpha / a."""
+    alpha_hat, beta_hat = _linear_ratios(p)
+    if p.a == 0:
         raise InfeasibleError("endemic ratios undefined: beta1 == beta10")
-    e_star = alpha / a
+    e_star = p.alpha / p.a
     if p.beta7 * e_star == 0:
         raise InfeasibleError("endemic ratios undefined: beta7 * E* vanishes")
-    gamma_hat = (p.beta6 * alpha_hat + p.beta5 * beta_hat) / (p.beta7 * e_star)
-    return DerivedParams(a, alpha, beta_c, gamma_c, alpha_hat, beta_hat, gamma_hat)
+    return alpha_hat, beta_hat, (p.beta6 * alpha_hat + p.beta5 * beta_hat) / (p.beta7 * e_star)
 
 
 def state(e, i, c, h, d):
@@ -156,20 +158,16 @@ def jacobian_closed(p, x):
     return np.array([
         [(p.beta10 - p.beta1) * i + p.beta7 * d - p.mu,
          (p.beta10 - p.beta1) * e, 0.0, p.beta9, p.beta7 * e],
-        [(p.beta1 - p.beta10) * i,
-         (p.beta1 - p.beta10) * e - (p.beta2 + p.beta6 + p.beta8 + p.mu),
-         0.0, 0.0, 0.0],
-        [0.0, p.beta2, -(p.beta3 + p.beta5 + p.mu), p.beta4, 0.0],
-        [0.0, p.beta8, p.beta3, -(p.beta4 + p.beta9 + p.mu), 0.0],
+        [p.a * i, p.a * e - p.alpha, 0.0, 0.0, 0.0],
+        [0.0, p.beta2, -p.beta_c, p.beta4, 0.0],
+        [0.0, p.beta8, p.beta3, -p.gamma_c, 0.0],
         [-p.beta7 * d, p.beta6, p.beta5, 0.0, -p.beta7 * e],
     ])
 
 
 def dfe(p):
     """Disease-free equilibrium (B/mu, 0, 0, 0, 0)."""
-    if p.mu <= 0:
-        raise ValueError("disease-free equilibrium needs mu > 0")
-    return model.equilibrium(rhs, p, np.array([p.B / p.mu, 0.0, 0.0, 0.0, 0.0]), "dfe")
+    return model.equilibrium(rhs, p, np.array([p.e_dfe, 0.0, 0.0, 0.0, 0.0]), "dfe")
 
 
 def endemic(p):
@@ -183,14 +181,13 @@ def endemic(p):
     """
     if p.mu <= 0:
         raise ValueError("endemic equilibrium needs mu > 0")
-    dp = derived(p)
-    e_star = dp.alpha / dp.a
-    den = (dp.a * dp.alpha_hat - p.beta7 * dp.gamma_hat) * e_star - p.beta9
+    alpha_hat, beta_hat, gamma_hat = endemic_ratios(p)
+    e_star = p.alpha / p.a
+    den = (p.a * alpha_hat - p.beta7 * gamma_hat) * e_star - p.beta9
     if den == 0:
         raise InfeasibleError("endemic equilibrium undefined: H* denominator vanishes")
     h_star = (p.B - p.mu * e_star) / den
-    state = np.array([e_star, dp.alpha_hat * h_star, dp.beta_hat * h_star,
-                      h_star, dp.gamma_hat * h_star])
+    state = np.array([e_star, alpha_hat * h_star, beta_hat * h_star, h_star, gamma_hat * h_star])
     return model.equilibrium(rhs, p, state, "endemic")
 
 
@@ -202,20 +199,10 @@ def r0_reduced(p):
     """
     if p.mu <= 0:
         raise ValueError("R0 needs mu > 0")
-    alpha = p.beta2 + p.beta6 + p.beta8 + p.mu
-    den = alpha * p.mu + p.beta10 * p.B
+    den = p.alpha * p.mu + p.beta10 * p.B
     if den <= 0:
         raise InfeasibleError("reduced R0 undefined: alpha*mu + beta10*B vanishes")
     return p.beta1 * p.B / den
-
-
-def reduced_ngm_matrices(p):
-    """The reduced 2x2 new-infection and transition blocks at the disease-free point."""
-    e = p.B / p.mu
-    alpha = p.beta2 + p.beta6 + p.beta8 + p.mu
-    f_m = np.array([[0.0, p.beta10 * e], [0.0, p.beta1 * e]])
-    v_m = np.array([[p.mu, p.beta1 * e], [0.0, alpha + p.beta10 * e]])
-    return f_m, v_m
 
 
 def ngm_matrices(p, x):
@@ -229,9 +216,9 @@ def ngm_matrices(p, x):
     f[1, 1] = p.beta1 * e
     v = np.array([
         [p.beta1 * i + p.mu, p.beta1 * e, 0.0, -p.beta9, 0.0],
-        [p.beta10 * i, p.beta2 + p.beta6 + p.beta8 + p.mu + p.beta10 * e, 0.0, 0.0, 0.0],
-        [0.0, -p.beta2, p.beta3 + p.beta5 + p.mu, -p.beta4, 0.0],
-        [0.0, -p.beta8, -p.beta3, p.beta4 + p.beta9 + p.mu, 0.0],
+        [p.beta10 * i, p.alpha + p.beta10 * e, 0.0, 0.0, 0.0],
+        [0.0, -p.beta2, p.beta_c, -p.beta4, 0.0],
+        [0.0, -p.beta8, -p.beta3, p.gamma_c, 0.0],
         [p.beta7 * d, -p.beta6, -p.beta5, 0.0, p.beta7 * e],
     ])
     return f, v
@@ -277,11 +264,9 @@ def ngm_full(p, x):
     if abs(det_v) < 1e-300:
         raise linalg.SingularMatrixError("transition matrix V is singular", abs(det_v))
     e, i, c, h, d = np.asarray(x, dtype=float)
-    dp_beta = p.beta3 + p.beta5 + p.mu
-    dp_gamma = p.beta4 + p.beta9 + p.mu
     alpha_l = p.beta10 * e + p.beta8 + p.beta6 + p.beta2 + p.mu
-    core = dp_beta * dp_gamma - p.beta3 * p.beta4
-    cross = p.beta2 * p.beta3 + dp_beta * p.beta8
+    core = p.beta_c * p.gamma_c - p.beta3 * p.beta4
+    cross = p.beta2 * p.beta3 + p.beta_c * p.beta8
     detv_closed = p.beta7 * e * ((p.beta1 * i + p.mu) * alpha_l * core
                                  - p.beta10 * i * p.beta1 * e * core
                                  + p.beta10 * i * p.beta9 * cross)
@@ -309,14 +294,10 @@ class DfeDeterminant(model.Record):
     beta1_gt_beta10: bool
 
 
-def _dfe_groups(p):
-    """(E*, a, alpha, beta, gamma) at the disease-free point: E* = B/mu,
-    a = beta1 - beta10, alpha = beta2 + beta6 + beta8 + mu, the published
-    grouping beta = beta2 + beta5 + mu, and gamma = beta4 + beta9 + mu."""
-    if p.mu <= 0:
-        raise ValueError("needs mu > 0")
-    return (p.B / p.mu, p.beta1 - p.beta10, p.beta2 + p.beta6 + p.beta8 + p.mu,
-            p.beta2 + p.beta5 + p.mu, p.beta4 + p.beta9 + p.mu)
+def _beta_printed(p):
+    """beta2 + beta5 + mu: the grouping the publication uses for beta at the
+    disease-free point, where the C outflow is beta_c = beta3 + beta5 + mu."""
+    return p.beta2 + p.beta5 + p.mu
 
 
 def det_jp0(p):
@@ -329,9 +310,10 @@ def det_jp0(p):
     and ``numeric_negative`` their signs; ``condition_ii`` is the published
     sign predicate.
     """
-    e_star, a, alpha, beta_s, gamma = _dfe_groups(p)
-    bracket = 2.0 * p.beta8 * a * e_star + alpha * gamma + p.beta8 * p.beta9 - p.beta8 * alpha
-    closed = -p.mu * p.beta7 * beta_s * e_star * bracket
+    e_star = p.e_dfe
+    bracket = (2.0 * p.beta8 * p.a * e_star + p.alpha * p.gamma_c + p.beta8 * p.beta9
+               - p.beta8 * p.alpha)
+    closed = -p.mu * p.beta7 * _beta_printed(p) * e_star * bracket
     numeric = determinant(jacobian_closed(p, dfe(p).state))
     return DfeDeterminant(closed=closed, numeric=numeric, closed_negative=closed < 0.0,
                           numeric_negative=numeric < 0.0, condition_ii=bool(bracket > 0),
@@ -345,8 +327,8 @@ def splitting_matrices(p):
     reproduces the *published* disease-free Jacobian (including its dropped
     row-5 entries), which is what the splitting cubic is about.
     """
-    e_star, a, alpha, beta_s, gamma = _dfe_groups(p)
-    aa = a * e_star
+    e_star = p.e_dfe
+    aa = p.a * e_star
     m = np.array([
         [0.0, 0.0, 0.0, p.beta9, p.beta7 * e_star],
         [0.0, aa, 0.0, 0.0, 0.0],
@@ -356,9 +338,9 @@ def splitting_matrices(p):
     ])
     e = np.array([
         [p.mu, aa, 0.0, 0.0, 0.0],
-        [p.mu, alpha, 0.0, 0.0, 0.0],
-        [0.0, 0.0, beta_s, 0.0, 0.0],
-        [0.0, 0.0, 0.0, gamma, 0.0],
+        [p.mu, p.alpha, 0.0, 0.0, 0.0],
+        [0.0, 0.0, _beta_printed(p), 0.0, 0.0],
+        [0.0, 0.0, 0.0, p.gamma_c, 0.0],
         [0.0, 0.0, 0.0, 0.0, p.beta7 * e_star],
     ])
     return m, e
@@ -380,17 +362,18 @@ def chi_cubic(p):
     M E^-1 (two zero eigenvalues plus a cubic) is the oracle the
     transcription checks compare against.
     """
-    e_star, a, alpha, beta_s, gamma = _dfe_groups(p)
-    aa = a * e_star
-    gap = alpha - aa
-    if abs(gap) <= 1e-12 * (1.0 + abs(alpha) + abs(aa)):
+    aa = p.a * p.e_dfe
+    gap = p.alpha - aa
+    if abs(gap) <= 1e-12 * (1.0 + abs(p.alpha) + abs(aa)):
         raise DegenerateSplittingError("splitting degenerate: alpha equals (beta1-beta10)*B/mu")
     u = -1.0 / gap
     v = 1.0 / gap
     av = aa * v
+    gamma = p.gamma_c
+    loop = p.beta3 * p.beta4 / (_beta_printed(p) * gamma)
     a1 = (p.beta9 * p.beta8 / gamma) * u * (av + 1.0) - av - p.beta8 / gamma
-    a2 = (p.beta8 / gamma) * av - p.beta3 * p.beta4 / (beta_s * gamma)
-    a3 = (p.beta3 * p.beta4 / (beta_s * gamma)) * av
+    a2 = (p.beta8 / gamma) * av - loop
+    a3 = loop * av
     return ChiCubic(a1=a1, a2=a2, a3=a3, roots=cardano(1.0, a1, a2, a3))
 
 
@@ -423,14 +406,14 @@ def stability_report(p):
     verdicts at both equilibria.
     """
     point = dfe(p)
-    alpha, _, _, alpha_hat, beta_hat = _linear_ratios(p)
+    alpha_hat, beta_hat = _linear_ratios(p)
     r0 = r0_reduced(p)
     parts = ngm_full(p, point.state)
     dj = det_jp0(p)
 
-    e_star, _, _, beta_s, _ = _dfe_groups(p)
-    cond_a = p.beta3 < beta_s
-    cond_b = 2.0 * (p.beta1 - p.beta10) * e_star < p.beta6 + p.mu
+    e_star = p.e_dfe
+    cond_a = p.beta3 < _beta_printed(p)
+    cond_b = 2.0 * p.a * e_star < p.beta6 + p.mu
     cond_c = p.beta9 < p.beta7 * e_star
     cond_d = p.beta8 + p.beta7 * e_star < p.mu
     j_dfe = jacobian_closed(p, point.state)
@@ -445,7 +428,7 @@ def stability_report(p):
         "unique_dfe_conditions": {
             "beta1_lt_beta10": bool(p.beta1 < p.beta10),
             "alpha_alphahat_lt_beta5_betahat_plus_beta9": bool(
-                alpha * alpha_hat < p.beta5 * beta_hat + p.beta9),
+                p.alpha * alpha_hat < p.beta5 * beta_hat + p.beta9),
         },
         "dfe_determinant": dj.to_dict(),
         "dfe_compound_dominance": {

@@ -63,6 +63,8 @@ class Params(Record):
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError(f"parameters must be a JSON object, got {type(d).__name__}")
         keys = cls.keys()
         missing = [k for k in keys if k not in d]
         if missing:
@@ -70,6 +72,9 @@ class Params(Record):
         extra = [k for k in d if k not in keys]
         if extra:
             raise ValueError(f"unknown parameters: {', '.join(sorted(extra))}")
+        for k in keys:  # a bool is an int to Python, not a number to JSON
+            if isinstance(d[k], bool) or not isinstance(d[k], (int, float)):
+                raise ValueError(f"parameter {k} must be a number, got {d[k]!r}")
         return cls(**{k: float(d[k]) for k in keys})
 
     def replace(self, **kw):

@@ -77,9 +77,17 @@ def jacobian_transcribed(p, x):
 def dfe_jacobian_transcribed(p):
     """The published disease-free Jacobian display: the general display at
     (B/mu, 0, 0, 0, 0) with row 5 zeroed except (5,5)."""
-    j = jacobian_transcribed(p, (p.B / p.mu, 0.0, 0.0, 0.0, 0.0))
+    j = jacobian_transcribed(p, (p.e_dfe, 0.0, 0.0, 0.0, 0.0))
     j[4, :4] = 0.0
     return j
+
+
+def reduced_ngm_matrices(p):
+    """The reduced 2x2 new-infection and transition blocks at the disease-free point."""
+    e = p.e_dfe
+    f_m = np.array([[0.0, p.beta10 * e], [0.0, p.beta1 * e]])
+    v_m = np.array([[p.mu, p.beta1 * e], [0.0, p.alpha + p.beta10 * e]])
+    return f_m, v_m
 
 
 def alpha_hat_transcribed(p):
@@ -142,17 +150,17 @@ def claim_dfe_jacobian_display(p):
 
 
 def claim_endemic_ratios(p):
-    dp = covid.derived(p)
+    alpha_hat, beta_hat, gamma_hat = covid.endemic_ratios(p)
     bh_paper = (p.beta8 * p.beta4 + p.beta2 * (p.beta4 + p.beta9 + p.mu)) / (
         p.beta2 * p.beta3 + p.beta8 * (p.beta5 + p.beta3 + p.mu))
-    e_star = dp.alpha / dp.a
-    gh_paper = (p.beta6 / (p.beta7 * e_star)) * dp.alpha_hat + (p.beta5 / (p.beta7 * e_star)) * dp.beta_hat
+    e_star = p.alpha / p.a
+    gh_paper = (p.beta6 / (p.beta7 * e_star)) * alpha_hat + (p.beta5 / (p.beta7 * e_star)) * beta_hat
     end = covid.endemic(p)
     return [
-        _claim("covid_endemic_ratio_alpha_hat", [(alpha_hat_transcribed(p), dp.alpha_hat)], 1e-9,
+        _claim("covid_endemic_ratio_alpha_hat", [(alpha_hat_transcribed(p), alpha_hat)], 1e-9,
                note="numerator should be (beta3+beta5+mu)(beta4+beta9+mu) - beta3*beta4"),
-        _claim("covid_endemic_ratio_beta_hat", [(bh_paper, dp.beta_hat)], 1e-9),
-        _claim("covid_endemic_ratio_gamma_hat", [(gh_paper, dp.gamma_hat)], 1e-9),
+        _claim("covid_endemic_ratio_beta_hat", [(bh_paper, beta_hat)], 1e-9),
+        _claim("covid_endemic_ratio_gamma_hat", [(gh_paper, gamma_hat)], 1e-9),
         _claim("covid_endemic_h_star_convention", [(end.residual, 0.0)], 1e-10,
                note="the printed H* denominator sign satisfies rhs(P*) = 0"),
     ]

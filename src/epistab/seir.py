@@ -6,8 +6,11 @@
 
 R0 comes from the 2x2 next-generation factors; the endemic point follows
 from I2 = delta I1 with delta = gamma/(mu+d) and S* = (mu+gamma)/(beta1 +
-beta2 delta).  The stability report applies the compound-matrix criterion to
-the endemic Jacobian after the diagonal similarity P = diag(I2*, I1*, S*).
+beta2 delta); ``delta``, ``beta_eff`` = beta1 + beta2 delta and the
+disease-free ``s_dfe`` = Lambda/mu, the model's one "needs mu > 0" check,
+are properties of :class:`SeirParams`.  The stability report applies the
+compound-matrix criterion to the endemic Jacobian after the diagonal
+similarity P = diag(I2*, I1*, S*).
 """
 
 from __future__ import annotations
@@ -36,6 +39,17 @@ class SeirParams(model.Params):
     @property
     def delta(self):
         return self.gamma / (self.mu + self.d)
+
+    @property
+    def beta_eff(self):
+        return self.beta1 + self.beta2 * self.delta
+
+    @property
+    def s_dfe(self):
+        """S at the disease-free point, Lambda/mu; it exists only for mu > 0."""
+        if self.mu <= 0:
+            raise ValueError("disease-free equilibrium needs mu > 0")
+        return self.Lambda / self.mu
 
 
 def figure_params(mu=0.1):
@@ -80,17 +94,17 @@ def r0_seir(p):
 
 
 def seir_ngm_matrices(p):
-    """The printed next-generation factors; R0 is the spectral radius of -F V^-1."""
+    """The printed next-generation factors at S = Lambda/mu; R0 is the spectral
+    radius of -F V^-1.  F keeps the printed beta*Lambda/mu, not beta*s_dfe."""
+    p.s_dfe  # raises unless mu > 0
     f = np.array([[p.beta1 * p.Lambda / p.mu, p.beta2 * p.Lambda / p.mu], [0.0, 0.0]])
     v = np.array([[-p.mu - p.gamma, 0.0], [p.gamma, -p.mu - p.d]])
     return f, v
 
 
 def dfe3(p):
-    if p.mu <= 0:
-        raise ValueError("needs mu > 0")
-    state = np.array([p.Lambda / p.mu, 0.0, 0.0])
-    return model.equilibrium(rhs3, p, state, "dfe")
+    """Disease-free equilibrium (Lambda/mu, 0, 0)."""
+    return model.equilibrium(rhs3, p, np.array([p.s_dfe, 0.0, 0.0]), "dfe")
 
 
 def endemic3(p):
@@ -100,7 +114,7 @@ def endemic3(p):
     transcribed divisor mu + d fails the residual gate; the checks report
     the gap.)  Feasible iff Lambda*(beta1+beta2*delta) - mu*(mu+gamma) > 0.
     """
-    den = p.beta1 + p.beta2 * p.delta
+    den = p.beta_eff
     if den <= 0:
         raise InfeasibleError("endemic point undefined: beta1 + beta2*delta vanishes")
     s_star = (p.mu + p.gamma) / den
@@ -115,7 +129,7 @@ def j2_dfe_transcribed(p):
     Its (3,3) entry omits the beta1*Lambda/mu term; the transcription checks
     quantify the gap against ``add_compound(jacobian3(.), 2)``.
     """
-    q = p.Lambda / p.mu
+    q = p.s_dfe
     return np.array([
         [p.beta1 * q - 2.0 * p.mu - p.gamma, p.beta2 * q, p.beta2 * q],
         [p.gamma, -2.0 * p.mu - p.d, -p.beta1 * q],
@@ -133,7 +147,7 @@ def endemic_conditions(p):
     c3: beta2*delta*Lambda + mu*(gamma+mu) < beta1*Lambda.
     """
     dl = p.delta
-    den = p.beta1 + p.beta2 * dl
+    den = p.beta_eff
     feas_num = p.Lambda * den - p.mu * (p.mu + p.gamma)
     c1 = bool(dl > 0 and p.beta2 < p.gamma / dl ** 2)
     if feas_num > 0:

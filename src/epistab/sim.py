@@ -142,13 +142,3 @@ def trajectory_to_csv(traj, header):
     table = np.column_stack([traj.times, traj.states])
     row = ",".join(["%.12g"] * table.shape[1]) + "\n"
     return header + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
-
-
-def trajectory_from_csv(text):
-    """Parse :func:`trajectory_to_csv` output back into a Trajectory."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    rows = [list(map(float, ln.split(","))) for ln in lines[1:]]
-    arr = np.array(rows, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] < 2:
-        raise ValueError("malformed trajectory CSV")
-    return Trajectory(times=arr[:, 0], states=arr[:, 1:])

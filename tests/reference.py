@@ -5,12 +5,14 @@ measure, (||I + hA|| - 1)/h, at a finite h, to check the closed formulas in
 ``epistab.lozinskii`` against the definition.  ``covid_rhs_printed`` and
 ``seir_rhs3_printed`` are the model right-hand sides written term by term as
 printed, and ``csv_per_row`` formats a trajectory one row at a time: the
-bit-for-bit oracles of the model and CSV code.
+bit-for-bit oracles of the model and CSV code.  ``trajectory_from_csv``
+reads a trajectory CSV back.
 """
 
 import numpy as np
 
 from epistab.lozinskii import MeasureKind
+from epistab.sim import Trajectory
 
 _ORD = {MeasureKind.ONE: 1, MeasureKind.TWO: 2, MeasureKind.INF: np.inf}
 
@@ -68,3 +70,13 @@ def csv_per_row(traj, header):
     for t, state in zip(traj.times.tolist(), traj.states.tolist()):
         lines.append(",".join("%.12g" % v for v in [t] + state))
     return "\n".join(lines) + "\n"
+
+
+def trajectory_from_csv(text):
+    """Parse ``epistab.sim.trajectory_to_csv`` output back into a Trajectory."""
+    lines = [ln for ln in text.strip().splitlines() if ln]
+    rows = [list(map(float, ln.split(","))) for ln in lines[1:]]
+    arr = np.array(rows, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] < 2:
+        raise ValueError("malformed trajectory CSV")
+    return Trajectory(times=arr[:, 0], states=arr[:, 1:])

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from reference import trajectory_from_csv
 
 import epistab.cli as cli
 from epistab import figure_params, r0_reduced, table_params
@@ -11,7 +12,7 @@ from epistab.cli import main
 from epistab.covid import DegenerateSplittingError
 from epistab.linalg import ConvergenceError, SingularMatrixError
 from epistab.model import InfeasibleError
-from epistab.sim import DivergenceError, trajectory_from_csv
+from epistab.sim import DivergenceError
 
 
 @pytest.fixture
@@ -279,6 +280,60 @@ def test_paper_check_golden_bytes(name, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert _sha256(out.encode()) == stdout_sha
+
+
+# SHA-256 of stdout of the model commands off the README parameters: the
+# five-compartment ``r0`` and ``stability`` (all three measures) at
+# beta10 = 0.2 and 0.6 (a = beta1 - beta10 < 0), and the three-compartment
+# commands at the second parameter set of PAPER_CHECK_GOLDENS
+MODEL_GOLDENS = {
+    "r0-beta10-0.2": ("r0", {"beta10": 0.2},
+                      "7ce03db53eadadb1982147312ee43587c1523312b0343a0093edcb28dbb94b11"),
+    "r0-beta10-0.6": ("r0", {"beta10": 0.6},
+                      "357bd026069ecd23e46dab447c3520fa291e687c34278af393204a9a0e82cdda"),
+    "stability-beta10-0.2": ("stability", {"beta10": 0.2},
+                             "588d0aa4bc7314a3a1d26301b5e01606b997e38f1fc8d01ec524d5674b2feda3"),
+    "stability-beta10-0.6": ("stability", {"beta10": 0.6},
+                             "9a621489d874e65aa4422b39e3d95193054433cef84d130e020f0d8e836778c9"),
+    "seir-r0": ("seir r0", None,
+                "b6b59634976bf4b8b0f715a9377937b2f82735dd3b686a7309ae6466cdc05df8"),
+    "seir-equilibria": ("seir equilibria", None,
+                        "bed9304b26286cc87b0b8090bef8836559f7b3c71702a64fd0953524bc6a49bc"),
+    "seir-stability": ("seir stability", None,
+                       "b3c612c7c303fdcb00ba9a244e1dcfb83836fa0769ff7a3627b2cb70660a23a9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_GOLDENS))
+def test_model_command_golden_bytes(name, tmp_path, capsys):
+    command, changes, stdout_sha = MODEL_GOLDENS[name]
+    if changes is None:
+        config = tmp_path / "seir.json"
+        config.write_text(json.dumps(PAPER_CHECK_GOLDENS["seir-config"][1]))
+    else:
+        config = _config(tmp_path, **changes)
+    assert main(command.split() + ["--config", str(config)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert _sha256(out.encode()) == stdout_sha
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"B": None}, "parameter B must be a number, got None"),
+    ({"mu": [0.01]}, "parameter mu must be a number, got [0.01]"),
+    ({"beta10": True}, "parameter beta10 must be a number, got True"),
+    ({"beta3": "0.6"}, "parameter beta3 must be a number, got '0.6'"),
+    (5, "parameters must be a JSON object, got int"),
+    ([0.8, 0.01], "parameters must be a JSON object, got list"),
+])
+def test_parameter_values_that_are_not_numbers_are_usage_errors(doc, message, tmp_path, capsys):
+    if isinstance(doc, dict):
+        doc = dict(table_params(0.1).to_dict(), **doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for command in ("r0", "paper-check"):
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
 
 
 def test_nan_equilibrium_residual_exit_2(tmp_path, capsys):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import epistab.covid as covid
+import epistab.seir as seir
+from epistab import paper_check
 from epistab.linalg import determinant, inverse, spectral_radius
 from epistab.stability import INCONCLUSIVE, STABLE, UNSTABLE, li_wang_exact
 
@@ -110,6 +112,18 @@ def test_dfe(covid_table):
         covid.dfe(covid_table.replace(mu=0.0))
 
 
+@pytest.mark.parametrize("fn, params", [pytest.param(fn, params, id=fn.__name__) for fn, params in (
+    (covid.dfe, covid.table_params(0.1)),
+    (paper_check.reduced_ngm_matrices, covid.table_params(0.1)),
+    (seir.dfe3, seir.figure_params()),
+    (seir.seir_ngm_matrices, seir.figure_params()),
+    (seir.j2_dfe_transcribed, seir.figure_params()))])
+def test_disease_free_forms_called_first_at_mu_0(fn, params):
+    # each is the first call on fresh parameters: no guard elsewhere runs before it
+    with pytest.raises(ValueError, match="needs mu > 0"):
+        fn(params.replace(mu=0.0))
+
+
 def test_nan_residual_fails_the_gate(covid_table):
     # B/mu overflows to inf, so rhs at the point is NaN and the gate inf
     with pytest.raises(ArithmeticError, match="residual nan"):
@@ -117,17 +131,18 @@ def test_nan_residual_fails_the_gate(covid_table):
 
 
 def test_derived_groups(covid_table):
-    dp = covid.derived(covid_table)
-    assert dp.a == pytest.approx(0.45, abs=1e-15)
-    assert dp.alpha == pytest.approx(1.01, abs=1e-15)
-    assert dp.beta_c == pytest.approx(0.95, abs=1e-15)
-    assert dp.gamma_c == pytest.approx(1.16, abs=1e-15)
+    p = covid_table
+    alpha_hat, beta_hat, gamma_hat = covid.endemic_ratios(p)
+    assert p.a == pytest.approx(0.45, abs=1e-15)
+    assert p.alpha == pytest.approx(1.01, abs=1e-15)
+    assert p.beta_c == pytest.approx(0.95, abs=1e-15)
+    assert p.gamma_c == pytest.approx(1.16, abs=1e-15)
     # ratios from the 2x2 solve of the C/H equilibrium equations
-    assert dp.alpha_hat == pytest.approx(0.622 / 0.525, abs=1e-12)
-    assert dp.beta_hat == pytest.approx(0.704 / 0.525, abs=1e-12)
+    assert alpha_hat == pytest.approx(0.622 / 0.525, abs=1e-12)
+    assert beta_hat == pytest.approx(0.704 / 0.525, abs=1e-12)
     e_star = 1.01 / 0.45
-    gamma_hat = (0.30 * dp.alpha_hat + 0.34 * dp.beta_hat) / (0.35 * e_star)
-    assert dp.gamma_hat == pytest.approx(gamma_hat, abs=1e-12)
+    assert gamma_hat == pytest.approx((0.30 * alpha_hat + 0.34 * beta_hat) / (0.35 * e_star),
+                                      abs=1e-12)
 
 
 def test_endemic_anchor_values(covid_table):
@@ -154,7 +169,7 @@ def test_endemic_infeasible_when_beta1_below_beta10():
 def test_r0_reduced_anchor(covid_table):
     r0 = covid.r0_reduced(covid_table)
     assert abs(r0 - 0.44 / 0.0901) < 1e-12
-    fm, vm = covid.reduced_ngm_matrices(covid_table)
+    fm, vm = paper_check.reduced_ngm_matrices(covid_table)
     oracle = spectral_radius(fm @ inverse(vm))
     assert abs(r0 - oracle) < 1e-10
     assert covid.r0_reduced(covid_table.replace(beta1=0.0)) == 0.0

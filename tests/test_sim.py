@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import covid_rhs_printed, csv_per_row, seir_rhs3_printed
+from reference import covid_rhs_printed, csv_per_row, seir_rhs3_printed, trajectory_from_csv
 
 import epistab.covid as covid
 import epistab.seir as seir
@@ -15,7 +15,6 @@ from epistab.sim import (
     integrate,
     invariance_audit,
     simulate_covid,
-    trajectory_from_csv,
     trajectory_to_csv,
 )
 
