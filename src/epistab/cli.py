@@ -4,9 +4,11 @@ Subcommands: simulate, equilibria, r0, stability, seir, compound, cubic,
 paper-check.  The four model subcommands run the five-compartment model at
 the top level and the three-compartment model under ``seir``, through one
 handler each.  Deterministic by construction: no environment configuration,
-no network, numeric output capped at 12 significant digits; a NaN or
-infinite value in a JSON object, a sweep's R0 column or a compound matrix is
-a numeric failure, and nothing is printed.
+no network, numeric output capped at 12 significant digits.  A JSON report is
+built whole, then written: two-space indent, sorted keys, ASCII escapes, each
+float the shortest repr of its 12-significant-digit value.  A NaN or infinite
+value in a JSON object, a sweep's R0 column or a compound matrix is a numeric
+failure, and nothing is printed.
 
 The parser is built once per process, on the first ``main`` call, and reused.
 It stores each subcommand's handler by name, and ``main`` looks the name up
@@ -22,6 +24,7 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from math import comb, isfinite
 from typing import Callable
 
@@ -52,16 +55,32 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt(value):
+def _json(value, indent="\n"):
+    """``value`` as report JSON; ``indent`` is the newline and indentation of its line."""
     if isinstance(value, float):
         if not isfinite(value):
             raise ArithmeticError(f"non-finite value {value} in the output")
-        return float(f"{value:.12g}")
+        s = f"{value:.12g}"
+        if "e" not in s:
+            return s if "." in s else s + ".0"
+        exp = int(s[s.index("e") + 1:])  # where repr prints fixed digits, or fewer digits
+        return repr(float(s)) if 12 <= exp <= 15 or exp <= -308 else s
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
     if isinstance(value, dict):
-        return {k: _fmt(v) for k, v in value.items()}
+        items = [f"{inner}{_quote(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+        return "{" + ",".join(items) + indent + "}" if items else "{}"
     if isinstance(value, (list, tuple)):
-        return [_fmt(v) for v in value]
-    return value
+        items = [inner + _json(v, inner) for v in value]
+        return "[" + ",".join(items) + indent + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _check_size(what, count):
@@ -70,8 +89,7 @@ def _check_size(what, count):
 
 
 def _emit(obj, stream=None):
-    json.dump(_fmt(obj), stream or sys.stdout, indent=2, sort_keys=True)
-    (stream or sys.stdout).write("\n")
+    (stream or sys.stdout).write(_json(obj) + "\n")  # one write, after the whole text
 
 
 def _load_json(path):

@@ -77,24 +77,27 @@ def _lu_solve(m, b):
     """
     lu = m.copy()
     n = lu.shape[0]
-    perm = np.arange(n)
+    perm = list(range(n))
     min_pivot = np.inf
     for k in range(n):
-        p = k + int(np.argmax(abs(lu[k:, k])))
-        piv = abs(lu[p, k])
+        col = abs(lu[k:, k])
+        j = int(col.argmax())
+        piv = col[j]
         min_pivot = min(min_pivot, piv)
         if piv == 0.0:
             break  # a vanished pivot column: singular whatever follows
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+        if j:
+            lu[[k, k + j]] = lu[[k + j, k]]
+            perm[k], perm[k + j] = perm[k + j], perm[k]
+        if k + 1 < n:
+            lu[k + 1:, k] /= lu[k, k]
+            lu[k + 1:, k + 1:] -= lu[k + 1:, k, None] * lu[k, k + 1:]
     if min_pivot <= _pivot_floor(m):
         raise SingularMatrixError("matrix is singular to working precision", min_pivot)
     x = b[perm]
-    for k in range(n):        # forward: L y = P b
-        x[k + 1:] -= np.multiply.outer(lu[k + 1:, k], x[k])
+    low = lu if x.ndim == 1 else lu[..., None]  # column k of L times row k of x
+    for k in range(n - 1):        # forward: L y = P b
+        x[k + 1:] -= low[k + 1:, k] * x[k]
     for k in range(n - 1, -1, -1):   # backward: U x = y
         x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
     return x

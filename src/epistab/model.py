@@ -75,10 +75,17 @@ class Params(Record):
         for k in keys:  # a bool is an int to Python, not a number to JSON
             if isinstance(d[k], bool) or not isinstance(d[k], (int, float)):
                 raise ValueError(f"parameter {k} must be a number, got {d[k]!r}")
-        return cls(**{k: float(d[k]) for k in keys})
+        return cls(**{k: _float(d[k]) for k in keys})
 
     def replace(self, **kw):
         return dataclasses.replace(self, **kw)
+
+
+def _float(v):
+    try:
+        return float(v)
+    except OverflowError:  # an integer beyond the float range reads as 1e400 does
+        return math.inf if v > 0 else -math.inf
 
 
 def _pack_one(f):

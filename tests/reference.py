@@ -6,11 +6,19 @@ measure, (||I + hA|| - 1)/h, at a finite h, to check the closed formulas in
 ``seir_rhs3_printed`` are the model right-hand sides written term by term as
 printed, and ``csv_per_row`` formats a trajectory one row at a time: the
 bit-for-bit oracles of the model and CSV code.  ``trajectory_from_csv``
-reads a trajectory CSV back.
+reads a trajectory CSV back.  ``json_text`` (the standard library's
+``indent=2`` encoder after a 12-digit rounding walk) and ``lu_solve`` (the
+row-pivoted LU written with ``np.outer`` and an index-array permutation) are
+the byte-for-byte oracles of the CLI's JSON writer and of ``linalg``'s LU.
 """
+
+import io
+import json
+from math import isfinite
 
 import numpy as np
 
+from epistab.linalg import SingularMatrixError, _pivot_floor
 from epistab.lozinskii import MeasureKind
 from epistab.sim import Trajectory
 
@@ -80,3 +88,52 @@ def trajectory_from_csv(text):
     if arr.ndim != 2 or arr.shape[1] < 2:
         raise ValueError("malformed trajectory CSV")
     return Trajectory(times=arr[:, 0], states=arr[:, 1:])
+
+
+def _fmt(value):
+    if isinstance(value, float):
+        if not isfinite(value):
+            raise ArithmeticError(f"non-finite value {value} in the output")
+        return float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {k: _fmt(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_fmt(v) for v in value]
+    return value
+
+
+def json_text(obj):
+    """What ``epistab.cli._emit`` writes for ``obj``: floats rounded to 12
+    significant digits, then ``json.dump(indent=2, sort_keys=True)`` and a
+    newline."""
+    buf = io.StringIO()
+    json.dump(_fmt(obj), buf, indent=2, sort_keys=True)
+    return buf.getvalue() + "\n"
+
+
+def lu_solve(m, b):
+    """Solve M X = B by row-pivoted elimination, as ``epistab.linalg`` did
+    with one ``np.outer`` per step; raises SingularMatrixError the same way."""
+    lu = m.copy()
+    n = lu.shape[0]
+    perm = np.arange(n)
+    min_pivot = np.inf
+    for k in range(n):
+        p = k + int(np.argmax(abs(lu[k:, k])))
+        piv = abs(lu[p, k])
+        min_pivot = min(min_pivot, piv)
+        if piv == 0.0:
+            break
+        if p != k:
+            lu[[k, p]] = lu[[p, k]]
+            perm[[k, p]] = perm[[p, k]]
+        lu[k + 1:, k] /= lu[k, k]
+        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    if min_pivot <= _pivot_floor(m):
+        raise SingularMatrixError("matrix is singular to working precision", min_pivot)
+    x = b[perm]
+    for k in range(n):        # forward: L y = P b
+        x[k + 1:] -= np.multiply.outer(lu[k + 1:, k], x[k])
+    for k in range(n - 1, -1, -1):   # backward: U x = y
+        x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
+    return x

@@ -325,6 +325,8 @@ def test_model_command_golden_bytes(name, tmp_path, capsys):
     ({"beta3": "0.6"}, "parameter beta3 must be a number, got '0.6'"),
     (5, "parameters must be a JSON object, got int"),
     ([0.8, 0.01], "parameters must be a JSON object, got list"),
+    ({"B": 10**400}, "parameter B must be finite and >= 0, got inf"),
+    ({"mu": -10**400}, "parameter mu must be finite and >= 0, got -inf"),
 ])
 def test_parameter_values_that_are_not_numbers_are_usage_errors(doc, message, tmp_path, capsys):
     if isinstance(doc, dict):
@@ -394,7 +396,8 @@ def test_non_finite_output_exit_2(covid_config, tmp_path, capsys):
         assert err == f"numeric failure: non-finite entry {value} in the compound\n"
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ArithmeticError):
-            cli._fmt({"x": [1.0, bad]})
+            cli._emit({"x": [1.0, bad]})
+        assert capsys.readouterr() == ("", "")
 
 
 def _exit_case(exc, code, message, **kw):

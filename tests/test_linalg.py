@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference import lu_solve
 
 from epistab.linalg import (
     DimensionError,
@@ -78,6 +79,44 @@ def test_solve_matches_inverse():
     a = rng.normal(size=(5, 5))
     b = rng.normal(size=5)
     np.testing.assert_allclose(solve(a, b), inverse(a) @ b, atol=1e-9)
+
+
+def _lu_outcome(f, *args):
+    """The bytes of ``f(*args)``, or the pivot and message of its SingularMatrixError."""
+    try:
+        return f(*args).tobytes()
+    except SingularMatrixError as exc:
+        return exc.pivot, str(exc)
+
+
+def _lu_cases():
+    rng = np.random.default_rng(20260812)
+    for n in range(1, 17):
+        for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3):
+            yield rng.normal(size=(n, n)) * scale
+        yield rng.integers(-4, 5, size=(n, n)).astype(float)   # integer entries
+        yield np.arange(n * n, dtype=float).reshape(n, n)      # singular for n >= 3
+        if n == 1:
+            continue
+        zero_col, dup_row, dep_col = (rng.normal(size=(n, n)) for _ in range(3))
+        zero_col[:, rng.integers(n)] = 0.0
+        dup_row[rng.integers(1, n)] = dup_row[0]
+        dep_col[:, 1] = dep_col[:, 0] / 3.0    # a tiny nonzero pivot at the second step
+        yield from (zero_col, dup_row, dep_col)
+        yield rng.normal(size=(n, n - 1)) @ rng.normal(size=(n - 1, n))  # rank n - 1
+
+
+def test_inverse_and_solve_bytes_match_the_reference_lu():
+    rng = np.random.default_rng(7)
+    singular = 0
+    for a in _lu_cases():
+        n = a.shape[0]
+        b = rng.normal(size=n)
+        want = _lu_outcome(lu_solve, a, np.eye(n))
+        assert _lu_outcome(inverse, a) == want
+        assert _lu_outcome(solve, a, b) == _lu_outcome(lu_solve, a, b)
+        singular += type(want) is tuple
+    assert singular >= 30  # the pivot of the singular error is compared too
 
 
 def test_eigenvalue_examples():
