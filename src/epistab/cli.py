@@ -3,12 +3,19 @@
 Subcommands: simulate, equilibria, r0, stability, seir, compound, cubic,
 paper-check.  The four model subcommands run the five-compartment model at
 the top level and the three-compartment model under ``seir``, through one
-handler each.  Deterministic by construction: no environment configuration,
-no network, numeric output capped at 12 significant digits.  A JSON report is
-built whole, then written: two-space indent, sorted keys, ASCII escapes, each
-float the shortest repr of its 12-significant-digit value.  A NaN or infinite
-value in a JSON object, a sweep's R0 column or a compound matrix is a numeric
-failure, and nothing is printed.
+handler each.  This module keeps the command line; each model module builds
+the JSON record of its commands (``covid.r0_report``,
+``covid.equilibria_report``, ``covid.stability_report``;
+``seir.seir_r0_report``, ``seir.seir_equilibria``, ``seir.seir_stability``),
+``paper_check.build_report`` the ``paper-check`` claims, and ``cubic`` joins
+``stability.cardano`` and ``stability.cubic_stability`` here.
+
+Deterministic by construction: no environment configuration, no network,
+numeric output capped at 12 significant digits.  A JSON report is built
+whole, then written: two-space indent, sorted keys, ASCII escapes, each
+float the shortest repr of its 12-significant-digit value.  A NaN or
+infinite value in a JSON object, a sweep's R0 column or a compound matrix
+is a numeric failure, and nothing is printed.
 
 The parser is built once per process, on the first ``main`` call, and reused.
 It stores each subcommand's handler by name, and ``main`` looks the name up
@@ -32,7 +39,7 @@ import numpy as np
 
 from . import covid, paper_check, seir, sim
 from .compound import add_compound, mult_compound
-from .linalg import as_matrix, inverse, spectral_radius
+from .linalg import as_matrix
 from .model import InfeasibleError, population
 from .stability import cardano, cubic_stability
 
@@ -161,8 +168,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_equilibria(args):
-    dfe, endemic = args.model.equilibria(_load_params(args))
-    _emit({"dfe": dfe.to_dict(), "endemic": endemic.to_dict()})
+    _emit(args.model.equilibria(_load_params(args)))
     return EXIT_OK
 
 
@@ -211,9 +217,8 @@ def _cmd_compound(args):
 
 
 def _cmd_cubic(args):
-    a, b, c, d = args.coefficients
-    roots = cardano(a, b, c, d)
-    verdict = cubic_stability(b / a, c / a, d / a)
+    roots = cardano(args.a, args.b, args.c, args.d)
+    verdict = cubic_stability(args.b / args.a, args.c / args.a, args.d / args.a)
     _emit({"roots": roots.to_dict(), "routh_hurwitz": verdict.to_dict()})
     return EXIT_OK
 
@@ -231,51 +236,32 @@ class _Model:
     """What the four model subcommands need to know about one model.
 
     The callables reach model functions through their module when a command
-    runs, so a later rebinding of a module attribute takes effect.
+    runs, so a later rebinding of a module attribute takes effect.  The
+    three record callables each return the command's JSON object.
     """
 
     name: str
-    commands: tuple         # the four subcommand names, in usage-listing order
     params: type            # a model.Params subclass
     compartments: tuple     # order of --x0 and of the trajectory CSV columns
     r0: Callable            # p -> R0, evaluated along ``r0 --sweep``
-    r0_report: Callable     # p -> the ``r0`` JSON object
-    equilibria: Callable    # p -> (disease-free, endemic) equilibria
-    stability: Callable     # p -> report with per-equilibrium "verdicts"
+    r0_report: Callable     # p -> the ``r0`` record
+    equilibria: Callable    # p -> the ``equilibria`` record
+    stability: Callable     # p -> the ``stability`` record, with per-equilibrium "verdicts"
     rhs: Callable           # (p, x) -> dx/dt
     audited: bool           # ``simulate`` also prints the invariance audit
 
 
-def _covid_r0_report(p):
-    parts = covid.ngm_full(p, covid.dfe(p).state)
-    return {"reduced": covid.r0_reduced(p), "full_dfe": parts.r0}
-
-
-def _covid_equilibria(p):
-    if p.beta1 < p.beta10:
-        raise InfeasibleError(
-            "beta1 < beta10, so the disease-free point is the unique equilibrium")
-    return covid.dfe(p), covid.endemic(p)
-
-
-def _seir_r0_report(sp):
-    r0 = seir.r0_seir(sp)
-    fm, vm = seir.seir_ngm_matrices(sp)
-    return {"r0": r0, "ngm_spectral_radius": spectral_radius(-fm @ inverse(vm))}
-
-
 _COVID = _Model(
-    name="five-compartment", commands=("simulate", "equilibria", "r0", "stability"),
-    params=covid.CovidParams, compartments=("E", "I", "C", "H", "D"),
-    r0=lambda p: covid.r0_reduced(p), r0_report=_covid_r0_report,
-    equilibria=_covid_equilibria, stability=lambda p: covid.stability_report(p),
+    name="five-compartment", params=covid.CovidParams, compartments=("E", "I", "C", "H", "D"),
+    r0=lambda p: covid.r0_reduced(p), r0_report=lambda p: covid.r0_report(p),
+    equilibria=lambda p: covid.equilibria_report(p),
+    stability=lambda p: covid.stability_report(p),
     rhs=lambda p, x: covid.rhs(p, x), audited=True)
 
 _SEIR = _Model(
-    name="three-compartment", commands=("r0", "equilibria", "stability", "simulate"),
-    params=seir.SeirParams, compartments=("S", "I1", "I2"),
-    r0=lambda sp: seir.r0_seir(sp), r0_report=_seir_r0_report,
-    equilibria=lambda sp: (seir.dfe3(sp), seir.endemic3(sp)),
+    name="three-compartment", params=seir.SeirParams, compartments=("S", "I1", "I2"),
+    r0=lambda sp: seir.r0_seir(sp), r0_report=lambda sp: seir.seir_r0_report(sp),
+    equilibria=lambda sp: seir.seir_equilibria(sp),
     stability=lambda sp: seir.seir_stability(sp),
     rhs=lambda sp, x: seir.rhs3(sp, x), audited=False)
 
@@ -289,9 +275,9 @@ _MODEL_HELP = {
 
 
 def _add_model_commands(sub, m):
-    """Add simulate, equilibria, r0 and stability for model ``m``."""
+    """Add simulate, equilibria, r0 and stability for model ``m``, in that order."""
     sp = {}
-    for name in m.commands:
+    for name in _MODEL_HELP:
         sp[name] = sub.add_parser(name, help=_MODEL_HELP[name].format(m.name))
         sp[name].set_defaults(handler=f"_cmd_{name}", model=m)
         sp[name].add_argument("--config", required=True, help="JSON parameter file")
@@ -328,7 +314,8 @@ def build_parser():
 
     sp = sub.add_parser("cubic", help="Cardano roots and Routh-Hurwitz verdict")
     sp.set_defaults(handler="_cmd_cubic")
-    sp.add_argument("coefficients", nargs=4, type=float, metavar=("a", "b", "c", "d"))
+    for name in "abcd":  # a negative coefficient in exponent form goes after "--"
+        sp.add_argument(name, type=float)
 
     sp = sub.add_parser("paper-check", help="transcription-check report")
     sp.set_defaults(handler="_cmd_paper_check")

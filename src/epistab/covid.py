@@ -14,6 +14,11 @@ them against oracles.
 
 State vectors are (E, I, C, H, D).  ``rhs`` broadcasts over leading axes so
 batches of states integrate in one call.
+
+The record each model command prints is built here: ``r0_report`` for
+``r0`` (``r0_reduced`` for each point of ``r0 --sweep``),
+``equilibria_report`` for ``equilibria`` and ``stability_report`` for
+``stability``; ``simulate`` integrates ``rhs``.
 """
 
 from __future__ import annotations
@@ -205,6 +210,21 @@ def r0_reduced(p):
     return p.beta1 * p.B / den
 
 
+def r0_report(p):
+    """The ``r0`` record: the reduced R0 and the full-NGM R0 at the disease-free point."""
+    parts = ngm_full(p, dfe(p).state)
+    return {"reduced": r0_reduced(p), "full_dfe": parts.r0}
+
+
+def equilibria_report(p):
+    """The ``equilibria`` record, refused for beta1 < beta10, where the
+    disease-free point is the unique equilibrium."""
+    if p.beta1 < p.beta10:
+        raise InfeasibleError(
+            "beta1 < beta10, so the disease-free point is the unique equilibrium")
+    return {"dfe": dfe(p).to_dict(), "endemic": endemic(p).to_dict()}
+
+
 def ngm_matrices(p, x):
     """The full 5x5 new-infection matrix F and transition matrix V at state x."""
     e, i, c, h, d = np.asarray(x, dtype=float)
@@ -306,15 +326,15 @@ def det_jp0(p):
     The closed form is -mu*beta7*beta*E*(2*beta8*a*E + alpha*gamma
     + beta8*beta9 - beta8*alpha) with beta = beta2 + beta5 + mu (the grouping
     the publication uses in this section).  ``numeric`` is the determinant of
-    the re-derived Jacobian at the disease-free point, ``closed_negative``
-    and ``numeric_negative`` their signs; ``condition_ii`` is the published
-    sign predicate.
+    the re-derived Jacobian at (B/mu, 0, 0, 0, 0), ``closed_negative`` and
+    ``numeric_negative`` their signs; ``condition_ii`` is the published sign
+    predicate.  The disease-free point's residual gate is the caller's.
     """
     e_star = p.e_dfe
     bracket = (2.0 * p.beta8 * p.a * e_star + p.alpha * p.gamma_c + p.beta8 * p.beta9
                - p.beta8 * p.alpha)
     closed = -p.mu * p.beta7 * _beta_printed(p) * e_star * bracket
-    numeric = determinant(jacobian_closed(p, dfe(p).state))
+    numeric = determinant(jacobian_closed(p, (e_star, 0.0, 0.0, 0.0, 0.0)))
     return DfeDeterminant(closed=closed, numeric=numeric, closed_negative=closed < 0.0,
                           numeric_negative=numeric < 0.0, condition_ii=bool(bracket > 0),
                           beta1_gt_beta10=bool(p.beta1 > p.beta10))
@@ -403,10 +423,18 @@ def stability_report(p):
     sign test; the column-dominance conditions (a)-(d) for the second
     additive compound at the disease-free point, evaluated literally as
     printed even where unsatisfiable; and exact plus sufficient criterion
-    verdicts at both equilibria.
+    verdicts at both equilibria.  Where the endemic ratios or the endemic
+    point do not exist, the sections that need them hold
+    ``{"error": message}`` and the others stay.
     """
     point = dfe(p)
-    alpha_hat, beta_hat = _linear_ratios(p)
+    try:
+        alpha_hat, beta_hat = _linear_ratios(p)
+        unique = {"beta1_lt_beta10": bool(p.beta1 < p.beta10),
+                  "alpha_alphahat_lt_beta5_betahat_plus_beta9": bool(
+                      p.alpha * alpha_hat < p.beta5 * beta_hat + p.beta9)}
+    except InfeasibleError as exc:
+        unique = {"error": str(exc)}
     r0 = r0_reduced(p)
     parts = ngm_full(p, point.state)
     dj = det_jp0(p)
@@ -425,11 +453,7 @@ def stability_report(p):
             "full_dfe": parts.r0,
             "threshold_verdict": _threshold_verdict(r0),
         },
-        "unique_dfe_conditions": {
-            "beta1_lt_beta10": bool(p.beta1 < p.beta10),
-            "alpha_alphahat_lt_beta5_betahat_plus_beta9": bool(
-                p.alpha * alpha_hat < p.beta5 * beta_hat + p.beta9),
-        },
+        "unique_dfe_conditions": unique,
         "dfe_determinant": dj.to_dict(),
         "dfe_compound_dominance": {
             "cond_a_beta3_lt_beta2_beta5_mu": bool(cond_a),

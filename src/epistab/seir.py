@@ -11,6 +11,11 @@ disease-free ``s_dfe`` = Lambda/mu, the model's one "needs mu > 0" check,
 are properties of :class:`SeirParams`.  The stability report applies the
 compound-matrix criterion to the endemic Jacobian after the diagonal
 similarity P = diag(I2*, I1*, S*).
+
+The record each ``seir`` command prints is built here: ``seir_r0_report``
+for ``seir r0`` (``r0_seir`` for each point of ``--sweep``),
+``seir_equilibria`` for ``seir equilibria`` and ``seir_stability`` for
+``seir stability``; ``seir simulate`` integrates ``rhs3``.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from . import model
 from .compound import add_compound
-from .linalg import determinant, inverse
+from .linalg import determinant, inverse, spectral_radius
 from .lozinskii import MeasureKind, measure
 from .model import InfeasibleError
 from .stability import criterion_verdicts, dominance
@@ -102,6 +107,13 @@ def seir_ngm_matrices(p):
     return f, v
 
 
+def seir_r0_report(p):
+    """The ``seir r0`` record: R0 in closed form and the spectral radius of -F V^-1."""
+    r0 = r0_seir(p)
+    fm, vm = seir_ngm_matrices(p)
+    return {"r0": r0, "ngm_spectral_radius": spectral_radius(-fm @ inverse(vm))}
+
+
 def dfe3(p):
     """Disease-free equilibrium (Lambda/mu, 0, 0)."""
     return model.equilibrium(rhs3, p, np.array([p.s_dfe, 0.0, 0.0]), "dfe")
@@ -121,6 +133,11 @@ def endemic3(p):
     i1_star = (p.Lambda - p.mu * s_star) / (p.mu + p.gamma)
     i2_star = p.delta * i1_star
     return model.equilibrium(rhs3, p, np.array([s_star, i1_star, i2_star]), "endemic")
+
+
+def seir_equilibria(p):
+    """The ``seir equilibria`` record: the disease-free and endemic points."""
+    return {"dfe": dfe3(p).to_dict(), "endemic": endemic3(p).to_dict()}
 
 
 def j2_dfe_transcribed(p):

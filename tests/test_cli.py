@@ -113,6 +113,22 @@ def test_stability_at_beta1_equal_to_beta10_reports_the_disease_free_point(tmp_p
     assert rep["r0"]["reduced"] == json.loads(capsys.readouterr().out)["reduced"] == 0.977560542102
 
 
+def test_stability_without_endemic_ratios_keeps_the_disease_free_sections(tmp_path, capsys):
+    # beta2 = beta8 = 0: alpha_hat and beta_hat have a zero denominator, so
+    # only the sections that need them carry an error
+    message = "endemic ratios undefined: beta2*beta3 + beta8*(beta3+beta5+mu) vanishes"
+    assert main(["stability", "--config", _config(tmp_path, beta2=0.0, beta8=0.0)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rep = json.loads(out)
+    assert rep["unique_dfe_conditions"] == {"error": message}
+    assert rep["equilibria"]["endemic"] == {"error": message}
+    assert list(rep["verdicts"]) == ["dfe"]
+    assert rep["r0"]["threshold_verdict"] == "unstable"
+    assert set(rep) == {"params", "r0", "unique_dfe_conditions", "dfe_determinant",
+                        "dfe_compound_dominance", "equilibria", "verdicts"}
+
+
 def test_simulate_writes_csv_and_audit(covid_config, tmp_path, capsys):
     out_csv = tmp_path / "traj.csv"
     assert main(["simulate", "--config", covid_config, "--x0", "1,1,1,1,1",
@@ -318,6 +334,106 @@ def test_model_command_golden_bytes(name, tmp_path, capsys):
     assert _sha256(out.encode()) == stdout_sha
 
 
+# the points where a step of a model command fails or a guard decides: the
+# five-compartment commands run off the table parameters (beta10 = 0.1), the
+# three-compartment ones off the figure set
+FAILURE_POINTS = {
+    "covid": {"mu-0": {"mu": 0.0},
+              "beta10-0.6": {"beta10": 0.6},
+              "beta10-0.55": {"beta10": 0.55},
+              "beta7-0": {"beta7": 0.0},
+              "B-1e300-mu-1e-300": {"B": 1e300, "mu": 1e-300},
+              "beta2-beta8-0": {"beta2": 0.0, "beta8": 0.0}},
+    "seir": {"mu-0": {"mu": 0.0},
+             "beta1-beta2-0": {"beta1": 0.0, "beta2": 0.0},
+             "Lambda-0": {"Lambda": 0.0}},
+}
+
+# SHA-256 of [exit code, stdout, stderr] as JSON for each command at each of
+# its failure points; an error message names the first step that fails, so
+# these also pin the order in which a command evaluates its steps
+FAILURE_GOLDENS = {
+    ("r0", "mu-0"):
+        "79178896f6482639bf7778aba4d460be70463386b1556f91d910222431b065b5",
+    ("r0", "beta10-0.6"):
+        "c14458da666832af32f4ed61ed21d12ad8c56b83fc05ef86310bce24184d85f3",
+    ("r0", "beta10-0.55"):
+        "4e9ba27d95c07b112e6850f9d97fca21a048144db7f6870244f62f67ad0defca",
+    ("r0", "beta7-0"):
+        "40575fc68954069b853e0a97abaddca3b6fb6d03c35bc89f46578273a6b2d49d",
+    ("r0", "B-1e300-mu-1e-300"):
+        "bf8ceaa01f8b3db0f54f015892f0b84ee5b63da32a1d2647562166a88a0bc83b",
+    ("r0", "beta2-beta8-0"):
+        "4786aa95a08ca4868253e937030487a48798eb434761100fe8d0f39f1d6346d4",
+    ("equilibria", "mu-0"):
+        "79178896f6482639bf7778aba4d460be70463386b1556f91d910222431b065b5",
+    ("equilibria", "beta10-0.6"):
+        "bc3f73b6c3715cf95301821960f78fc8fc46f06805f9c644828a11e36eb9a1a8",
+    ("equilibria", "beta10-0.55"):
+        "e82f9d1242ec09bb0868e4519656be5eb833dee29e82ed875d31b9642ee8bbcb",
+    ("equilibria", "beta7-0"):
+        "55fe73f736b95969125848458af1b8692a6b76dbdbfdd5e530f4d65ce2dd0fc0",
+    ("equilibria", "B-1e300-mu-1e-300"):
+        "bf8ceaa01f8b3db0f54f015892f0b84ee5b63da32a1d2647562166a88a0bc83b",
+    ("equilibria", "beta2-beta8-0"):
+        "3236eecc204516c10dfd10343ed693d0014cb855a26070707e208da12f8e7ff0",
+    ("stability", "mu-0"):
+        "79178896f6482639bf7778aba4d460be70463386b1556f91d910222431b065b5",
+    ("stability", "beta10-0.6"):
+        "82f38cbe03149e1e04aa711571b02451d3b807e1d39fedcf17d357a4aa78ce52",
+    ("stability", "beta10-0.55"):
+        "6c3b3799690a186fe54199b6e1d4124969f476ada89f4c1bba7a3e739d9a5e8c",
+    ("stability", "beta7-0"):
+        "40575fc68954069b853e0a97abaddca3b6fb6d03c35bc89f46578273a6b2d49d",
+    ("stability", "B-1e300-mu-1e-300"):
+        "bf8ceaa01f8b3db0f54f015892f0b84ee5b63da32a1d2647562166a88a0bc83b",
+    ("stability", "beta2-beta8-0"):  # exit 0, the endemic-ratio sections hold the error
+        "c2fe1827c30c45ac4f36f4841db43fe13c5e7d61cb6fa5e268a3bc04ee55b8d7",
+    ("paper-check", "mu-0"):
+        "79178896f6482639bf7778aba4d460be70463386b1556f91d910222431b065b5",
+    ("paper-check", "beta10-0.6"):
+        "2d973fab3e4c751d206ae97a9aea175d47d13dbcd520e301a868a0865e54b63c",
+    ("paper-check", "beta10-0.55"):
+        "e82f9d1242ec09bb0868e4519656be5eb833dee29e82ed875d31b9642ee8bbcb",
+    ("paper-check", "beta7-0"):
+        "55fe73f736b95969125848458af1b8692a6b76dbdbfdd5e530f4d65ce2dd0fc0",
+    ("paper-check", "B-1e300-mu-1e-300"):
+        "bf8ceaa01f8b3db0f54f015892f0b84ee5b63da32a1d2647562166a88a0bc83b",
+    ("paper-check", "beta2-beta8-0"):
+        "3236eecc204516c10dfd10343ed693d0014cb855a26070707e208da12f8e7ff0",
+    ("seir r0", "mu-0"):
+        "c0a88145b2b7a3f1821ae03bf895c7a6faadd99557104b16ca4062dd798b34c8",
+    ("seir r0", "beta1-beta2-0"):
+        "91c2f05e3abc5f7dd19af3b1876b9591e2b17b3978f7f50acb5db729455bdabf",
+    ("seir r0", "Lambda-0"):
+        "91c2f05e3abc5f7dd19af3b1876b9591e2b17b3978f7f50acb5db729455bdabf",
+    ("seir equilibria", "mu-0"):
+        "79178896f6482639bf7778aba4d460be70463386b1556f91d910222431b065b5",
+    ("seir equilibria", "beta1-beta2-0"):
+        "4fc98b2fd49785ba8ced32be93ed48d8abbb8b669525bd85f034432f791eada4",
+    ("seir equilibria", "Lambda-0"):
+        "0020de764fc6923964ac7d41d5e4722cc43bfdcc1ca3c54911c1ec3844a9c737",
+    ("seir stability", "mu-0"):
+        "c0a88145b2b7a3f1821ae03bf895c7a6faadd99557104b16ca4062dd798b34c8",
+    ("seir stability", "beta1-beta2-0"):
+        "4fc98b2fd49785ba8ced32be93ed48d8abbb8b669525bd85f034432f791eada4",
+    ("seir stability", "Lambda-0"):
+        "8c2b47c2dac006bdcbd070c261aaf5404c350ad9a7d85391a54859c3f24d922e",
+}
+
+
+@pytest.mark.parametrize("command, point", sorted(FAILURE_GOLDENS),
+                         ids=lambda v: v.replace(" ", "-"))
+def test_model_command_failure_golden_bytes(command, point, tmp_path, capsys):
+    model, params = ("seir", figure_params()) if command.startswith("seir") else (
+        "covid", table_params(0.1))
+    config = tmp_path / "params.json"
+    config.write_text(json.dumps(params.replace(**FAILURE_POINTS[model][point]).to_dict()))
+    code = main(command.split() + ["--config", str(config)])
+    out, err = capsys.readouterr()
+    assert _sha256(json.dumps([code, out, err]).encode()) == FAILURE_GOLDENS[command, point]
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"B": None}, "parameter B must be a number, got None"),
     ({"mu": [0.01]}, "parameter mu must be a number, got [0.01]"),
@@ -486,6 +602,34 @@ def test_cubic_command(capsys):
     np.testing.assert_allclose(roots, [1.0, 2.0, 3.0], atol=1e-9)
     assert out["roots"]["klass"] == "three_real"
     assert out["routh_hurwitz"]["outcome"] == "unstable"
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["cubic"], "a, b, c, d"),
+    (["cubic", "1", "1", "1"], "d"),
+    (["cubic", "1", "1", "1", "-1e-5"], "d"),  # argparse reads -1e-5 as an option
+])
+def test_cubic_missing_coefficients_are_usage_errors(argv, missing, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage error: the following arguments are required: {missing}\n")
+
+
+def test_cubic_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cubic", "-h"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: epistab cubic [-h] a b c d\n")
+    assert err == ""
+
+
+def test_cubic_exponent_coefficient_after_double_dash(capsys):
+    assert main(["cubic", "1", "1", "1", "-0.00001"]) == 0
+    fixed = capsys.readouterr()
+    assert main(["cubic", "--", "1", "1", "1", "-1e-5"]) == 0
+    assert capsys.readouterr() == fixed
 
 
 def test_seir_commands(seir_config, tmp_path, capsys):

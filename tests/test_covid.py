@@ -227,6 +227,16 @@ def test_det_jp0(covid_table):
         -p8.mu * p8.beta7 * beta_s * 80.0 * alpha8 * gamma8, rel=1e-12)
 
 
+def test_det_jp0_takes_the_jacobian_without_evaluating_rhs(covid_table, monkeypatch):
+    # both callers gate the disease-free point first; det_jp0 reuses B/mu
+    expected = determinant(covid.jacobian_closed(covid_table, covid.dfe(covid_table).state))
+
+    def no_rhs(p, x):
+        raise AssertionError("det_jp0 evaluated rhs")
+    monkeypatch.setattr(covid, "rhs", no_rhs)
+    assert covid.det_jp0(covid_table).numeric == expected
+
+
 def test_det_jp0_sign_findings():
     # the published sign conclusion (det < 0 under condition (ii) with
     # beta1 > beta10) holds for the closed form by construction but fails
