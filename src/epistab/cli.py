@@ -17,10 +17,6 @@ float the shortest repr of its 12-significant-digit value.  A NaN or
 infinite value in a JSON object, a sweep's R0 column or a compound matrix
 is a numeric failure, and nothing is printed.
 
-The parser is built once per process, on the first ``main`` call, and reused.
-It stores each subcommand's handler by name, and ``main`` looks the name up
-in this module when the command runs, so a rebound ``_cmd_*`` takes effect.
-
 Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 infeasible request.
 """
 
@@ -164,12 +160,10 @@ def _cmd_simulate(args):
     if m.audited:
         audit = sim.invariance_audit(traj, p)
         _emit(audit, sys.stdout if args.out not in (None, "-") else sys.stderr)
-    return EXIT_OK
 
 
 def _cmd_equilibria(args):
     _emit(args.model.equilibria(_load_params(args)))
-    return EXIT_OK
 
 
 def _sweep_csv(name, values, fn):
@@ -190,9 +184,8 @@ def _cmd_r0(args):
         if name not in m.params.keys():
             raise UsageError(f"unknown sweep parameter {name!r}")
         _write_text(args.out, _sweep_csv(name, values, lambda v: m.r0(p.replace(**{name: v}))))
-        return EXIT_OK
-    _emit(m.r0_report(p))
-    return EXIT_OK
+    else:
+        _emit(m.r0_report(p))
 
 
 def _cmd_stability(args):
@@ -201,7 +194,6 @@ def _cmd_stability(args):
         for spot in report["verdicts"].values():
             spot["li_wang_sufficient"] = {args.measure: spot["li_wang_sufficient"][args.measure]}
     _emit(report)
-    return EXIT_OK
 
 
 def _cmd_compound(args):
@@ -213,14 +205,23 @@ def _cmd_compound(args):
     if not np.isfinite(out).all():  # as in the JSON commands: exit 2, nothing printed
         raise ArithmeticError(f"non-finite entry {out[~np.isfinite(out)][0]} in the compound")
     sys.stdout.write(format_matrix(out))
-    return EXIT_OK
+
+
+def _finite_float(text):
+    """``text`` as a finite float; argparse puts the argument's name before the error."""
+    value = float(text)
+    if not isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+_finite_float.__name__ = "float"  # a non-number keeps argparse's "invalid float value"
 
 
 def _cmd_cubic(args):
     roots = cardano(args.a, args.b, args.c, args.d)
     verdict = cubic_stability(args.b / args.a, args.c / args.a, args.d / args.a)
     _emit({"roots": roots.to_dict(), "routh_hurwitz": verdict.to_dict()})
-    return EXIT_OK
 
 
 def _cmd_paper_check(args):
@@ -228,7 +229,6 @@ def _cmd_paper_check(args):
     sp = seir.SeirParams.from_dict(_load_json(args.seir_config)) if args.seir_config else None
     claims = paper_check.build_report(p, sp)
     _emit(paper_check.report_to_dicts(claims))
-    return EXIT_OK
 
 
 @dataclass(frozen=True)
@@ -266,20 +266,20 @@ _SEIR = _Model(
     rhs=lambda sp, x: seir.rhs3(sp, x), audited=False)
 
 
-_MODEL_HELP = {
-    "simulate": "integrate the {} model (RK4)",
-    "equilibria": "disease-free and endemic points",
-    "r0": "reproduction number, optionally swept over a parameter",
-    "stability": "full stability report at both equilibria",
+_MODEL_COMMANDS = {
+    "simulate": (_cmd_simulate, "integrate the {} model (RK4)"),
+    "equilibria": (_cmd_equilibria, "disease-free and endemic points"),
+    "r0": (_cmd_r0, "reproduction number, optionally swept over a parameter"),
+    "stability": (_cmd_stability, "full stability report at both equilibria"),
 }
 
 
 def _add_model_commands(sub, m):
     """Add simulate, equilibria, r0 and stability for model ``m``, in that order."""
     sp = {}
-    for name in _MODEL_HELP:
-        sp[name] = sub.add_parser(name, help=_MODEL_HELP[name].format(m.name))
-        sp[name].set_defaults(handler=f"_cmd_{name}", model=m)
+    for name, (handler, text) in _MODEL_COMMANDS.items():
+        sp[name] = sub.add_parser(name, help=text.format(m.name))
+        sp[name].set_defaults(handler=handler, model=m)
         sp[name].add_argument("--config", required=True, help="JSON parameter file")
 
     sp["simulate"].add_argument("--x0", required=True,
@@ -307,18 +307,18 @@ def build_parser():
     _add_model_commands(seir_p.add_subparsers(dest="seir_command", required=True), _SEIR)
 
     sp = sub.add_parser("compound", help="k-th compound of a matrix file")
-    sp.set_defaults(handler="_cmd_compound")
+    sp.set_defaults(handler=_cmd_compound)
     sp.add_argument("--matrix", required=True, help="matrix file, one comma-separated row per line")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--mode", choices=["additive", "multiplicative"], default="additive")
 
     sp = sub.add_parser("cubic", help="Cardano roots and Routh-Hurwitz verdict")
-    sp.set_defaults(handler="_cmd_cubic")
+    sp.set_defaults(handler=_cmd_cubic)
     for name in "abcd":  # a negative coefficient in exponent form goes after "--"
-        sp.add_argument(name, type=float)
+        sp.add_argument(name, type=_finite_float)
 
     sp = sub.add_parser("paper-check", help="transcription-check report")
-    sp.set_defaults(handler="_cmd_paper_check")
+    sp.set_defaults(handler=_cmd_paper_check)
     sp.add_argument("--config", required=True)
     sp.add_argument("--seir-config", default=None)
     return parser
@@ -328,20 +328,22 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return globals()[args.handler](args)
+        args.handler(args)
+        return EXIT_OK
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    # before ValueError: LinAlgError subclasses it; every numeric error class
-    # here (singular, convergence, divergence, splitting) is an ArithmeticError
+    # InfeasibleError and LinAlgError subclass ValueError, so both come first;
+    # every numeric error class here (singular, convergence, divergence,
+    # splitting) is an ArithmeticError
+    except InfeasibleError as exc:
+        sys.stderr.write(f"infeasible: {exc}\n")
+        return EXIT_INFEASIBLE
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:
-        if isinstance(exc, InfeasibleError):
-            sys.stderr.write(f"infeasible: {exc}\n")
-            return EXIT_INFEASIBLE
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
 

@@ -5,12 +5,13 @@ The printed ODE system is ground truth; Jacobians, endemic ratios and
 equilibria are re-derived from it here, from rate groups that are
 properties of :class:`CovidParams`: a = beta1 - beta10, the I, C and H
 outflows alpha = beta2+beta6+beta8+mu, beta_c = beta3+beta5+mu and gamma_c =
-beta4+beta9+mu, and the disease-free ``e_dfe`` = B/mu, the model's one
-"needs mu > 0" check.  ``ngm_full``, ``det_jp0``, ``splitting_matrices`` and
-``chi_cubic`` also evaluate closed forms as printed in the source
-publication, because the stability report and the tests read them; the other
-transcribed forms live in :mod:`epistab.paper_check`, which diffs all of
-them against oracles.
+beta4+beta9+mu, and the disease-free ``e_dfe`` = B/mu.  ``e_dfe``, ``endemic``
+and ``r0_reduced`` raise through the one mu > 0 check, ``Params.need_mu``.
+``ngm_full``, ``det_jp0``, ``splitting_matrices`` and ``chi_cubic`` also
+evaluate closed forms as printed in the source publication, because the
+stability report and the tests read them; the other transcribed forms live
+in :mod:`epistab.paper_check`, which diffs all of them against oracles.  The
+R0-threshold verdict uses the criteria's dead band, ``stability.MARGIN``.
 
 State vectors are (E, I, C, H, D).  ``rhs`` broadcasts over leading axes so
 batches of states integrate in one call.
@@ -31,7 +32,7 @@ from . import linalg, model
 from .compound import add_compound
 from .linalg import determinant, eigenvalues, inverse, spectral_radius
 from .model import InfeasibleError
-from .stability import CubicRoots, cardano, criterion_verdicts, dominance
+from .stability import INCONCLUSIVE, MARGIN, STABLE, UNSTABLE, criterion_verdicts, dominance
 from .stability import li_wang_exact  # noqa: F401  re-exported; perfbench's tests pin it
 
 
@@ -77,8 +78,7 @@ class CovidParams(model.Params):
     @property
     def e_dfe(self):
         """E at the disease-free point, B/mu; it exists only for mu > 0."""
-        if self.mu <= 0:
-            raise ValueError("disease-free equilibrium needs mu > 0")
+        self.need_mu("disease-free equilibrium")
         return self.B / self.mu
 
 
@@ -184,8 +184,7 @@ def endemic(p):
     acceptance gate for this derivation.  Feasibility means all components
     strictly positive; beta1 < beta10 yields an infeasible point.
     """
-    if p.mu <= 0:
-        raise ValueError("endemic equilibrium needs mu > 0")
+    p.need_mu("endemic equilibrium")
     alpha_hat, beta_hat, gamma_hat = endemic_ratios(p)
     e_star = p.alpha / p.a
     den = (p.a * alpha_hat - p.beta7 * gamma_hat) * e_star - p.beta9
@@ -202,8 +201,7 @@ def r0_reduced(p):
     R0 = beta1 * B / (alpha * mu + beta10 * B), the spectral radius of the
     reduced next-generation matrix at the disease-free point.
     """
-    if p.mu <= 0:
-        raise ValueError("R0 needs mu > 0")
+    p.need_mu("R0")
     den = p.alpha * p.mu + p.beta10 * p.B
     if den <= 0:
         raise InfeasibleError("reduced R0 undefined: alpha*mu + beta10*B vanishes")
@@ -371,7 +369,6 @@ class ChiCubic:
     a1: float
     a2: float
     a3: float
-    roots: CubicRoots
 
 
 def chi_cubic(p):
@@ -394,7 +391,7 @@ def chi_cubic(p):
     a1 = (p.beta9 * p.beta8 / gamma) * u * (av + 1.0) - av - p.beta8 / gamma
     a2 = (p.beta8 / gamma) * av - loop
     a3 = loop * av
-    return ChiCubic(a1=a1, a2=a2, a3=a3, roots=cardano(1.0, a1, a2, a3))
+    return ChiCubic(a1=a1, a2=a2, a3=a3)
 
 
 def splitting_char_poly(p):
@@ -404,15 +401,13 @@ def splitting_char_poly(p):
     return np.real(np.poly(eigenvalues(me)))
 
 
-R0_BAND = 1e-9
-
-
 def _threshold_verdict(r0):
-    if r0 < 1.0 - R0_BAND:
-        return "stable"
-    if r0 > 1.0 + R0_BAND:
-        return "unstable"
-    return "inconclusive"
+    """R0 against 1 inside the one dead band, ``stability.MARGIN``."""
+    if r0 < 1.0 - MARGIN:
+        return STABLE
+    if r0 > 1.0 + MARGIN:
+        return UNSTABLE
+    return INCONCLUSIVE
 
 
 def stability_report(p):

@@ -1,10 +1,11 @@
 """Scaffolding shared by the two epidemic models.
 
 Both models hand their right-hand side ``rhs(p, x)`` to the helpers here:
-validated rate parameters, their state reader, residual-gated equilibria,
-population states and the central-difference Jacobian that serves as the
-ground-truth oracle, taken with the fixed step ``FD_STEP``.  ``Record`` is
-the base of every result record and holds its one JSON rule, ``to_dict``.
+validated rate parameters with the one mu > 0 check, ``Params.need_mu``;
+their state reader, residual-gated equilibria, population states and the
+central-difference Jacobian that serves as the ground-truth oracle, taken
+with the fixed step ``FD_STEP``.  ``Record`` is the base of every result
+record and holds its one JSON rule, ``to_dict``.
 """
 
 from __future__ import annotations
@@ -76,6 +77,12 @@ class Params(Record):
             if isinstance(d[k], bool) or not isinstance(d[k], (int, float)):
                 raise ValueError(f"parameter {k} must be a number, got {d[k]!r}")
         return cls(**{k: _float(d[k]) for k in keys})
+
+    def need_mu(self, what):
+        """The one mu > 0 rule: ``what`` (a quantity that divides by mu)
+        raises ValueError unless mu > 0."""
+        if self.mu <= 0:
+            raise ValueError(f"{what} needs mu > 0")
 
     def replace(self, **kw):
         return dataclasses.replace(self, **kw)

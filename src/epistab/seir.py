@@ -7,8 +7,9 @@
 R0 comes from the 2x2 next-generation factors; the endemic point follows
 from I2 = delta I1 with delta = gamma/(mu+d) and S* = (mu+gamma)/(beta1 +
 beta2 delta); ``delta``, ``beta_eff`` = beta1 + beta2 delta and the
-disease-free ``s_dfe`` = Lambda/mu, the model's one "needs mu > 0" check,
-are properties of :class:`SeirParams`.  The stability report applies the
+disease-free ``s_dfe`` = Lambda/mu are properties of :class:`SeirParams`,
+and ``s_dfe``, ``r0_seir`` and ``seir_ngm_matrices`` raise through the one
+mu > 0 check, ``Params.need_mu``.  The stability report applies the
 compound-matrix criterion to the endemic Jacobian after the diagonal
 similarity P = diag(I2*, I1*, S*).
 
@@ -52,8 +53,7 @@ class SeirParams(model.Params):
     @property
     def s_dfe(self):
         """S at the disease-free point, Lambda/mu; it exists only for mu > 0."""
-        if self.mu <= 0:
-            raise ValueError("disease-free equilibrium needs mu > 0")
+        self.need_mu("disease-free equilibrium")
         return self.Lambda / self.mu
 
 
@@ -92,8 +92,7 @@ def jacobian3_fd(p, x):
 
 def r0_seir(p):
     """R0 = Lambda*(beta1*(mu+d) + beta2*gamma) / (mu*(mu+d)*(mu+gamma))."""
-    if p.mu <= 0:
-        raise ValueError("R0 needs mu > 0")
+    p.need_mu("R0")
     return p.Lambda * (p.beta1 * (p.mu + p.d) + p.beta2 * p.gamma) / (
         p.mu * (p.mu + p.d) * (p.mu + p.gamma))
 
@@ -101,7 +100,7 @@ def r0_seir(p):
 def seir_ngm_matrices(p):
     """The printed next-generation factors at S = Lambda/mu; R0 is the spectral
     radius of -F V^-1.  F keeps the printed beta*Lambda/mu, not beta*s_dfe."""
-    p.s_dfe  # raises unless mu > 0
+    p.need_mu("disease-free equilibrium")
     f = np.array([[p.beta1 * p.Lambda / p.mu, p.beta2 * p.Lambda / p.mu], [0.0, 0.0]])
     v = np.array([[-p.mu - p.gamma, 0.0], [p.gamma, -p.mu - p.d]])
     return f, v

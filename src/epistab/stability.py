@@ -132,19 +132,21 @@ def dominance(a, axis="rows"):
     return bool((abs(np.diag(m)) > sums).all())
 
 
-def _check_dominant_hypothesis(m):
+def _upper_split(a):
+    """(m, r): A as a square array, checked for a_ii >= sum_{j != i} |a_ij|
+    with a_ii >= 0, and its upper-row sums r_i = sum_{j>i} |a_ij|."""
+    m = as_square(a)
     off = abs(m) - np.diag(np.diag(abs(m)))
     if (np.diag(m) < 0).any() or (np.diag(m) < off.sum(axis=1)).any():
         raise ValueError(
             "determinant bounds need a_ii >= sum_{j != i} |a_ij| with a_ii >= 0")
+    # one sum per row slice: np.triu(abs(m), 1).sum(axis=1) rounds differently
+    return m, np.array([abs(m[i, i + 1:]).sum() for i in range(m.shape[0])])
 
 
 def price_bounds(a):
     """prod(a_ii - r_i) <= det A <= prod(a_ii + r_i) with r_i the upper-row sums."""
-    m = as_square(a)
-    _check_dominant_hypothesis(m)
-    n = m.shape[0]
-    r = np.array([abs(m[i, i + 1:]).sum() for i in range(n)])
+    m, r = _upper_split(a)
     d = np.diag(m)
     return float(np.prod(d - r)), float(np.prod(d + r))
 
@@ -159,10 +161,8 @@ def det_bounds(a):
 
     (the k = 0 upper term is prod_i r_i).
     """
-    m = as_square(a)
-    _check_dominant_hypothesis(m)
+    m, r = _upper_split(a)
     n = m.shape[0]
-    r = np.array([abs(m[i, i + 1:]).sum() for i in range(n)])
     l = np.diag(m) - r
     lower = 0.0
     for k in range(n + 1):
@@ -215,15 +215,7 @@ def cardano(a, b, c, d):
     x1 = s + t - shift
     x2 = -(s + t) / 2.0 - shift + half_im
     x3 = -(s + t) / 2.0 - shift - half_im
-    disc = cubic_discriminant(a1, a2, a3)
-    scale = (1.0 + max(abs(a1), abs(a2), abs(a3))) ** 4
-    if abs(disc) <= 1e-10 * scale:
-        klass = REPEATED_ROOT
-    elif disc > 0:
-        klass = THREE_REAL
-    else:
-        klass = ONE_REAL_TWO_COMPLEX
-    return CubicRoots((complex(x1), complex(x2), complex(x3)), float(disc), klass)
+    return CubicRoots((complex(x1), complex(x2), complex(x3)), *_cubic_class(a1, a2, a3))
 
 
 def cubic_discriminant(a1, a2, a3):
@@ -232,15 +224,24 @@ def cubic_discriminant(a1, a2, a3):
             - 4.0 * a2 ** 3 - 4.0 * a1 ** 3 * a3)
 
 
+def _cubic_class(a1, a2, a3):
+    """(discriminant, root-structure class) of x^3 + a1 x^2 + a2 x + a3,
+    without solving it: a repeated root when |disc| <= 1e-10 (1 + max|a_i|)^4."""
+    disc = cubic_discriminant(a1, a2, a3)
+    if abs(disc) <= 1e-10 * (1.0 + max(abs(a1), abs(a2), abs(a3))) ** 4:
+        return float(disc), REPEATED_ROOT
+    return float(disc), THREE_REAL if disc > 0 else ONE_REAL_TWO_COMPLEX
+
+
 def cubic_stability(a1, a2, a3):
     """Routh-Hurwitz test for the monic cubic x^3 + a1 x^2 + a2 x + a3.
 
     Stable iff a1 > 0, a3 > 0 and a1 a2 - a3 > 0 (1e-9 dead band).
     Evidence carries the discriminant and its root-structure class.
     """
-    roots = cardano(1.0, a1, a2, a3)
+    disc, klass = _cubic_class(a1, a2, a3)
     return Verdict(_band(a1, a3, a1 * a2 - a3), "routh-hurwitz-cubic", det_sign=a3,
-                   discriminant=roots.discriminant, cubic_class=roots.klass)
+                   discriminant=disc, cubic_class=klass)
 
 
 def schur_sufficient(a):

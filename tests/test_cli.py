@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from reference import trajectory_from_csv
 
 import epistab.cli as cli
-from epistab import figure_params, r0_reduced, table_params
+import epistab.stability as stability
+from epistab import chi_cubic, cubic_stability, figure_params, r0_reduced, table_params
 from epistab.cli import main
 from epistab.covid import DegenerateSplittingError
 from epistab.linalg import ConvergenceError, SingularMatrixError
@@ -537,9 +539,9 @@ EXIT_CODES = [
 
 @pytest.mark.parametrize("exc, code, message", EXIT_CODES)
 def test_exit_code_of_each_handled_exception(exc, code, message, monkeypatch, capsys):
-    def handler(args):
+    def failing(*coeffs):
         raise exc
-    monkeypatch.setattr(cli, "_cmd_cubic", handler)
+    monkeypatch.setattr(cli, "cardano", failing)  # the first call of _cmd_cubic
     assert main(["cubic", "1", "-6", "11", "-6"]) == code
     out, err = capsys.readouterr()
     assert out == ""
@@ -614,6 +616,48 @@ def test_cubic_missing_coefficients_are_usage_errors(argv, missing, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"usage error: the following arguments are required: {missing}\n")
+
+
+@pytest.mark.parametrize("argv, name, text", [
+    (["cubic", "inf", "1", "1", "1"], "a", "inf"),
+    (["cubic", "--", "-inf", "2", "3", "4"], "a", "-inf"),
+    (["cubic", "1", "1", "1", "inf"], "d", "inf"),
+    (["cubic", "nan", "1", "1", "1"], "a", "nan"),
+])
+def test_cubic_non_finite_coefficients_are_usage_errors(argv, name, text, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage error: argument {name}: not a finite number: '{text}'\n"
+                          "usage: epistab ")
+
+
+def test_cubic_non_number_keeps_the_float_message(capsys):
+    assert main(["cubic", "x", "1", "1", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: argument a: invalid float value: 'x'\nusage: epistab ")
+
+
+def test_only_the_cubic_command_solves_a_cubic(monkeypatch, capsys):
+    original = stability.cardano
+    def refuse(*coeffs):
+        raise AssertionError("cardano called")
+    for mod in list(sys.modules.values()):
+        if mod.__name__.split(".")[0] == "epistab" and getattr(mod, "cardano", None) is original:
+            monkeypatch.setattr(mod, "cardano", refuse)
+    assert cubic_stability(-6.0, 11.0, -6.0).cubic_class == stability.THREE_REAL
+    chi_cubic(table_params(0.1))
+
+    calls = []
+    def counting(*coeffs):
+        calls.append(coeffs)
+        return original(*coeffs)
+    monkeypatch.setattr(cli, "cardano", counting)
+    monkeypatch.setattr(stability, "cardano", counting)
+    assert main(["cubic", "1", "-6", "11", "-6"]) == 0
+    capsys.readouterr()
+    assert calls == [(1.0, -6.0, 11.0, -6.0)]
 
 
 def test_cubic_help(capsys):

@@ -5,7 +5,7 @@ import epistab.covid as covid
 import epistab.seir as seir
 from epistab import paper_check
 from epistab.linalg import determinant, inverse, spectral_radius
-from epistab.stability import INCONCLUSIVE, STABLE, UNSTABLE, li_wang_exact
+from epistab.stability import INCONCLUSIVE, MARGIN, STABLE, UNSTABLE, li_wang_exact
 
 
 def test_params_validation():
@@ -122,6 +122,18 @@ def test_disease_free_forms_called_first_at_mu_0(fn, params):
     # each is the first call on fresh parameters: no guard elsewhere runs before it
     with pytest.raises(ValueError, match="needs mu > 0"):
         fn(params.replace(mu=0.0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda p, sp: p.e_dfe, "disease-free equilibrium needs mu > 0"),
+    (lambda p, sp: covid.endemic(p), "endemic equilibrium needs mu > 0"),
+    (lambda p, sp: covid.r0_reduced(p), "R0 needs mu > 0"),
+    (lambda p, sp: sp.s_dfe, "disease-free equilibrium needs mu > 0"),
+    (lambda p, sp: seir.r0_seir(sp), "R0 needs mu > 0"),
+], ids=["e_dfe", "endemic", "r0_reduced", "s_dfe", "r0_seir"])
+def test_each_mu_guard_keeps_its_message_at_mu_0(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(covid.table_params(0.1).replace(mu=0.0), seir.figure_params(mu=0.0))
 
 
 def test_nan_residual_fails_the_gate(covid_table):
@@ -342,7 +354,7 @@ def test_threshold_verdict_inside_the_dead_band():
     alpha = p.beta2 + p.beta6 + p.beta8 + p.mu
     p = p.replace(beta1=(alpha * p.mu + p.beta10 * p.B) / p.B)
     rep = covid.stability_report(p)
-    assert rep["r0"]["reduced"] == pytest.approx(1.0, abs=covid.R0_BAND)
+    assert rep["r0"]["reduced"] == pytest.approx(1.0, abs=MARGIN)
     assert rep["r0"]["threshold_verdict"] == "inconclusive"
 
 

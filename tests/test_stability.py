@@ -216,6 +216,23 @@ def test_cubic_stability_examples():
     assert v.cubic_class == ONE_REAL_TWO_COMPLEX
 
 
+def test_cubic_class_without_solving_matches_cardano():
+    rng = np.random.default_rng(1404)
+    triples = [tuple(rng.uniform(-5.0, 5.0, 3)) for _ in range(600)]
+    triples += [tuple(rng.uniform(-1e3, 1e3, 3)) for _ in range(200)]
+    triples += [tuple(float(k) for k in rng.integers(-6, 7, 3)) for _ in range(300)]
+    # exact repeated roots: (x-1)^2 (x-2), the triple roots at 0 and at 10, (x+2)^3
+    triples += [(-4.0, 5.0, -2.0), (0.0, 0.0, 0.0), (-30.0, 300.0, -1000.0), (6.0, 12.0, 8.0)]
+    # at (-4, 5, -2) the discriminant grows as 4 (a3 + 2), and the band is 1e-10 * 6^4
+    near = [(-4.0, 5.0, -2.0 + f * 1e-10 * 6.0 ** 4 / 4.0) for f in (-2.0, -0.5, 0.5, 2.0)]
+    for a1, a2, a3 in triples + near:
+        v = cubic_stability(a1, a2, a3)
+        r = cardano(1.0, a1, a2, a3)
+        assert (v.discriminant, v.cubic_class) == (r.discriminant, r.klass)
+    assert [cubic_stability(*t).cubic_class for t in near] == [
+        ONE_REAL_TWO_COMPLEX, REPEATED_ROOT, REPEATED_ROOT, THREE_REAL]
+
+
 def test_cubic_stability_agrees_with_roots():
     rng = np.random.default_rng(407)
     for _ in range(300):
