@@ -200,8 +200,7 @@ def _cmd_compound(args):
     m = read_matrix(args.matrix)
     if 1 <= args.k <= m.shape[0]:
         _check_size("compound entries", comb(m.shape[0], args.k) ** 2)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        out = (add_compound if args.mode == "additive" else mult_compound)(m, args.k)
+    out = (add_compound if args.mode == "additive" else mult_compound)(m, args.k)
     if not np.isfinite(out).all():  # as in the JSON commands: exit 2, nothing printed
         raise ArithmeticError(f"non-finite entry {out[~np.isfinite(out)][0]} in the compound")
     sys.stdout.write(format_matrix(out))
@@ -328,7 +327,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.handler(args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # results are checked
+            args.handler(args)
         return EXIT_OK
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

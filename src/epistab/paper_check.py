@@ -16,27 +16,30 @@ numerator; the next-generation minor expressions; the splitting-cubic
 coefficients; the missing 1/2 on the cubic conjugate-pair roots; one entry
 of the 10x10 second-compound display; and the (3,3) entry of the
 three-compartment compound display.
+
+The probe states and the two parameter-free claims (the cubic conjugate
+pair and the 10x10 compound display) are fixed by ``SEED``: they are
+computed once per process and shared, read-only, by every report.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import covid, seir
 from .compound import add_compound, add_compound2_closed
-from .linalg import determinant
 from .model import Record
 
 MATCH = "match"
 FLAGGED = "flagged"
 SEED = 20260809  # seeds the probe states and random inputs of every report
 
-# flat indices of the (i, j) minor of a 5x5 matrix, for ``ndarray.take``
-_MINORS = {(i, j): np.array([[5 * r + c for c in range(5) if c != j - 1]
-                             for r in range(5) if r != i - 1])
-           for i in (1, 2) for j in (1, 2)}
+# flat indices of the (1,1), (1,2), (2,1) and (2,2) minors of a 5x5 matrix, in that order
+_MINORS = np.array([[[5 * r + c for c in range(5) if c != j] for r in range(5) if r != i]
+                    for i in (0, 1) for j in (0, 1)])
 
 
 @dataclass(frozen=True)
@@ -172,16 +175,17 @@ def claim_endemic_ratios(p):
 
 def claim_ngm(p, probes):
     parts = [covid.ngm_full(p, x) for x in probes]
-    claims = [_worst_claim("covid_ngm_det_v", parts, lambda q: q.detV_closed,
-                           lambda q: determinant(q.V), 1e-8)]
-    for key, i, j, note in (
-            ("m11", 1, 1, ""),
-            ("m12", 1, 2, "printed expression is the (2,1) minor over beta7*E"),
-            ("m21", 2, 1, "printed expression omits the beta7*E factor"),
-            ("m22", 2, 2, "printed factor beta1 + mu should be beta1*I + mu")):
-        claims.append(_worst_claim(
-            f"covid_ngm_minor_{key}", parts, lambda q: getattr(q, key),
-            lambda q: determinant(q.V.take(_MINORS[i, j])), 1e-8, note=note))
+    vs = np.array([q.V for q in parts])  # LAPACK factors each matrix of a stack as it would alone
+    det_v = np.linalg.det(vs).tolist()
+    minors = np.linalg.det(vs.reshape(len(parts), 25)[:, _MINORS]).tolist()
+    claims = [_claim("covid_ngm_det_v", [(q.detV_closed, d) for q, d in zip(parts, det_v)], 1e-8)]
+    for k, (key, note) in enumerate((
+            ("m11", ""),
+            ("m12", "printed expression is the (2,1) minor over beta7*E"),
+            ("m21", "printed expression omits the beta7*E factor"),
+            ("m22", "printed factor beta1 + mu should be beta1*I + mu"))):
+        pairs = [(getattr(q, key), m[k]) for q, m in zip(parts, minors)]
+        claims.append(_claim(f"covid_ngm_minor_{key}", pairs, 1e-8, note=note))
     claims.append(_worst_claim(
         "covid_ngm_r0_quadratic_formula", parts,
         lambda q: ((q.a_c + q.d_c + np.sqrt(complex(q.delta))) / 2.0).real, lambda q: q.r0, 1e-8,
@@ -235,8 +239,7 @@ def claim_second_compound5_display(rng):
                   note="display entry (10,9) prints -a43 where the template has +a43")
 
 
-def claim_seir_jacobian(sp, rng):
-    states = [rng.uniform(0.05, 3.0, size=3) for _ in range(5)]
+def claim_seir_jacobian(sp, states):
     oracles = seir.jacobian3_fd(sp, np.array(states))
     return _claim("seir_jacobian", [(seir.jacobian3(sp, x), o) for x, o in zip(states, oracles)],
                   1e-6, note="the printed three-compartment Jacobian is correct")
@@ -261,27 +264,30 @@ def claim_seir_endemic_i1(sp):
                        "mu+gamma satisfies the equilibrium equations")
 
 
+@functools.cache
+def _seeded():
+    """(covid probe states, cubic claim, compound claim, SEIR probe states),
+    drawn from ``SEED`` in report order, once per process; arrays read-only."""
+    rng = np.random.default_rng(SEED)
+    canonical, probes = np.array([1.0, 0.8, 0.6, 0.4, 0.2]), rng.uniform(0.05, 3.0, size=(3, 5))
+    cubic, compound = claim_cubic_conjugate_pair(rng), claim_second_compound5_display(rng)
+    seir_states = rng.uniform(0.05, 3.0, size=(5, 3))
+    for a in (canonical, probes, seir_states, compound.paper_value, compound.oracle_value):
+        a.flags.writeable = False
+    return (canonical, *probes), cubic, compound, seir_states
+
+
 def build_report(p, sp=None):
     """All transcription claims for one parameter set (and a SEIR set)."""
     if sp is None:
         sp = seir.figure_params()
-    rng = np.random.default_rng(SEED)
-    states = [np.array([1.0, 0.8, 0.6, 0.4, 0.2])] + [
-        rng.uniform(0.05, 3.0, size=5) for _ in range(3)]
+    states, cubic, compound, seir_states = _seeded()
     x_dfe = covid.dfe(p).state
-    claims = []
-    claims.append(claim_sum_identity(p, states))
-    claims.extend(claim_jacobian_entries(p, [x_dfe] + states))
-    claims.append(claim_dfe_jacobian_display(p, x_dfe))
-    claims.extend(claim_endemic_ratios(p))
-    claims.extend(claim_ngm(p, [x_dfe] + states))
-    claims.append(claim_dfe_determinant(p))
-    claims.append(claim_splitting_cubic(p))
-    claims.append(claim_cubic_conjugate_pair(rng))
-    claims.append(claim_second_compound5_display(rng))
-    claims.append(claim_seir_jacobian(sp, rng))
-    claims.append(claim_seir_compound_display(sp))
-    claims.append(claim_seir_endemic_i1(sp))
+    claims = [claim_sum_identity(p, states), *claim_jacobian_entries(p, [x_dfe, *states]),
+              claim_dfe_jacobian_display(p, x_dfe), *claim_endemic_ratios(p),
+              *claim_ngm(p, [x_dfe, *states]), claim_dfe_determinant(p),
+              claim_splitting_cubic(p), cubic, compound, claim_seir_jacobian(sp, seir_states),
+              claim_seir_compound_display(sp), claim_seir_endemic_i1(sp)]
     ids = [c.claim_id for c in claims]
     if len(ids) != len(set(ids)):
         raise RuntimeError("duplicate claim ids in transcription report")

@@ -20,6 +20,7 @@ Z-pattern classification flags.
 from __future__ import annotations
 
 import cmath
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,25 +198,36 @@ def cardano(a, b, c, d):
     if a == 0:
         raise ValueError("leading coefficient is zero: not a cubic")
     a1, a2, a3 = b / a, c / a, d / a
-    q = (3.0 * a2 - a1 * a1) / 9.0
-    r = (9.0 * a1 * a2 - 27.0 * a3 - 2.0 * a1 ** 3) / 54.0
-    sq = cmath.sqrt(r * r + q ** 3)
-    # take the cube root on the branch without cancellation; the partner
-    # follows from S*T = -q (their cubes multiply to -q^3, so both branches
-    # stay consistent)
-    plus, minus = r + sq, r - sq
-    u = plus if abs(plus) >= abs(minus) else minus
-    if u == 0:
-        s = t = 0j  # q = r = 0: triple root
-    else:
-        s = u ** (1.0 / 3.0)
-        t = -q / s
+    with _overflow(a1, a2, a3):
+        q = (3.0 * a2 - a1 * a1) / 9.0
+        r = (9.0 * a1 * a2 - 27.0 * a3 - 2.0 * a1 ** 3) / 54.0
+        sq = cmath.sqrt(r * r + q ** 3)
+        # take the cube root on the branch without cancellation; the partner
+        # follows from S*T = -q (their cubes multiply to -q^3, so both branches
+        # stay consistent)
+        plus, minus = r + sq, r - sq
+        u = plus if abs(plus) >= abs(minus) else minus
+        if u == 0:
+            s = t = 0j  # q = r = 0: triple root
+        else:
+            s = u ** (1.0 / 3.0)
+            t = -q / s
     shift = a1 / 3.0
     half_im = 1j * cmath.sqrt(3) / 2.0 * (s - t)
     x1 = s + t - shift
     x2 = -(s + t) / 2.0 - shift + half_im
     x3 = -(s + t) / 2.0 - shift - half_im
     return CubicRoots((complex(x1), complex(x2), complex(x3)), *_cubic_class(a1, a2, a3))
+
+
+@contextmanager
+def _overflow(a1, a2, a3):
+    """A float power's overflow in x^3 + a1 x^2 + a2 x + a3, named by its largest a_i."""
+    try:
+        yield
+    except OverflowError:
+        name, value = max(zip(("a1", "a2", "a3"), (a1, a2, a3)), key=lambda kv: abs(kv[1]))
+        raise ArithmeticError(f"overflow at normalised cubic coefficient {name} = {value:.12g}") from None
 
 
 def cubic_discriminant(a1, a2, a3):
@@ -227,8 +239,10 @@ def cubic_discriminant(a1, a2, a3):
 def _cubic_class(a1, a2, a3):
     """(discriminant, root-structure class) of x^3 + a1 x^2 + a2 x + a3,
     without solving it: a repeated root when |disc| <= 1e-10 (1 + max|a_i|)^4."""
-    disc = cubic_discriminant(a1, a2, a3)
-    if abs(disc) <= 1e-10 * (1.0 + max(abs(a1), abs(a2), abs(a3))) ** 4:
+    with _overflow(a1, a2, a3):
+        disc = cubic_discriminant(a1, a2, a3)
+        band = 1e-10 * (1.0 + max(abs(a1), abs(a2), abs(a3))) ** 4
+    if abs(disc) <= band:
         return float(disc), REPEATED_ROOT
     return float(disc), THREE_REAL if disc > 0 else ONE_REAL_TWO_COMPLEX
 

@@ -300,6 +300,56 @@ def test_paper_check_golden_bytes(name, tmp_path, capsys):
     assert _sha256(out.encode()) == stdout_sha
 
 
+def _seeded_paper_check_params():
+    """Twenty (covid, three-compartment) parameter dicts: every value of the
+    table and figure sets scaled by its own factor drawn from [0.5, 1.5)."""
+    rng = np.random.default_rng(20261019)
+    covid, sp = table_params(0.1).to_dict(), figure_params().to_dict()
+    for _ in range(20):
+        cs, ss = rng.uniform(0.5, 1.5, size=len(covid)), rng.uniform(0.5, 1.5, size=len(sp))
+        yield ({k: float(v * f) for (k, v), f in zip(covid.items(), cs)},
+               {k: float(v * f) for (k, v), f in zip(sp.items(), ss)})
+
+
+# SHA-256 of the ``paper-check`` report for each set of _seeded_paper_check_params
+SEEDED_PAPER_CHECK_GOLDENS = [
+    "44094ce33bf2f7cbba68da1ff403e21bf2fde388a54ec7672f61e5afc87098ae",
+    "424831f12dfa7dea02772f30c5d6df78224fb2d4abf580a5973eb059292a6994",
+    "a793ae3118a0deddd3d482104e8d54dd44915b2f5fe6e45aae28066cbec518e5",
+    "888258adfbf8f77dff2b24a4a17ce221bf15b84a6292f7d87ce621dba7304b55",
+    "977b3f6993772d9eaaa4fa0c1f037aba2bcfb6f6ab589c52cb8926966eeddc12",
+    "1bb527288f1ee54e34d425c7ac05ac9f403b5e5de0e1671bd6a51ca45ff138ec",
+    "6cd3a88fbed84ab074c35b2b5c69fb0a0eeaa7fa8e423207bbe8d35ac8eafeba",
+    "56693bad6e957de580d6193a34d60dbd690e5f96363a556d2995331d314eb17a",
+    "b4948d59dca01f25c618a23873ab03c744d45876cf313bb568a3d689657081fe",
+    "35bdcb442b0931b0c1c2a78c04d2c19256371f87fd3df02b02144e81fafa8066",
+    "2bc9e31d98c6ecdad4a46e5dc244fa3a1fefb0d33e798627ec406e38fb4b81d5",
+    "717940bdedd3cbb663e12830d80b56e8489cf700180294fd337c9da41e7b33a9",
+    "059f5ea83f0a3af6822ef5d9d32dd59df76436c16b536316713307df56c8c370",
+    "d0912c4b0977d61b0c2e15ac12078f7940af8cf825fda37c567806a772b36db8",
+    "94d4335f0ac268a53798871adabcc0dc6ecfe56358f6704f19aca6a83f354f9c",
+    "e2b188c3d70acc0bc223664b09e67ae6fdb327a4412a044385ebd7a2e0643ac4",
+    "abd4816849b961d3b4c0ecee7646731322901c65567c27ec525e1b0edbad463a",
+    "f244acf8983d8436de0f586c24c685ffdf7c98a6c7780933c1fe1d53b9ac1753",
+    "27670a8c3fe814842df8416ed845692209c74904701d2bba3672f325af9fe0ec",
+    "7643bb22bfc55960d6ebabdefdc21f4f0d1300244625fac36cc8e00e92edc4db",
+]
+
+
+def test_seeded_paper_check_golden_bytes(tmp_path, capsys):
+    covid_path, seir_path = tmp_path / "covid.json", tmp_path / "seir.json"
+    shas = []
+    for covid_params, seir_params in _seeded_paper_check_params():
+        covid_path.write_text(json.dumps(covid_params))
+        seir_path.write_text(json.dumps(seir_params))
+        assert main(["paper-check", "--config", str(covid_path),
+                     "--seir-config", str(seir_path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        shas.append(_sha256(out.encode()))
+    assert shas == SEEDED_PAPER_CHECK_GOLDENS
+
+
 # SHA-256 of stdout of the model commands off the README parameters: the
 # five-compartment ``r0`` and ``stability`` (all three measures) at
 # beta10 = 0.2 and 0.6 (a = beta1 - beta10 < 0), and the three-compartment
@@ -516,6 +566,29 @@ def test_non_finite_output_exit_2(covid_config, tmp_path, capsys):
         with pytest.raises(ArithmeticError):
             cli._emit({"x": [1.0, bad]})
         assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("command", ["stability", "paper-check"])
+def test_numpy_overflow_is_one_numeric_failure_line(command, tmp_path, capsys):
+    # at B = 1e200 numpy overflows in the NGM before V fails its pivot test;
+    # a RuntimeWarning (an error under this suite's warning filter) must not
+    # escape main or reach stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", _config(tmp_path, B=1e200)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("coeffs, name, value", [
+    (["1", "1e200", "1", "1"], "a1", "1e+200"),  # a1 ** 3
+    (["1", "1", "1e120", "1"], "a2", "1e+120"),  # q ** 3, q about a2 / 3
+])
+def test_cubic_overflow_names_the_coefficient(coeffs, name, value, capsys):
+    assert main(["cubic", *coeffs]) == 2
+    assert capsys.readouterr() == (
+        "", f"numeric failure: overflow at normalised cubic coefficient {name} = {value}\n")
 
 
 def _exit_case(exc, code, message, **kw):

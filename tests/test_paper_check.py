@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from epistab import covid, paper_check, seir
+from epistab.linalg import determinant
 from epistab.paper_check import FLAGGED, MATCH, build_report, report_to_dicts
 
 
@@ -92,3 +94,39 @@ def test_report_is_deterministic():
     a = report_to_dicts(build_report(p))
     b = report_to_dicts(build_report(p))
     assert a == b
+
+
+@pytest.mark.parametrize("beta10", [0.1, 0.2, 0.6])
+def test_stacked_ngm_determinants_equal_determinant_bit_for_bit(beta10):
+    p = covid.table_params(beta10)
+    parts = [covid.ngm_full(p, x) for x in [covid.dfe(p).state, *paper_check._seeded()[0]]]
+    vs = np.array([q.V for q in parts])
+    stacked_det_v = np.linalg.det(vs).tolist()
+    stacked_minors = np.linalg.det(vs.reshape(len(vs), 25)[:, paper_check._MINORS]).tolist()
+    # each matrix on its own: V, and its (1,1), (1,2), (2,1), (2,2) minors cut out by np.delete
+    single = [[determinant(v)] + [determinant(np.delete(np.delete(v, i, 0), j, 1))
+                                  for i in (0, 1) for j in (0, 1)] for v in vs]
+    assert [[d, *m] for d, m in zip(stacked_det_v, stacked_minors)] == single
+    claims = {c.claim_id: c for c in build_report(p)}
+    for k, (cid, closed) in enumerate((("covid_ngm_det_v", "detV_closed"),
+                                       ("covid_ngm_minor_m11", "m11"),
+                                       ("covid_ngm_minor_m12", "m12"),
+                                       ("covid_ngm_minor_m21", "m21"),
+                                       ("covid_ngm_minor_m22", "m22"))):
+        assert claims[cid].oracle_value == single[0][k], cid
+        assert claims[cid].max_abs_diff == max(
+            abs(getattr(q, closed) - dets[k]) for q, dets in zip(parts, single)), cid
+
+
+def test_seeded_parts_are_shared_and_read_only():
+    a = build_report(covid.table_params(0.1))
+    b = build_report(covid.table_params(0.2).replace(B=1.3, mu=0.02),
+                     seir.SeirParams(Lambda=1.2, beta1=0.4, beta2=0.5, mu=0.2, gamma=0.15, d=0.05))
+    for cid, shared in (("cubic_conjugate_pair_half_factor", True),
+                        ("second_compound_10x10_display", True), ("seir_jacobian", False)):
+        assert (_by_id(a)[cid].to_dict() == _by_id(b)[cid].to_dict()) is shared, cid
+    compound = _by_id(a)["second_compound_10x10_display"]
+    states, _, _, seir_states = paper_check._seeded()
+    for array in (*states, seir_states, compound.paper_value, compound.oracle_value):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
