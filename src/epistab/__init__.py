@@ -4,18 +4,14 @@ threshold/criterion checks for two small epidemic ODE models."""
 from .compound import add_compound, add_compound2_closed, lex_tuples, mult_compound
 from .covid import (
     CovidParams,
-    chi_cubic,
     det_jp0,
     dfe,
     endemic,
     endemic_ratios,
     jacobian_closed,
-    jacobian_fd,
-    ngm_full,
     r0_reduced,
     rhs,
     stability_report,
-    state,
     sum_rate,
     table_params,
 )
@@ -23,7 +19,6 @@ from .linalg import (
     ConvergenceError,
     DimensionError,
     SingularMatrixError,
-    det4_block,
     determinant,
     eigenvalues,
     inverse,
@@ -34,7 +29,7 @@ from .lozinskii import MeasureKind, measure
 from .model import Equilibrium, InfeasibleError
 from .paper_check import build_report
 from .seir import SeirParams, endemic3, figure_params, jacobian3, r0_seir, rhs3, seir_stability
-from .sim import DivergenceError, Trajectory, integrate, invariance_audit, simulate_covid
+from .sim import DivergenceError, Trajectory, integrate, invariance_audit
 from .stability import (
     CubicRoots,
     MMatrixFlags,

@@ -8,7 +8,8 @@ the JSON record of its commands (``covid.r0_report``,
 ``covid.equilibria_report``, ``covid.stability_report``;
 ``seir.seir_r0_report``, ``seir.seir_equilibria``, ``seir.seir_stability``),
 ``paper_check.build_report`` the ``paper-check`` claims, and ``cubic`` joins
-``stability.cardano`` and ``stability.cubic_stability`` here.
+``stability.cardano`` and ``stability.cubic_stability`` (on the monic
+coefficients of ``stability.monic_cubic``) here.
 
 Deterministic by construction: no environment configuration, no network,
 numeric output capped at 12 significant digits.  A JSON report is built
@@ -37,7 +38,7 @@ from . import covid, paper_check, seir, sim
 from .compound import add_compound, mult_compound
 from .linalg import as_matrix
 from .model import InfeasibleError, population
-from .stability import cardano, cubic_stability
+from .stability import cardano, cubic_stability, monic_cubic
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -219,7 +220,7 @@ _finite_float.__name__ = "float"  # a non-number keeps argparse's "invalid float
 
 def _cmd_cubic(args):
     roots = cardano(args.a, args.b, args.c, args.d)
-    verdict = cubic_stability(args.b / args.a, args.c / args.a, args.d / args.a)
+    verdict = cubic_stability(*monic_cubic(args.a, args.b, args.c, args.d))
     _emit({"roots": roots.to_dict(), "routh_hurwitz": verdict.to_dict()})
 
 

@@ -7,11 +7,12 @@ properties of :class:`CovidParams`: a = beta1 - beta10, the I, C and H
 outflows alpha = beta2+beta6+beta8+mu, beta_c = beta3+beta5+mu and gamma_c =
 beta4+beta9+mu, and the disease-free ``e_dfe`` = B/mu.  ``e_dfe``, ``endemic``
 and ``r0_reduced`` raise through the one mu > 0 check, ``Params.need_mu``.
-``ngm_full``, ``det_jp0``, ``splitting_matrices`` and ``chi_cubic`` also
-evaluate closed forms as printed in the source publication, because the
-stability report and the tests read them; the other transcribed forms live
-in :mod:`epistab.paper_check`, which diffs all of them against oracles.  The
-R0-threshold verdict uses the criteria's dead band, ``stability.MARGIN``.
+Only ``det_jp0`` (with its grouping ``_beta_printed``) evaluates a closed
+form as printed in the source publication, because the stability report
+prints it; every other printed form lives in :mod:`epistab.paper_check`,
+which diffs them against oracles.  The full-NGM R0, ``r0_full``, is the
+spectral radius of F V^-1 from ``ngm_matrices``.  The R0-threshold verdict
+uses the criteria's dead band, ``stability.MARGIN``.
 
 State vectors are (E, I, C, H, D).  ``rhs`` broadcasts over leading axes so
 batches of states integrate in one call.
@@ -30,14 +31,10 @@ import numpy as np
 
 from . import linalg, model
 from .compound import add_compound
-from .linalg import determinant, eigenvalues, inverse, spectral_radius
+from .linalg import determinant, inverse, spectral_radius
 from .model import InfeasibleError
 from .stability import INCONCLUSIVE, MARGIN, STABLE, UNSTABLE, criterion_verdicts, dominance
-from .stability import li_wang_exact  # noqa: F401  re-exported; perfbench's tests pin it
-
-
-class DegenerateSplittingError(ArithmeticError):
-    """The diagonal splitting of the disease-free Jacobian is not invertible."""
+from .stability import li_wang_exact  # noqa: F401  the benchmark harness's tests pin this binding
 
 
 @dataclass(frozen=True)
@@ -113,11 +110,6 @@ def endemic_ratios(p):
     return alpha_hat, beta_hat, (p.beta6 * alpha_hat + p.beta5 * beta_hat) / (p.beta7 * e_star)
 
 
-def state(e, i, c, h, d):
-    """Validated compartment state (see :func:`epistab.model.population`)."""
-    return model.population([e, i, c, h, d])
-
-
 def rhs(p, x):
     """Right-hand side of the five ODEs, exactly as printed.
 
@@ -150,11 +142,6 @@ def sum_rate(p, x):
     """
     total = np.sum(rhs(p, x), axis=-1)
     return float(total) if total.ndim == 0 else total
-
-
-def jacobian_fd(p, x):
-    """Central-difference Jacobian of :func:`rhs`; the ground-truth oracle."""
-    return model.jacobian_fd(rhs, p, x)
 
 
 def jacobian_closed(p, x):
@@ -210,8 +197,8 @@ def r0_reduced(p):
 
 def r0_report(p):
     """The ``r0`` record: the reduced R0 and the full-NGM R0 at the disease-free point."""
-    parts = ngm_full(p, dfe(p).state)
-    return {"reduced": r0_reduced(p), "full_dfe": parts.r0}
+    r0 = r0_full(p, dfe(p).state)  # before r0_reduced: which step fails first is pinned
+    return {"reduced": r0_reduced(p), "full_dfe": r0}
 
 
 def equilibria_report(p):
@@ -242,64 +229,17 @@ def ngm_matrices(p, x):
     return f, v
 
 
-@dataclass(frozen=True)
-class NgmParts:
-    """Next-generation-matrix factors and the transcribed reduction quantities.
-
-    ``detV_closed``, the four minors and a_c..d_c evaluate the published
-    closed forms (most plausible reading where the print is ambiguous);
-    ``r0`` is always the numeric spectral radius of F V^-1, which is the
-    defining property.  Gaps between the two routes are surfaced by the
-    transcription-check report, not here.
-    """
-
-    F: np.ndarray
-    V: np.ndarray
-    detV_closed: float
-    m11: float
-    m12: float
-    m21: float
-    m22: float
-    a_c: float
-    b_c: float
-    c_c: float
-    d_c: float
-    delta: float
-    r0: float
-
-
-def ngm_full(p, x):
-    """Assemble the published F and V and the reduction quantities at state x.
-
-    ``detV_closed`` is the published closed form for det V, which is correct.
-    Of the published minors of V, m11 matches the true minor; m12 and m21 are
-    printed as one shared expression (m21's value divided by beta7*E), and
-    m22 is printed without the I factor on beta1.  The transcription checks
-    report every gap.
-    """
-    f, v = ngm_matrices(p, x)
-    det_v = determinant(v)
+def ngm_radius(f, v, det_v):
+    """rho(F V^-1), refused as singular where |det V| = |``det_v``| < 1e-300."""
     if abs(det_v) < 1e-300:
         raise linalg.SingularMatrixError("transition matrix V is singular", abs(det_v))
-    e, i, c, h, d = np.asarray(x, dtype=float)
-    alpha_l = p.beta10 * e + p.beta8 + p.beta6 + p.beta2 + p.mu
-    core = p.beta_c * p.gamma_c - p.beta3 * p.beta4
-    cross = p.beta2 * p.beta3 + p.beta_c * p.beta8
-    detv_closed = p.beta7 * e * ((p.beta1 * i + p.mu) * alpha_l * core
-                                 - p.beta10 * i * p.beta1 * e * core
-                                 + p.beta10 * i * p.beta9 * cross)
-    m11 = alpha_l * p.beta7 * e * core
-    m12 = m21 = p.beta1 * e * core - p.beta9 * cross
-    m22 = p.beta7 * e * (p.beta1 + p.mu) * core
-    a_c = ((p.beta7 * d + p.beta10 * i) * m11 + p.beta10 * e * m12) / det_v
-    b_c = -((p.beta7 * d + p.beta10 * i) * m21 + p.beta10 * e * m22) / det_v
-    c_c = -(p.beta1 * i * m11 + p.beta1 * e * m12) / det_v
-    d_c = (p.beta1 * i * m21 + p.beta1 * e * m22) / det_v
-    delta = (a_c + d_c) ** 2 - 4.0 * (a_c * d_c - b_c * c_c)
-    r0 = spectral_radius(f @ inverse(v))
-    return NgmParts(F=f, V=v, detV_closed=detv_closed,
-                    m11=m11, m12=m12, m21=m21, m22=m22,
-                    a_c=a_c, b_c=b_c, c_c=c_c, d_c=d_c, delta=delta, r0=r0)
+    return spectral_radius(f @ inverse(v))
+
+
+def r0_full(p, x):
+    """The full-NGM R0 at state x: rho(F V^-1) of :func:`ngm_matrices`."""
+    f, v = ngm_matrices(p, x)
+    return ngm_radius(f, v, determinant(v))
 
 
 @dataclass(frozen=True)
@@ -338,69 +278,6 @@ def det_jp0(p):
                           beta1_gt_beta10=bool(p.beta1 > p.beta10))
 
 
-def splitting_matrices(p):
-    """The M - E splitting of the transcribed disease-free Jacobian.
-
-    M collects the nonnegative couplings, E the diagonal-ish damping; M - E
-    reproduces the *published* disease-free Jacobian (including its dropped
-    row-5 entries), which is what the splitting cubic is about.
-    """
-    e_star = p.e_dfe
-    aa = p.a * e_star
-    m = np.array([
-        [0.0, 0.0, 0.0, p.beta9, p.beta7 * e_star],
-        [0.0, aa, 0.0, 0.0, 0.0],
-        [0.0, p.beta2, 0.0, p.beta4, 0.0],
-        [0.0, p.beta8, p.beta3, p.beta8, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0],
-    ])
-    e = np.array([
-        [p.mu, aa, 0.0, 0.0, 0.0],
-        [p.mu, p.alpha, 0.0, 0.0, 0.0],
-        [0.0, 0.0, _beta_printed(p), 0.0, 0.0],
-        [0.0, 0.0, 0.0, p.gamma_c, 0.0],
-        [0.0, 0.0, 0.0, 0.0, p.beta7 * e_star],
-    ])
-    return m, e
-
-
-@dataclass(frozen=True)
-class ChiCubic:
-    a1: float
-    a2: float
-    a3: float
-
-
-def chi_cubic(p):
-    """Published cubic factor coefficients of det(M E^-1 - lambda I).
-
-    With u = -1/(alpha - a), v = 1/(alpha - a) and a = (beta1 - beta10) B/mu:
-    a1, a2, a3 exactly as printed.  The numeric characteristic polynomial of
-    M E^-1 (two zero eigenvalues plus a cubic) is the oracle the
-    transcription checks compare against.
-    """
-    aa = p.a * p.e_dfe
-    gap = p.alpha - aa
-    if abs(gap) <= 1e-12 * (1.0 + abs(p.alpha) + abs(aa)):
-        raise DegenerateSplittingError("splitting degenerate: alpha equals (beta1-beta10)*B/mu")
-    u = -1.0 / gap
-    v = 1.0 / gap
-    av = aa * v
-    gamma = p.gamma_c
-    loop = p.beta3 * p.beta4 / (_beta_printed(p) * gamma)
-    a1 = (p.beta9 * p.beta8 / gamma) * u * (av + 1.0) - av - p.beta8 / gamma
-    a2 = (p.beta8 / gamma) * av - loop
-    a3 = loop * av
-    return ChiCubic(a1=a1, a2=a2, a3=a3)
-
-
-def splitting_char_poly(p):
-    """Monic characteristic polynomial coefficients of M E^-1 (numeric oracle)."""
-    m, e = splitting_matrices(p)
-    me = m @ inverse(e)
-    return np.real(np.poly(eigenvalues(me)))
-
-
 def _threshold_verdict(r0):
     """R0 against 1 inside the one dead band, ``stability.MARGIN``."""
     if r0 < 1.0 - MARGIN:
@@ -431,7 +308,7 @@ def stability_report(p):
     except InfeasibleError as exc:
         unique = {"error": str(exc)}
     r0 = r0_reduced(p)
-    parts = ngm_full(p, point.state)
+    r0_dfe = r0_full(p, point.state)
     dj = det_jp0(p)
 
     e_star = p.e_dfe
@@ -445,7 +322,7 @@ def stability_report(p):
         "params": p.to_dict(),
         "r0": {
             "reduced": r0,
-            "full_dfe": parts.r0,
+            "full_dfe": r0_dfe,
             "threshold_verdict": _threshold_verdict(r0),
         },
         "unique_dfe_conditions": unique,

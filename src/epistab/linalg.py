@@ -135,26 +135,3 @@ def spectral_radius(a):
     """rho(A): the maximum eigenvalue modulus."""
     return float(abs(eigenvalues(a)).max())
 
-
-def det4_block(a):
-    """Determinant of a 4x4 matrix by the six-term 2x2-block (Laplace) expansion.
-
-    Expands along the first two columns: pairs of rows contribute
-    det(rows|cols 1,2) * det(complementary rows|cols 3,4) with alternating
-    signs.  Agrees with :func:`determinant` to 1e-10 relative.
-    """
-    m = as_square(a)
-    if m.shape != (4, 4):
-        raise DimensionError(f"det4_block requires a 4x4 matrix, got {m.shape}")
-
-    def d(i, j, k, l):
-        return m[i, k] * m[j, l] - m[i, l] * m[j, k]
-
-    return float(
-        d(0, 1, 0, 1) * d(2, 3, 2, 3)
-        - d(0, 2, 0, 1) * d(1, 3, 2, 3)
-        + d(0, 3, 0, 1) * d(1, 2, 2, 3)
-        + d(1, 2, 0, 1) * d(0, 3, 2, 3)
-        - d(1, 3, 0, 1) * d(0, 2, 2, 3)
-        + d(2, 3, 0, 1) * d(0, 1, 2, 3)
-    )

@@ -17,6 +17,20 @@ coefficients; the missing 1/2 on the cubic conjugate-pair roots; one entry
 of the 10x10 second-compound display; and the (3,3) entry of the
 three-compartment compound display.
 
+The printed forms that only these checks read are defined here, not in the
+model modules: the general and disease-free Jacobian displays
+(``jacobian_transcribed``, ``dfe_jacobian_transcribed``), the reduced NGM
+blocks (``reduced_ngm_matrices``), the I*/H* ratio (``alpha_hat_transcribed``),
+the NGM reduction (``ngm_printed``: det V, the minors of V, a_c..d_c, delta
+and the quadratic-formula R0), the M - E splitting of the disease-free
+Jacobian with its cubic (``splitting_matrices``, ``chi_cubic``, raising
+``DegenerateSplittingError``) and its numeric characteristic polynomial
+(``splitting_char_poly``), the 10x10 second-compound display
+(``second_compound5_display``) and the three-compartment compound display
+(``j2_dfe_transcribed``).  Each NGM probe takes det V once, in one stacked
+LAPACK call: it is both the oracle of the det V claim and the divisor of
+a_c..d_c.
+
 The probe states and the two parameter-free claims (the cubic conjugate
 pair and the 10x10 compound display) are fixed by ``SEED``: they are
 computed once per process and shared, read-only, by every report.
@@ -29,8 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import covid, seir
+from . import covid, model, seir
 from .compound import add_compound, add_compound2_closed
+from .linalg import eigenvalues, inverse
 from .model import Record
 
 MATCH = "match"
@@ -61,8 +76,8 @@ def _claim(claim_id, pairs, tol, note=""):
                        max_abs_diff=diff, verdict=MATCH if diff <= tol else FLAGGED, note=note)
 
 
-def _worst_claim(claim_id, states, paper, oracle, tol, note=""):
-    return _claim(claim_id, [(paper(x), oracle(x)) for x in states], tol, note)
+class DegenerateSplittingError(ArithmeticError):
+    """The diagonal splitting of the disease-free Jacobian is not invertible."""
 
 
 # --- transcribed forms (kept here: only the checks evaluate them) ---
@@ -105,6 +120,105 @@ def alpha_hat_transcribed(p):
         p.beta2 * p.beta3 + p.beta8 * bc)
 
 
+def ngm_printed(p, x, det_v):
+    """The published NGM reduction at state x: (det V, m11, m12, m21, m22, R0).
+
+    det V is the published closed form, which is correct.  Of the published
+    minors of V, m11 matches the true minor; m12 and m21 are printed as one
+    shared expression (m21's value divided by beta7*E), and m22 is printed
+    without the I factor on beta1.  a_c..d_c divide the printed minors by the
+    numeric ``det_v``, and R0 is (a_c + d_c + sqrt(delta))/2 with delta =
+    (a_c + d_c)^2 - 4 (a_c d_c - b_c c_c).
+    """
+    e, i, c, h, d = np.asarray(x, dtype=float)
+    alpha_l = p.beta10 * e + p.beta8 + p.beta6 + p.beta2 + p.mu
+    core = p.beta_c * p.gamma_c - p.beta3 * p.beta4
+    cross = p.beta2 * p.beta3 + p.beta_c * p.beta8
+    detv_closed = p.beta7 * e * ((p.beta1 * i + p.mu) * alpha_l * core
+                                 - p.beta10 * i * p.beta1 * e * core
+                                 + p.beta10 * i * p.beta9 * cross)
+    m11 = alpha_l * p.beta7 * e * core
+    m12 = m21 = p.beta1 * e * core - p.beta9 * cross
+    m22 = p.beta7 * e * (p.beta1 + p.mu) * core
+    a_c = ((p.beta7 * d + p.beta10 * i) * m11 + p.beta10 * e * m12) / det_v
+    b_c = -((p.beta7 * d + p.beta10 * i) * m21 + p.beta10 * e * m22) / det_v
+    c_c = -(p.beta1 * i * m11 + p.beta1 * e * m12) / det_v
+    d_c = (p.beta1 * i * m21 + p.beta1 * e * m22) / det_v
+    delta = (a_c + d_c) ** 2 - 4.0 * (a_c * d_c - b_c * c_c)
+    return detv_closed, m11, m12, m21, m22, ((a_c + d_c + np.sqrt(complex(delta))) / 2.0).real
+
+
+def splitting_matrices(p):
+    """The M - E splitting of the transcribed disease-free Jacobian.
+
+    M collects the nonnegative couplings, E the diagonal-ish damping; M - E
+    reproduces the *published* disease-free Jacobian (including its dropped
+    row-5 entries), which is what the splitting cubic is about.
+    """
+    e_star = p.e_dfe
+    aa = p.a * e_star
+    m = np.array([
+        [0.0, 0.0, 0.0, p.beta9, p.beta7 * e_star],
+        [0.0, aa, 0.0, 0.0, 0.0],
+        [0.0, p.beta2, 0.0, p.beta4, 0.0],
+        [0.0, p.beta8, p.beta3, p.beta8, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+    ])
+    e = np.array([
+        [p.mu, aa, 0.0, 0.0, 0.0],
+        [p.mu, p.alpha, 0.0, 0.0, 0.0],
+        [0.0, 0.0, covid._beta_printed(p), 0.0, 0.0],
+        [0.0, 0.0, 0.0, p.gamma_c, 0.0],
+        [0.0, 0.0, 0.0, 0.0, p.beta7 * e_star],
+    ])
+    return m, e
+
+
+def chi_cubic(p):
+    """Published cubic factor coefficients (a1, a2, a3) of det(M E^-1 - lambda I).
+
+    With u = -1/(alpha - a), v = 1/(alpha - a) and a = (beta1 - beta10) B/mu:
+    a1, a2, a3 exactly as printed.  The numeric characteristic polynomial of
+    M E^-1 (two zero eigenvalues plus a cubic) is the oracle the checks
+    compare against.
+    """
+    aa = p.a * p.e_dfe
+    gap = p.alpha - aa
+    if abs(gap) <= 1e-12 * (1.0 + abs(p.alpha) + abs(aa)):
+        raise DegenerateSplittingError("splitting degenerate: alpha equals (beta1-beta10)*B/mu")
+    u = -1.0 / gap
+    v = 1.0 / gap
+    av = aa * v
+    gamma = p.gamma_c
+    loop = p.beta3 * p.beta4 / (covid._beta_printed(p) * gamma)
+    a1 = (p.beta9 * p.beta8 / gamma) * u * (av + 1.0) - av - p.beta8 / gamma
+    a2 = (p.beta8 / gamma) * av - loop
+    a3 = loop * av
+    return a1, a2, a3
+
+
+def splitting_char_poly(p):
+    """Monic characteristic polynomial coefficients of M E^-1 (numeric oracle)."""
+    m, e = splitting_matrices(p)
+    me = m @ inverse(e)
+    return np.real(np.poly(eigenvalues(me)))
+
+
+def j2_dfe_transcribed(p):
+    """The published second additive compound of the three-compartment
+    Jacobian at the disease-free point.
+
+    Its (3,3) entry omits the beta1*Lambda/mu term; the checks quantify the
+    gap against ``add_compound(seir.jacobian3(.), 2)``.
+    """
+    q = p.s_dfe
+    return np.array([
+        [p.beta1 * q - 2.0 * p.mu - p.gamma, p.beta2 * q, p.beta2 * q],
+        [p.gamma, -2.0 * p.mu - p.d, -p.beta1 * q],
+        [0.0, 0.0, -2.0 * p.mu - p.gamma - p.d],
+    ])
+
+
 def second_compound5_display(a):
     """The published 10x10 second-compound display for the sparsity pattern
     a13=a23=a24=a25=a31=a35=a41=a45=a54=0 (entries as printed)."""
@@ -126,10 +240,9 @@ def second_compound5_display(a):
 # --- individual claims ---
 
 def claim_sum_identity(p, states):
-    return _worst_claim("covid_sum_identity_all_compartments", states,
-                        lambda x: p.B - p.mu * float(np.sum(x)),
-                        lambda x: covid.sum_rate(p, x), 1e-9,
-                        note="the D equation carries no -mu*D term; sum is B - mu*(E+I+C+H)")
+    return _claim("covid_sum_identity_all_compartments",
+                  [(p.B - p.mu * float(np.sum(x)), covid.sum_rate(p, x)) for x in states], 1e-9,
+                  note="the D equation carries no -mu*D term; sum is B - mu*(E+I+C+H)")
 
 
 def claim_jacobian_entries(p, probes):
@@ -174,23 +287,21 @@ def claim_endemic_ratios(p):
 
 
 def claim_ngm(p, probes):
-    parts = [covid.ngm_full(p, x) for x in probes]
-    vs = np.array([q.V for q in parts])  # LAPACK factors each matrix of a stack as it would alone
+    fv = [covid.ngm_matrices(p, x) for x in probes]
+    vs = np.array([v for _, v in fv])  # LAPACK factors each matrix of a stack as it would alone
     det_v = np.linalg.det(vs).tolist()
-    minors = np.linalg.det(vs.reshape(len(parts), 25)[:, _MINORS]).tolist()
-    claims = [_claim("covid_ngm_det_v", [(q.detV_closed, d) for q, d in zip(parts, det_v)], 1e-8)]
-    for k, (key, note) in enumerate((
-            ("m11", ""),
-            ("m12", "printed expression is the (2,1) minor over beta7*E"),
-            ("m21", "printed expression omits the beta7*E factor"),
-            ("m22", "printed factor beta1 + mu should be beta1*I + mu"))):
-        pairs = [(getattr(q, key), m[k]) for q, m in zip(parts, minors)]
-        claims.append(_claim(f"covid_ngm_minor_{key}", pairs, 1e-8, note=note))
-    claims.append(_worst_claim(
-        "covid_ngm_r0_quadratic_formula", parts,
-        lambda q: ((q.a_c + q.d_c + np.sqrt(complex(q.delta))) / 2.0).real, lambda q: q.r0, 1e-8,
-        note="(a+d+sqrt(delta))/2 from the printed minors vs rho(F V^-1)"))
-    return claims
+    minors = np.linalg.det(vs.reshape(len(vs), 25)[:, _MINORS]).tolist()
+    oracles = [(d, *m, covid.ngm_radius(f, v, d)) for (f, v), d, m in zip(fv, det_v, minors)]
+    printed = [ngm_printed(p, x, d) for x, d in zip(probes, det_v)]
+    return [_claim(claim_id, [(q[k], o[k]) for q, o in zip(printed, oracles)], 1e-8, note=note)
+            for k, (claim_id, note) in enumerate((
+                ("covid_ngm_det_v", ""),
+                ("covid_ngm_minor_m11", ""),
+                ("covid_ngm_minor_m12", "printed expression is the (2,1) minor over beta7*E"),
+                ("covid_ngm_minor_m21", "printed expression omits the beta7*E factor"),
+                ("covid_ngm_minor_m22", "printed factor beta1 + mu should be beta1*I + mu"),
+                ("covid_ngm_r0_quadratic_formula",
+                 "(a+d+sqrt(delta))/2 from the printed minors vs rho(F V^-1)")))]
 
 
 def claim_dfe_determinant(p):
@@ -200,9 +311,8 @@ def claim_dfe_determinant(p):
 
 
 def claim_splitting_cubic(p):
-    chi = covid.chi_cubic(p)
-    coeffs = covid.splitting_char_poly(p)
-    paper = np.array([[chi.a1, chi.a2, chi.a3]])
+    paper = np.array([chi_cubic(p)])
+    coeffs = splitting_char_poly(p)
     oracle = np.array([coeffs[1:4]])
     tail = float(max(abs(coeffs[4]), abs(coeffs[5])))
     return _claim("covid_splitting_cubic_coefficients", [(paper, oracle)], 1e-8,
@@ -240,14 +350,14 @@ def claim_second_compound5_display(rng):
 
 
 def claim_seir_jacobian(sp, states):
-    oracles = seir.jacobian3_fd(sp, np.array(states))
+    oracles = model.jacobian_fd(seir.rhs3, sp, np.array(states))
     return _claim("seir_jacobian", [(seir.jacobian3(sp, x), o) for x, o in zip(states, oracles)],
                   1e-6, note="the printed three-compartment Jacobian is correct")
 
 
 def claim_seir_compound_display(sp):
     oracle = add_compound(seir.jacobian3(sp, seir.dfe3(sp).state), 2)
-    return _claim("seir_dfe_compound_display", [(seir.j2_dfe_transcribed(sp), oracle)], 1e-9,
+    return _claim("seir_dfe_compound_display", [(j2_dfe_transcribed(sp), oracle)], 1e-9,
                   note="printed (3,3) omits the beta1*Lambda/mu term")
 
 

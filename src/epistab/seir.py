@@ -9,7 +9,8 @@ from I2 = delta I1 with delta = gamma/(mu+d) and S* = (mu+gamma)/(beta1 +
 beta2 delta); ``delta``, ``beta_eff`` = beta1 + beta2 delta and the
 disease-free ``s_dfe`` = Lambda/mu are properties of :class:`SeirParams`,
 and ``s_dfe``, ``r0_seir`` and ``seir_ngm_matrices`` raise through the one
-mu > 0 check, ``Params.need_mu``.  The stability report applies the
+mu > 0 check, ``Params.need_mu``; ``r0_seir`` also names a denominator that
+underflows to 0.  The stability report applies the
 compound-matrix criterion to the endemic Jacobian after the diagonal
 similarity P = diag(I2*, I1*, S*).
 
@@ -85,16 +86,17 @@ def jacobian3(p, x):
     ])
 
 
-def jacobian3_fd(p, x):
-    """Central-difference Jacobian of :func:`rhs3`; the ground-truth oracle."""
-    return model.jacobian_fd(rhs3, p, x)
-
-
 def r0_seir(p):
-    """R0 = Lambda*(beta1*(mu+d) + beta2*gamma) / (mu*(mu+d)*(mu+gamma))."""
+    """R0 = Lambda*(beta1*(mu+d) + beta2*gamma) / (mu*(mu+d)*(mu+gamma)).
+
+    A denominator that underflows to 0 (a subnormal mu passes the mu > 0
+    check) raises ArithmeticError naming it.
+    """
     p.need_mu("R0")
-    return p.Lambda * (p.beta1 * (p.mu + p.d) + p.beta2 * p.gamma) / (
-        p.mu * (p.mu + p.d) * (p.mu + p.gamma))
+    den = p.mu * (p.mu + p.d) * (p.mu + p.gamma)
+    if den == 0:
+        raise ArithmeticError("R0 denominator mu*(mu+d)*(mu+gamma) underflows to 0")
+    return p.Lambda * (p.beta1 * (p.mu + p.d) + p.beta2 * p.gamma) / den
 
 
 def seir_ngm_matrices(p):
@@ -137,20 +139,6 @@ def endemic3(p):
 def seir_equilibria(p):
     """The ``seir equilibria`` record: the disease-free and endemic points."""
     return {"dfe": dfe3(p).to_dict(), "endemic": endemic3(p).to_dict()}
-
-
-def j2_dfe_transcribed(p):
-    """The published second additive compound at the disease-free point.
-
-    Its (3,3) entry omits the beta1*Lambda/mu term; the transcription checks
-    quantify the gap against ``add_compound(jacobian3(.), 2)``.
-    """
-    q = p.s_dfe
-    return np.array([
-        [p.beta1 * q - 2.0 * p.mu - p.gamma, p.beta2 * q, p.beta2 * q],
-        [p.gamma, -2.0 * p.mu - p.d, -p.beta1 * q],
-        [0.0, 0.0, -2.0 * p.mu - p.gamma - p.d],
-    ])
 
 
 def endemic_conditions(p):

@@ -11,7 +11,8 @@ fixed Lozinskii measure mu(A^[2]) < 0.  All strict-inequality verdicts use a
 a guess.
 
 Also here: diagonal-dominance predicates, determinant bracketing for
-diagonally dominant matrices, a Cardano cubic solver with discriminant
+diagonally dominant matrices, the one normalisation of a cubic to monic
+form (``monic_cubic``), a Cardano cubic solver with discriminant
 classification, the Routh-Hurwitz cubic test, a Schur (discrete-time)
 criterion through the second multiplicative compound, and M-matrix /
 Z-pattern classification flags.
@@ -22,6 +23,7 @@ from __future__ import annotations
 import cmath
 from contextlib import contextmanager
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -195,9 +197,7 @@ def cardano(a, b, c, d):
     conjugate-pair roots carry the factor (i sqrt(3)/2)(S - T): the half is
     required for the roots to satisfy the cubic.
     """
-    if a == 0:
-        raise ValueError("leading coefficient is zero: not a cubic")
-    a1, a2, a3 = b / a, c / a, d / a
+    a1, a2, a3 = monic_cubic(a, b, c, d)
     with _overflow(a1, a2, a3):
         q = (3.0 * a2 - a1 * a1) / 9.0
         r = (9.0 * a1 * a2 - 27.0 * a3 - 2.0 * a1 ** 3) / 54.0
@@ -218,6 +218,22 @@ def cardano(a, b, c, d):
     x2 = -(s + t) / 2.0 - shift + half_im
     x3 = -(s + t) / 2.0 - shift - half_im
     return CubicRoots((complex(x1), complex(x2), complex(x3)), *_cubic_class(a1, a2, a3))
+
+
+def monic_cubic(a, b, c, d):
+    """(a1, a2, a3) = (b/a, c/a, d/a), the monic form of a x^3 + b x^2 + c x + d.
+
+    A zero a is not a cubic (ValueError).  A quotient that is not finite puts
+    the roots out of range: ArithmeticError names it and the two coefficients
+    it divides, as given.
+    """
+    if a == 0:
+        raise ValueError("leading coefficient is zero: not a cubic")
+    for k, (name, coef) in enumerate(zip("bcd", (b, c, d)), 1):
+        if not isfinite(coef / a):
+            raise ArithmeticError(f"overflow at normalised cubic coefficient a{k} = {name}/a "
+                                  f"with {name} = {coef:.12g}, a = {a:.12g}")
+    return b / a, c / a, d / a
 
 
 @contextmanager

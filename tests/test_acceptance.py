@@ -18,6 +18,7 @@ import epistab.seir as seir
 from epistab.compound import add_compound, add_compound2_closed, mult_compound
 from epistab.linalg import determinant, eigenvalues, inverse, spectral_abscissa, spectral_radius
 from epistab.lozinskii import MeasureKind, measure
+from epistab.model import jacobian_fd
 from epistab.paper_check import reduced_ngm_matrices
 from epistab.sim import integrate
 from epistab.stability import (
@@ -139,8 +140,8 @@ def criterion_07_r0_anchor():
     assert abs(r0 - 0.44 / 0.0901) < 1e-12
     fm, vm = reduced_ngm_matrices(p)
     assert abs(r0 - spectral_radius(fm @ inverse(vm))) < 1e-10
-    parts = covid.ngm_full(p, covid.dfe(p).state)
-    assert abs(parts.r0 - r0) < 1e-8
+    r0_full = covid.r0_full(p, covid.dfe(p).state)
+    assert abs(r0_full - r0) < 1e-8
     sweep = [covid.r0_reduced(p.replace(mu=0.005 + 0.015 * k)) for k in range(50)]
     assert all(x > y for x, y in zip(sweep, sweep[1:])), "sweep not strictly decreasing"
     return f"R0 = {r0:.6f} matches 0.44/0.0901, NGM oracles agree, mu-sweep decreasing"
@@ -183,9 +184,9 @@ def criterion_10_jacobian_oracle():
     rng = np.random.default_rng(1010)
     for _ in range(100):
         x5 = rng.uniform(0.0, 3.0, size=5)
-        assert abs(covid.jacobian_closed(p, x5) - covid.jacobian_fd(p, x5)).max() < 1e-6
+        assert abs(covid.jacobian_closed(p, x5) - jacobian_fd(covid.rhs, p, x5)).max() < 1e-6
         x3 = rng.uniform(0.0, 3.0, size=3)
-        assert abs(seir.jacobian3(sp, x3) - seir.jacobian3_fd(sp, x3)).max() < 1e-6
+        assert abs(seir.jacobian3(sp, x3) - jacobian_fd(seir.rhs3, sp, x3)).max() < 1e-6
     claims = {c.claim_id: c for c in build_report(p, sp)}
     for cid in ("covid_jacobian_entry_2_1", "covid_jacobian_entry_3_3",
                 "covid_jacobian_entry_4_4", "covid_sum_identity_all_compartments"):

@@ -8,10 +8,11 @@ import pytest
 from reference import trajectory_from_csv
 
 import epistab.cli as cli
+import epistab.paper_check as paper_check
 import epistab.stability as stability
-from epistab import chi_cubic, cubic_stability, figure_params, r0_reduced, table_params
+from epistab import cubic_stability, figure_params, r0_reduced, table_params
 from epistab.cli import main
-from epistab.covid import DegenerateSplittingError
+from epistab.paper_check import DegenerateSplittingError, chi_cubic
 from epistab.linalg import ConvergenceError, SingularMatrixError
 from epistab.model import InfeasibleError
 from epistab.sim import DivergenceError
@@ -591,6 +592,28 @@ def test_cubic_overflow_names_the_coefficient(coeffs, name, value, capsys):
         "", f"numeric failure: overflow at normalised cubic coefficient {name} = {value}\n")
 
 
+@pytest.mark.parametrize("coeffs, message", [
+    (["1e-300", "1e300", "1", "1"], "a1 = b/a with b = 1e+300, a = 1e-300"),
+    (["1e-300", "1", "1", "1e300"], "a3 = d/a with d = 1e+300, a = 1e-300"),
+    (["--", "-1e-300", "1", "1e300", "1"], "a2 = c/a with c = 1e+300, a = -1e-300"),
+])
+def test_cubic_quotient_overflow_names_the_quotient(coeffs, message, capsys):
+    assert main(["cubic", *coeffs]) == 2
+    assert capsys.readouterr() == (
+        "", f"numeric failure: overflow at normalised cubic coefficient {message}\n")
+
+
+@pytest.mark.parametrize("command", ["seir r0", "seir r0 --sweep mu=5e-324:5e-324:1",
+                                     "seir stability"])
+def test_seir_r0_denominator_underflow_is_named(command, tmp_path, capsys):
+    # a subnormal mu passes the mu > 0 check; mu*(mu+d)*(mu+gamma) underflows to 0
+    config = tmp_path / "seir.json"
+    config.write_text(json.dumps(figure_params().replace(mu=5e-324).to_dict()))
+    assert main(command.split() + ["--config", str(config)]) == 2
+    assert capsys.readouterr() == (
+        "", "numeric failure: R0 denominator mu*(mu+d)*(mu+gamma) underflows to 0\n")
+
+
 def _exit_case(exc, code, message, **kw):
     return pytest.param(exc, code, message, id=type(exc).__name__, **kw)
 
@@ -731,6 +754,19 @@ def test_only_the_cubic_command_solves_a_cubic(monkeypatch, capsys):
     assert main(["cubic", "1", "-6", "11", "-6"]) == 0
     capsys.readouterr()
     assert calls == [(1.0, -6.0, 11.0, -6.0)]
+
+
+@pytest.mark.parametrize("name", ["r0", "stability"])
+def test_r0_and_stability_never_evaluate_a_printed_form(name, covid_config, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("printed form evaluated")
+    for attr in ("ngm_printed", "chi_cubic", "splitting_matrices", "splitting_char_poly"):
+        monkeypatch.setattr(paper_check, attr, refuse)
+    command, stdout_sha, _ = README_COMMANDS[name]
+    assert main(command.format(covid=covid_config).split()) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert _sha256(out.encode()) == stdout_sha
 
 
 def test_cubic_help(capsys):

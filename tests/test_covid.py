@@ -3,7 +3,7 @@ import pytest
 
 import epistab.covid as covid
 import epistab.seir as seir
-from epistab import paper_check
+from epistab import model, paper_check
 from epistab.linalg import determinant, inverse, spectral_radius
 from epistab.stability import INCONCLUSIVE, MARGIN, STABLE, UNSTABLE, li_wang_exact
 
@@ -20,12 +20,12 @@ def test_params_validation():
 
 
 def test_state_constructor_enforces_nonnegativity():
-    np.testing.assert_array_equal(covid.state(1.0, 2.0, 3.0, 4.0, 5.0),
+    np.testing.assert_array_equal(model.population([1.0, 2.0, 3.0, 4.0, 5.0]),
                                   [1.0, 2.0, 3.0, 4.0, 5.0])
     with pytest.raises(ValueError):
-        covid.state(1.0, -0.1, 0.0, 0.0, 0.0)
+        model.population([1.0, -0.1, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        covid.state(np.inf, 0.0, 0.0, 0.0, 0.0)
+        model.population([np.inf, 0.0, 0.0, 0.0, 0.0])
 
 
 def test_rhs_vanishes_at_dfe(covid_table):
@@ -83,9 +83,9 @@ def test_sum_identity_everywhere(covid_table):
 
 def test_jacobian_fd_examples(covid_table):
     p0 = covid.CovidParams(B=0.8, mu=0.01, **{f"beta{i}": 0.0 for i in range(1, 11)})
-    j = covid.jacobian_fd(p0, np.array([1.0, 1.0, 1.0, 1.0, 1.0]))
+    j = model.jacobian_fd(covid.rhs, p0, np.array([1.0, 1.0, 1.0, 1.0, 1.0]))
     np.testing.assert_allclose(j, np.diag([-0.01, -0.01, -0.01, -0.01, 0.0]), atol=1e-8)
-    j = covid.jacobian_fd(covid_table, covid.dfe(covid_table).state)
+    j = model.jacobian_fd(covid.rhs, covid_table, covid.dfe(covid_table).state)
     assert j[0, 1] == pytest.approx((covid_table.beta10 - covid_table.beta1) * 80.0, abs=1e-6)
     assert j[0, 1] == pytest.approx(-36.0, abs=1e-6)
 
@@ -95,7 +95,7 @@ def test_jacobian_closed_matches_fd(covid_table):
     for _ in range(100):
         x = rng.uniform(0.0, 3.0, size=5)
         gap = abs(covid.jacobian_closed(covid_table, x)
-                  - covid.jacobian_fd(covid_table, x)).max()
+                  - model.jacobian_fd(covid.rhs, covid_table, x)).max()
         assert gap < 1e-6
 
 
@@ -117,7 +117,7 @@ def test_dfe(covid_table):
     (paper_check.reduced_ngm_matrices, covid.table_params(0.1)),
     (seir.dfe3, seir.figure_params()),
     (seir.seir_ngm_matrices, seir.figure_params()),
-    (seir.j2_dfe_transcribed, seir.figure_params()))])
+    (paper_check.j2_dfe_transcribed, seir.figure_params()))])
 def test_disease_free_forms_called_first_at_mu_0(fn, params):
     # each is the first call on fresh parameters: no guard elsewhere runs before it
     with pytest.raises(ValueError, match="needs mu > 0"):
@@ -193,32 +193,50 @@ def test_r0_monotone_decreasing_in_mu(covid_table):
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_ngm_full_at_dfe_matches_reduced(covid_table):
-    parts = covid.ngm_full(covid_table, covid.dfe(covid_table).state)
-    assert abs(parts.r0 - covid.r0_reduced(covid_table)) < 1e-10
-    assert parts.r0 >= 0.0
-    # defining property, recomputed independently of the stored field
-    assert parts.r0 == pytest.approx(
-        spectral_radius(parts.F @ inverse(parts.V)), abs=1e-8)
+def test_r0_full_at_dfe_matches_reduced(covid_table):
+    x = covid.dfe(covid_table).state
+    r0 = covid.r0_full(covid_table, x)
+    assert abs(r0 - covid.r0_reduced(covid_table)) < 1e-10
+    assert r0 >= 0.0
+    # defining property, recomputed independently of r0_full
+    f, v = covid.ngm_matrices(covid_table, x)
+    assert r0 == pytest.approx(spectral_radius(f @ inverse(v)), abs=1e-8)
+
+
+@pytest.mark.parametrize("beta10", [0.1, 0.2, 0.6])
+def test_r0_full_is_the_spectral_radius_bit_for_bit(beta10):
+    p = covid.table_params(beta10)
+    probes = [covid.dfe(p).state, *paper_check._seeded()[0]]
+    r0 = [covid.r0_full(p, x) for x in probes]
+    for x, value in zip(probes, r0):
+        f, v = covid.ngm_matrices(p, x)
+        assert value == spectral_radius(f @ inverse(v))
+    # the paper-check oracle of the quadratic-formula claim is the same value
+    claim = {c.claim_id: c for c in paper_check.build_report(p)}["covid_ngm_r0_quadratic_formula"]
+    printed = [paper_check.ngm_printed(p, x, determinant(covid.ngm_matrices(p, x)[1]))[5]
+               for x in probes]
+    assert claim.oracle_value == r0[0]
+    assert claim.max_abs_diff == max(abs(q - value) for q, value in zip(printed, r0))
 
 
 def test_ngm_block_triangular_detv(covid_table):
     p = covid_table
     x = np.array([p.B / p.mu, 0.0, 2.0, 1.5, 0.0])  # I = D = 0
-    parts = covid.ngm_full(p, x)
+    v = covid.ngm_matrices(p, x)[1]
+    det_v_closed = paper_check.ngm_printed(p, x, determinant(v))[0]
     alpha_l = p.beta10 * x[0] + p.beta2 + p.beta6 + p.beta8 + p.mu
     core = (p.beta3 + p.beta5 + p.mu) * (p.beta4 + p.beta9 + p.mu) - p.beta3 * p.beta4
     expected = p.beta7 * x[0] * p.mu * alpha_l * core
-    assert determinant(parts.V) == pytest.approx(expected, rel=1e-10)
-    assert parts.detV_closed == pytest.approx(expected, rel=1e-10)
+    assert determinant(v) == pytest.approx(expected, rel=1e-10)
+    assert det_v_closed == pytest.approx(expected, rel=1e-10)
 
 
 def test_ngm_closed_detv_matches_numeric_generally(covid_table):
     rng = np.random.default_rng(504)
     for _ in range(20):
         x = rng.uniform(0.05, 3.0, size=5)
-        parts = covid.ngm_full(covid_table, x)
-        assert parts.detV_closed == pytest.approx(determinant(parts.V), rel=1e-9)
+        det_v = determinant(covid.ngm_matrices(covid_table, x)[1])
+        assert paper_check.ngm_printed(covid_table, x, det_v)[0] == pytest.approx(det_v, rel=1e-9)
 
 
 def test_det_jp0(covid_table):
@@ -271,20 +289,20 @@ def test_det_jp0_sign_findings():
 
 
 def test_chi_cubic_anchor(covid_table):
-    chi = covid.chi_cubic(covid_table)
+    a1, a2, a3 = paper_check.chi_cubic(covid_table)
     gap = 1.01 - 36.0
     v = 1.0 / gap
     assert v == pytest.approx(-0.028579594169762784, abs=1e-12)
     assert 36.0 * v == pytest.approx(-1.0288653901114604, abs=1e-12)
     # coefficients exactly as printed
-    assert chi.a1 == pytest.approx(0.7701700272501084, abs=1e-12)
-    assert chi.a2 == pytest.approx(-0.8178100146839985, abs=1e-12)
-    assert chi.a3 == pytest.approx(-0.5676498704063231, abs=1e-12)
+    assert a1 == pytest.approx(0.7701700272501084, abs=1e-12)
+    assert a2 == pytest.approx(-0.8178100146839985, abs=1e-12)
+    assert a3 == pytest.approx(-0.5676498704063231, abs=1e-12)
 
 
 def test_chi_cubic_vs_characteristic_polynomial(covid_table):
     # oracle: monic char poly of M E^-1 from its eigenvalues
-    coeffs = covid.splitting_char_poly(covid_table)
+    coeffs = paper_check.splitting_char_poly(covid_table)
     assert abs(coeffs[4]) < 1e-12 and abs(coeffs[5]) < 1e-12  # lambda^2 factor
     # the re-derived coefficients of the cubic factor
     p = covid_table
@@ -301,30 +319,30 @@ def test_chi_cubic_vs_characteristic_polynomial(covid_table):
     a3_true = (av * p.beta3 * p.beta4 - p.beta9 * u * p.beta2 * p.beta3) / (beta_s * gamma)
     np.testing.assert_allclose(coeffs[1:4], [a1_true, a2_true, a3_true], atol=1e-12)
     # the printed coefficients differ by the misplaced beta9 cross terms
-    chi = covid.chi_cubic(covid_table)
-    assert abs(chi.a1 - coeffs[1]) == pytest.approx(7.467e-05, abs=1e-7)
-    assert abs(chi.a2 - coeffs[2]) == pytest.approx(2.587e-03, abs=1e-5)
-    assert abs(chi.a3 - coeffs[3]) == pytest.approx(2.759e-03, abs=1e-5)
+    a1, a2, a3 = paper_check.chi_cubic(covid_table)
+    assert abs(a1 - coeffs[1]) == pytest.approx(7.467e-05, abs=1e-7)
+    assert abs(a2 - coeffs[2]) == pytest.approx(2.587e-03, abs=1e-5)
+    assert abs(a3 - coeffs[3]) == pytest.approx(2.759e-03, abs=1e-5)
 
 
 def test_chi_cubic_term_deletion(covid_table):
     p = covid_table.replace(beta8=0.0, beta9=0.0)
-    chi = covid.chi_cubic(p)
+    a1, a2, a3 = paper_check.chi_cubic(p)
     e_star = p.B / p.mu
     aa = (p.beta1 - p.beta10) * e_star
     alpha = p.beta2 + p.beta6 + p.mu
     av = aa / (alpha - aa)
     beta_s = p.beta2 + p.beta5 + p.mu
     gamma = p.beta4 + p.mu
-    assert chi.a1 == pytest.approx(-av, rel=1e-12)
-    assert chi.a2 == pytest.approx(-p.beta3 * p.beta4 / (beta_s * gamma), rel=1e-12)
-    assert chi.a3 == pytest.approx(p.beta3 * p.beta4 / (beta_s * gamma) * av, rel=1e-12)
+    assert a1 == pytest.approx(-av, rel=1e-12)
+    assert a2 == pytest.approx(-p.beta3 * p.beta4 / (beta_s * gamma), rel=1e-12)
+    assert a3 == pytest.approx(p.beta3 * p.beta4 / (beta_s * gamma) * av, rel=1e-12)
 
 
 def test_splitting_reconstructs_transcribed_dfe_jacobian(covid_table):
-    from epistab.paper_check import dfe_jacobian_transcribed
-    m, e = covid.splitting_matrices(covid_table)
-    np.testing.assert_allclose(m - e, dfe_jacobian_transcribed(covid_table), atol=1e-12)
+    m, e = paper_check.splitting_matrices(covid_table)
+    np.testing.assert_allclose(m - e, paper_check.dfe_jacobian_transcribed(covid_table),
+                               atol=1e-12)
 
 
 def test_stability_report_table_params(covid_table):

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from reference import lu_solve
+from reference import det4_block, lu_solve
 
 from epistab.linalg import (
     DimensionError,
     SingularMatrixError,
     as_matrix,
-    det4_block,
     determinant,
     eigenvalues,
     inverse,

@@ -3,6 +3,8 @@ import pytest
 
 import epistab.seir as seir
 from epistab.compound import add_compound
+from epistab.model import jacobian_fd
+from epistab.paper_check import j2_dfe_transcribed
 from epistab.linalg import determinant, eigenvalues, inverse, spectral_radius
 from epistab.stability import STABLE, li_wang_exact
 
@@ -66,7 +68,7 @@ def test_jacobian_matches_finite_differences(seir_figure):
     rng = np.random.default_rng(601)
     for _ in range(100):
         x = rng.uniform(0.0, 3.0, size=3)
-        gap = abs(seir.jacobian3(seir_figure, x) - seir.jacobian3_fd(seir_figure, x)).max()
+        gap = abs(seir.jacobian3(seir_figure, x) - jacobian_fd(seir.rhs3, seir_figure, x)).max()
         assert gap < 1e-6
 
 
@@ -74,7 +76,7 @@ def test_transcribed_compound_display_gap(seir_figure):
     # printed disease-free compound: all entries except (3,3) match exactly;
     # the (3,3) entry omits beta1*Lambda/mu
     p = seir_figure
-    printed = seir.j2_dfe_transcribed(p)
+    printed = j2_dfe_transcribed(p)
     oracle = add_compound(seir.jacobian3(p, seir.dfe3(p).state), 2)
     diff = printed - oracle
     mask = np.ones((3, 3), dtype=bool)

@@ -14,7 +14,6 @@ from epistab.sim import (
     Trajectory,
     integrate,
     invariance_audit,
-    simulate_covid,
     trajectory_to_csv,
 )
 
@@ -56,7 +55,7 @@ def test_t_end_must_be_a_whole_number_of_steps(covid_table):
 
 
 def test_uniform_time_grid(covid_table):
-    traj = simulate_covid(covid_table, np.ones(5), dt=0.02, t_end=1.0)
+    traj = integrate(lambda x: covid.rhs(covid_table, x), np.ones(5), dt=0.02, t_end=1.0)
     steps = np.diff(traj.times)
     assert abs(steps - 0.02).max() < 1e-12
     assert len(traj) == 51
@@ -92,15 +91,15 @@ def test_rk4_order_ratio():
 
 def test_determinism_bit_identical(covid_table):
     x0 = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    a = simulate_covid(covid_table, x0, dt=0.01, t_end=2.0)
-    b = simulate_covid(covid_table, x0, dt=0.01, t_end=2.0)
+    a = integrate(lambda x: covid.rhs(covid_table, x), x0, dt=0.01, t_end=2.0)
+    b = integrate(lambda x: covid.rhs(covid_table, x), x0, dt=0.01, t_end=2.0)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.times, b.times)
 
 
 def test_equilibria_are_fixed_points(covid_table):
     for eq in (covid.dfe(covid_table), covid.endemic(covid_table)):
-        traj = simulate_covid(covid_table, eq.state, dt=0.01, t_end=10.0)
+        traj = integrate(lambda x: covid.rhs(covid_table, x), eq.state, dt=0.01, t_end=10.0)
         drift = abs(traj.states - eq.state).max()
         assert drift < 1e-8
 
@@ -109,7 +108,7 @@ def test_divergence_raises_with_time(covid_table):
     x0 = np.array([1e160, 1e160, 0.0, 0.0, 0.0])  # E*I overflows immediately
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as exc:
-            simulate_covid(covid_table, x0, dt=0.01, t_end=1.0)
+            integrate(lambda x: covid.rhs(covid_table, x), x0, dt=0.01, t_end=1.0)
     assert exc.value.time > 0.0
     # a later blow-up is reported at the same time by the 1-D and the batch path
     for rhs, make, dim in MODELS.values():
@@ -127,7 +126,7 @@ def test_divergence_raises_with_time(covid_table):
 def test_positivity_audit_clean_run(covid_table):
     rng = np.random.default_rng(701)
     x0 = rng.uniform(0.1, 5.0, size=5)
-    traj = simulate_covid(covid_table, x0, dt=0.005, t_end=50.0)
+    traj = integrate(lambda x: covid.rhs(covid_table, x), x0, dt=0.005, t_end=50.0)
     audit = invariance_audit(traj, covid_table)
     assert audit["min_component"] > -1e-9
     assert audit["first_positivity_violation_t"] is None
@@ -139,7 +138,7 @@ def test_region_exit_finding(covid_table):
     # undamped D compartment pushes the total past B/mu
     end = covid.endemic(covid_table)
     x0 = end.state * (79.0 / end.state.sum())
-    traj = simulate_covid(covid_table, x0, dt=0.01, t_end=60.0)
+    traj = integrate(lambda x: covid.rhs(covid_table, x), x0, dt=0.01, t_end=60.0)
     audit = invariance_audit(traj, covid_table)
     assert audit["initially_inside_region"]
     assert audit["region_exited"]
@@ -148,15 +147,15 @@ def test_region_exit_finding(covid_table):
 
 def test_region_trivial_compliance(covid_table):
     x0 = np.array([covid_table.B / covid_table.mu, 0.0, 0.0, 0.0, 0.0])
-    traj = simulate_covid(covid_table, x0, dt=0.01, t_end=5.0)
+    traj = integrate(lambda x: covid.rhs(covid_table, x), x0, dt=0.01, t_end=5.0)
     audit = invariance_audit(traj, covid_table)
     assert audit["initially_inside_region"] and audit["finally_inside_region"]
     assert not audit["region_exited"]
 
 
 def test_trajectory_csv_round_trip(covid_table):
-    traj = simulate_covid(covid_table, np.array([1.0, 0.5, 0.25, 0.125, 2.0]),
-                          dt=0.05, t_end=1.0)
+    traj = integrate(lambda x: covid.rhs(covid_table, x), np.array([1.0, 0.5, 0.25, 0.125, 2.0]),
+                     dt=0.05, t_end=1.0)
     text = trajectory_to_csv(traj, "t,E,I,C,H,D")
     assert text.startswith("t,E,I,C,H,D\n")
     assert text.endswith("\n")
@@ -169,7 +168,7 @@ def test_batched_states_broadcast(covid_table):
     x0 = np.array([[1.0, 1.0, 1.0, 1.0, 1.0], [2.0, 0.5, 0.1, 0.3, 0.4]])
     traj = integrate(lambda x: covid.rhs(covid_table, x), x0, dt=0.01, t_end=1.0)
     assert traj.states.shape == (101, 2, 5)
-    single = simulate_covid(covid_table, x0[1], dt=0.01, t_end=1.0)
+    single = integrate(lambda x: covid.rhs(covid_table, x), x0[1], dt=0.01, t_end=1.0)
     assert np.array_equal(traj.states[:, 1, :], single.states)
     # both models, seeded draws: the 1-D path (Python floats) and the batch
     # path (arrays) give the same bits
