@@ -178,6 +178,8 @@ def _sweep_csv(name, values, fn):
 
 
 def _cmd_r0(args):
+    if args.out is not None and not args.sweep:
+        raise UsageError("--out names the sweep CSV and needs --sweep")
     m = args.model
     p = _load_params(args)
     if args.sweep:

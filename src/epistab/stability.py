@@ -8,7 +8,8 @@ throughout is the equivalence
 together with its sufficient variant where s(A^[2]) < 0 is certified by a
 fixed Lozinskii measure mu(A^[2]) < 0.  All strict-inequality verdicts use a
 1e-9 dead band: quantities inside the band yield ``INCONCLUSIVE`` rather than
-a guess.
+a guess.  Each Li-Wang verdict on a matrix reads one (-1)^n det A and one
+A^[2]; ``criterion_verdicts`` builds them once per matrix for all four.
 
 Also here: diagonal-dominance predicates, determinant bracketing for
 diagonally dominant matrices, the one normalisation of a cubic to monic
@@ -81,18 +82,40 @@ def hurwitz_exact(a):
     return Verdict(_band(-s), "hurwitz", abscissa=s)
 
 
+def _li_wang_inputs(a, exact=False):
+    """What a Li-Wang verdict on A reads: ((-1)^n det A, A^[2]).
+
+    ``exact`` applies the exact criterion's 2 <= n <= 6 guard before any work.
+    """
+    m = as_square(a)
+    n = m.shape[0]
+    if exact and not 2 <= n <= 6:
+        raise ValueError(f"exact compound criterion supports 2 <= n <= 6, got n={n}")
+    return (-1.0) ** n * determinant(m), add_compound(m, 2)
+
+
+def _exact(sgn, a2):
+    """The exact verdict from (-1)^n det A and A^[2]."""
+    s2 = spectral_abscissa(a2)
+    return Verdict(_band(sgn, -s2), "li-wang-exact", det_sign=sgn, abscissa=s2)
+
+
+def _sufficient(sgn, a2, kind):
+    """The sufficient verdict from (-1)^n det A, A^[2] and a ``MeasureKind``."""
+    mu2 = measure(a2, kind)
+    outcome = _band(sgn, -mu2)
+    if outcome == UNSTABLE and _band(sgn) != UNSTABLE:
+        outcome = INCONCLUSIVE  # mu2 > 0 alone proves nothing
+    return Verdict(outcome, "li-wang-sufficient", det_sign=sgn,
+                   measure_kind=kind.value, measure_value=mu2)
+
+
 def li_wang_exact(a):
     """Exact compound-matrix criterion: s(A^[2]) < 0 and (-1)^n det A > 0.
 
     The reported abscissa is that of the second additive compound.
     """
-    m = as_square(a)
-    n = m.shape[0]
-    if not 2 <= n <= 6:
-        raise ValueError(f"exact compound criterion supports 2 <= n <= 6, got n={n}")
-    sgn = (-1.0) ** n * determinant(m)
-    s2 = spectral_abscissa(add_compound(m, 2))
-    return Verdict(_band(sgn, -s2), "li-wang-exact", det_sign=sgn, abscissa=s2)
+    return _exact(*_li_wang_inputs(a, exact=True))
 
 
 def li_wang_sufficient(a, kind):
@@ -102,26 +125,21 @@ def li_wang_sufficient(a, kind):
     determinant condition fails outright (it is necessary); inconclusive
     otherwise -- the chosen measure may simply be too weak.
     """
-    m = as_square(a)
-    kind = MeasureKind.coerce(kind)
-    n = m.shape[0]
-    sgn = (-1.0) ** n * determinant(m)
-    mu2 = measure(add_compound(m, 2), kind)
-    outcome = _band(sgn, -mu2)
-    if outcome == UNSTABLE and _band(sgn) != UNSTABLE:
-        outcome = INCONCLUSIVE  # mu2 > 0 alone proves nothing
-    return Verdict(outcome, "li-wang-sufficient", det_sign=sgn,
-                   measure_kind=kind.value, measure_value=mu2)
+    m, kind = as_square(a), MeasureKind.coerce(kind)  # a bad kind fails before n < 2 does
+    return _sufficient(*_li_wang_inputs(m), kind)
 
 
 def criterion_verdicts(a):
-    """The Hurwitz, exact compound and every sufficient-measure verdict on A, as dicts."""
+    """The Hurwitz, exact compound and every sufficient-measure verdict on A, as dicts.
+
+    One det A and one A^[2] serve the exact and all three sufficient verdicts.
+    """
+    hurwitz = hurwitz_exact(a)  # first: an n = 0 or n > 16 matrix fails here, before the guard
+    sgn, a2 = _li_wang_inputs(a, exact=True)
     return {
-        "hurwitz": hurwitz_exact(a).to_dict(),
-        "li_wang_exact": li_wang_exact(a).to_dict(),
-        "li_wang_sufficient": {
-            kind.value: li_wang_sufficient(a, kind).to_dict() for kind in MeasureKind
-        },
+        "hurwitz": hurwitz.to_dict(),
+        "li_wang_exact": _exact(sgn, a2).to_dict(),
+        "li_wang_sufficient": {k.value: _sufficient(sgn, a2, k).to_dict() for k in MeasureKind},
     }
 
 

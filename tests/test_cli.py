@@ -2,12 +2,15 @@ import hashlib
 import json
 import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from reference import trajectory_from_csv
 
 import epistab.cli as cli
+import epistab.compound as compound
+import epistab.linalg as linalg
 import epistab.paper_check as paper_check
 import epistab.stability as stability
 from epistab import cubic_stability, figure_params, r0_reduced, table_params
@@ -93,11 +96,23 @@ def test_config_requires_beta10(tmp_path, capsys):
     assert "beta10" in capsys.readouterr().err
 
 
+def _kept_measure(report, measure):
+    """``report`` with each sufficient-verdict map cut down to ``measure``."""
+    kept = json.loads(json.dumps(report))
+    for spot in kept["verdicts"].values():
+        spot["li_wang_sufficient"] = {measure: spot["li_wang_sufficient"][measure]}
+    return kept
+
+
 def test_stability_command(covid_config, capsys):
     assert main(["stability", "--config", covid_config, "--measure", "one"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["r0"]["threshold_verdict"] == "unstable"
     assert list(rep["verdicts"]["dfe"]["li_wang_sufficient"]) == ["one"]
+    assert main(["stability", "--config", covid_config]) == 0
+    unfiltered = json.loads(capsys.readouterr().out)
+    assert list(rep["verdicts"]) == ["dfe", "endemic"]
+    assert rep == _kept_measure(unfiltered, "one")
 
 
 def test_stability_at_beta1_equal_to_beta10_reports_the_disease_free_point(tmp_path, capsys):
@@ -735,6 +750,46 @@ def test_cubic_non_number_keeps_the_float_message(capsys):
     assert err.startswith("usage error: argument a: invalid float value: 'x'\nusage: epistab ")
 
 
+@pytest.mark.parametrize("model", ["covid", "seir"])
+def test_r0_out_without_sweep_is_a_usage_error(model, covid_config, seir_config, tmp_path,
+                                               capsys):
+    out_path = tmp_path / "r0.csv"
+    argv = {"covid": ["r0", "--config", covid_config],
+            "seir": ["seir", "r0", "--config", seir_config]}[model]
+    assert main(argv + ["--out", str(out_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    message = "usage error: --out names the sweep CSV and needs --sweep\n"
+    assert err.startswith(message + "usage: epistab ")
+    assert not out_path.exists()
+
+
+# per run: covid builds one A^[2] for the dominance section and one for each
+# equilibrium's verdicts, and takes det J(DFE), det V for R0 and one det per
+# equilibrium's verdicts; seir builds its transformed compound's A^[2] and one
+# for the verdicts, and takes det J once for the report and once for them
+@pytest.mark.parametrize("command, compounds, determinants", [
+    ("stability --config {covid}", 3, 4),
+    ("stability --config {covid} --measure two", 3, 4),
+    ("seir stability --config {seir}", 2, 2),
+])
+def test_stability_builds_one_second_compound_per_matrix(command, compounds, determinants,
+                                                         covid_config, seir_config,
+                                                         monkeypatch, capsys):
+    counts = Counter()
+    for name, original in (("add_compound", compound.add_compound),
+                           ("determinant", linalg.determinant)):
+        def counting(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+        for mod in list(sys.modules.values()):
+            if mod.__name__.split(".")[0] == "epistab" and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting)
+    assert main(command.format(covid=covid_config, seir=seir_config).split()) == 0
+    capsys.readouterr()
+    assert counts == {"add_compound": compounds, "determinant": determinants}
+
+
 def test_only_the_cubic_command_solves_a_cubic(monkeypatch, capsys):
     original = stability.cardano
     def refuse(*coeffs):
@@ -797,10 +852,12 @@ def test_seir_commands(seir_config, tmp_path, capsys):
     assert main(["seir", "stability", "--config", seir_config]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["conditions"]["c2_compound_row_sums_negative"] is True
+    unfiltered = rep
 
     assert main(["seir", "stability", "--config", seir_config, "--measure", "inf"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert list(rep["verdicts"]["endemic"]["li_wang_sufficient"]) == ["inf"]
+    assert rep == _kept_measure(unfiltered, "inf")
 
     out_csv = tmp_path / "seir.csv"
     assert main(["seir", "simulate", "--config", seir_config, "--x0", "1,0.5,0.2",

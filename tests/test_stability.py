@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from epistab.cli import _json
 from epistab.compound import add_compound
 from epistab.linalg import determinant, eigenvalues, spectral_abscissa, spectral_radius
 from epistab.stability import (
@@ -11,6 +12,7 @@ from epistab.stability import (
     THREE_REAL,
     UNSTABLE,
     cardano,
+    criterion_verdicts,
     cubic_stability,
     det_bounds,
     dominance,
@@ -21,6 +23,7 @@ from epistab.stability import (
     price_bounds,
     schur_sufficient,
 )
+from epistab.lozinskii import MeasureKind
 
 from conftest import companion_roots, match_multisets
 
@@ -92,6 +95,35 @@ def test_li_wang_sufficient_soundness():
             suff = li_wang_sufficient(a, kind).outcome
             if suff != INCONCLUSIVE:
                 assert suff == exact
+
+
+def test_criterion_verdicts_equal_the_verdicts_one_at_a_time():
+    # criterion_verdicts shares one det A and one A^[2] across its four
+    # Li-Wang verdicts; its report must be byte for byte the one built by
+    # calling each public verdict on its own
+    rng = np.random.default_rng(18)
+    for i in range(250):
+        n = 2 + i % 5
+        kind = (i // 5) % 4
+        if kind == 0:
+            a = rng.normal(size=(n, n))
+        elif kind == 1:  # exactly singular integer matrix
+            a = rng.integers(-4, 5, size=(n, n)).astype(float)
+            a[-1] = 2.0 * a[0] - (a[1] if n > 2 else 0.0)
+        elif kind == 2:  # signed zeros in place of some entries
+            a = rng.normal(size=(n, n))
+            zeros = rng.random((n, n)) < 0.4
+            a[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+        else:  # stable, with every margin of the same order
+            a = -0.01 * np.eye(n) + 0.001 * np.triu(np.ones((n, n)), 1)
+        a = a * 2.0 ** int(rng.integers(-10, 11))
+        alone = {
+            "hurwitz": hurwitz_exact(a).to_dict(),
+            "li_wang_exact": li_wang_exact(a).to_dict(),
+            "li_wang_sufficient": {k.value: li_wang_sufficient(a, k).to_dict()
+                                   for k in MeasureKind},
+        }
+        assert _json(criterion_verdicts(a)) == _json(alone)
 
 
 def test_column_dominance_linkage():
