@@ -156,7 +156,7 @@ def _cmd_simulate(args):
     x0 = population(_parse_state(args.x0, len(m.compartments)))
     if args.dt > 0:
         _check_size("trajectory rows", np.rint(args.t_end / args.dt) + 1)
-    traj = sim.integrate(lambda x: m.rhs(p, x), x0, args.dt, args.t_end)
+    traj = sim.integrate(m.flows(p), x0, args.dt, args.t_end)
     _write_text(args.out, sim.trajectory_to_csv(traj, ",".join(("t",) + m.compartments)))
     if m.audited:
         audit = sim.invariance_audit(traj, p)
@@ -249,7 +249,7 @@ class _Model:
     r0_report: Callable     # p -> the ``r0`` record
     equilibria: Callable    # p -> the ``equilibria`` record
     stability: Callable     # p -> the ``stability`` record, with per-equilibrium "verdicts"
-    rhs: Callable           # (p, x) -> dx/dt
+    flows: Callable         # p -> the flow function x -> dx/dt as a list, bound to p
     audited: bool           # ``simulate`` also prints the invariance audit
 
 
@@ -258,14 +258,14 @@ _COVID = _Model(
     r0=lambda p: covid.r0_reduced(p), r0_report=lambda p: covid.r0_report(p),
     equilibria=lambda p: covid.equilibria_report(p),
     stability=lambda p: covid.stability_report(p),
-    rhs=lambda p, x: covid.rhs(p, x), audited=True)
+    flows=lambda p: functools.partial(covid.flows, p), audited=True)
 
 _SEIR = _Model(
     name="three-compartment", params=seir.SeirParams, compartments=("S", "I1", "I2"),
     r0=lambda sp: seir.r0_seir(sp), r0_report=lambda sp: seir.seir_r0_report(sp),
     equilibria=lambda sp: seir.seir_equilibria(sp),
     stability=lambda sp: seir.seir_stability(sp),
-    rhs=lambda sp, x: seir.rhs3(sp, x), audited=False)
+    flows=lambda sp: functools.partial(seir.flows3, sp), audited=False)
 
 
 _MODEL_COMMANDS = {

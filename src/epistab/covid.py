@@ -14,13 +14,14 @@ which diffs them against oracles.  The full-NGM R0, ``r0_full``, is the
 spectral radius of F V^-1 from ``ngm_matrices``.  The R0-threshold verdict
 uses the criteria's dead band, ``stability.MARGIN``.
 
-State vectors are (E, I, C, H, D).  ``rhs`` broadcasts over leading axes so
-batches of states integrate in one call.
+State vectors are (E, I, C, H, D).  ``flows`` gives the five derivatives
+as a list; ``rhs`` packs them into a float64 array and broadcasts over
+leading axes, so batches of states integrate in one call.
 
 The record each model command prints is built here: ``r0_report`` for
 ``r0`` (``r0_reduced`` for each point of ``r0 --sweep``),
 ``equilibria_report`` for ``equilibria`` and ``stability_report`` for
-``stability``; ``simulate`` integrates ``rhs``.
+``stability``; ``simulate`` integrates ``flows``.
 """
 
 from __future__ import annotations
@@ -110,24 +111,30 @@ def endemic_ratios(p):
     return alpha_hat, beta_hat, (p.beta6 * alpha_hat + p.beta5 * beta_hat) / (p.beta7 * e_star)
 
 
-def rhs(p, x):
-    """Right-hand side of the five ODEs, exactly as printed.
+def flows(p, x):
+    """Right-hand side of the five ODEs, exactly as printed, as a list.
 
-    ``x`` is one state (a list of 5 numbers or a (5,) array) or a batch
-    (..., 5); the float64 result matches.  States may be negative (the
-    linearisation probes leave the positive cone).  Flows shared by two
-    equations are computed once in printed operand and term order: the bits
-    are the printed ones, for one state (Python floats) and a batch alike.
+    ``x`` unpacks into the five components: Python floats for one state,
+    arrays for a batch.  States may be negative (the linearisation probes
+    leave the positive cone).  Flows shared by two equations are computed
+    once in printed operand and term order, so the bits are the printed ones.
     """
-    (e, i, c, h, d), pack = model.components(x, 5)
+    e, i, c, h, d = x
     e_to_i, i_to_e = p.beta1 * e * i, p.beta10 * e * i
     i_to_c, i_to_d, i_to_h = p.beta2 * i, p.beta6 * i, p.beta8 * i
     c_to_h, c_to_d, h_to_c, h_to_e = p.beta3 * c, p.beta5 * c, p.beta4 * h, p.beta9 * h
-    return pack([p.B - e_to_i + p.beta7 * e * d + h_to_e + i_to_e - p.mu * e,
-                 e_to_i - i_to_c - i_to_d - i_to_h - i_to_e - p.mu * i,
-                 i_to_c - c_to_d - c_to_h + h_to_c - p.mu * c,
-                 c_to_h - h_to_c + i_to_h - h_to_e - p.mu * h,
-                 c_to_d + i_to_d - p.beta7 * d * e])
+    return [p.B - e_to_i + p.beta7 * e * d + h_to_e + i_to_e - p.mu * e,
+            e_to_i - i_to_c - i_to_d - i_to_h - i_to_e - p.mu * i,
+            i_to_c - c_to_d - c_to_h + h_to_c - p.mu * c,
+            c_to_h - h_to_c + i_to_h - h_to_e - p.mu * h,
+            c_to_d + i_to_d - p.beta7 * d * e]
+
+
+def rhs(p, x):
+    """:func:`flows` as a float64 array: one state (5,) or a batch (..., 5)
+    in, the same shape out, with the same bits."""
+    x, pack = model.components(x, 5)
+    return pack(flows(p, x))
 
 
 def sum_rate(p, x):

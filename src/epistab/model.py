@@ -1,11 +1,14 @@
 """Scaffolding shared by the two epidemic models.
 
-Both models hand their right-hand side ``rhs(p, x)`` to the helpers here:
-validated rate parameters with the one mu > 0 check, ``Params.need_mu``;
-their state reader, residual-gated equilibria, population states and the
-central-difference Jacobian that serves as the ground-truth oracle, taken
-with the fixed step ``FD_STEP``.  ``Record`` is the base of every result
-record and holds its one JSON rule, ``to_dict``.
+Each model writes its derivatives once, as a flow function that returns a
+list (``covid.flows``, ``seir.flows3``); ``simulate`` integrates that list
+on Python floats.  Its right-hand side ``rhs(p, x)`` packs the same flows
+into a float64 array, through ``components``, for equilibria, Jacobians
+and batches, and hands it to the helpers here: validated rate parameters
+with the one mu > 0 check, ``Params.need_mu``; residual-gated equilibria,
+population states and the central-difference Jacobian that serves as the
+ground-truth oracle, taken with the fixed step ``FD_STEP``.  ``Record`` is
+the base of every result record and holds its one JSON rule, ``to_dict``.
 """
 
 from __future__ import annotations
@@ -105,12 +108,9 @@ def _pack_batch(f):
 
 def components(x, d):
     """The d components of state(s) ``x``, and the packer of d right-hand
-    sides into the float64 (d,) or (..., d) result.  A flat list of d numbers
-    (the single-trajectory RK4 state) is read as it stands; anything else
-    goes through ``np.asarray``, a 1-D array into Python floats, a (..., d)
-    batch into its last-axis slices."""
-    if type(x) is list and len(x) == d and isinstance(x[0], (int, float)):
-        return x, _pack_one
+    sides into the float64 (d,) or (..., d) result.  ``x`` goes through
+    ``np.asarray``: a 1-D state into Python floats, a (..., d) batch into its
+    last-axis slices."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         return x.tolist(), _pack_one

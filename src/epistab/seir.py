@@ -17,7 +17,7 @@ similarity P = diag(I2*, I1*, S*).
 The record each ``seir`` command prints is built here: ``seir_r0_report``
 for ``seir r0`` (``r0_seir`` for each point of ``--sweep``),
 ``seir_equilibria`` for ``seir equilibria`` and ``seir_stability`` for
-``seir stability``; ``seir simulate`` integrates ``rhs3``.
+``seir stability``; ``seir simulate`` integrates ``flows3``.
 """
 
 from __future__ import annotations
@@ -63,16 +63,21 @@ def figure_params(mu=0.1):
     return SeirParams(Lambda=0.7, beta1=0.3, beta2=0.8, mu=float(mu), gamma=0.1, d=0.04)
 
 
-def rhs3(p, x):
-    """Right-hand side for one state (a list of 3 numbers or a (3,) array)
-    or a batch (..., 3), as a float64 array of the same shape; one state
-    runs on Python floats with the same expressions and bits as a batch.
-    """
-    (s, i1, i2), pack = model.components(x, 3)
+def flows3(p, x):
+    """Right-hand side as a list: Python floats for one state, arrays for a
+    batch, with the same expressions and bits."""
+    s, i1, i2 = x
     force = (p.beta1 * i1 + p.beta2 * i2) * s
-    return pack([p.Lambda - force - p.mu * s,
-                 force - (p.mu + p.gamma) * i1,
-                 p.gamma * i1 - (p.mu + p.d) * i2])
+    return [p.Lambda - force - p.mu * s,
+            force - (p.mu + p.gamma) * i1,
+            p.gamma * i1 - (p.mu + p.d) * i2]
+
+
+def rhs3(p, x):
+    """:func:`flows3` as a float64 array: one state (3,) or a batch (..., 3)
+    in, the same shape out, with the same bits."""
+    x, pack = model.components(x, 3)
+    return pack(flows3(p, x))
 
 
 def jacobian3(p, x):

@@ -38,11 +38,12 @@ class Trajectory:
 def integrate(f, x0, dt, t_end):
     """Classical RK4 with fixed step dt over [0, t_end], a whole number of steps.
 
-    ``f`` maps a state to its derivative array.  ``x0.ndim`` picks one of
-    two paths with the same operand order, hence the same bits: a single
-    state (1-D ``x0``) keeps the RK4 sums on Python float lists, handing
-    ``f`` a list of d floats and reading its (d,) array with ``tolist()``;
-    any other shape, such as a batch of initial states (..., d), broadcasts
+    ``f`` maps a state to its derivatives.  ``x0.ndim`` picks one of two
+    paths with the same operand order, hence the same bits: a single state
+    (1-D ``x0``) keeps the RK4 sums on Python float lists, handing ``f`` a
+    list of d floats and reading back a list (a model's flow function, the
+    fast path) or a (d,) array, element by element on the same doubles; any
+    other shape, such as a batch of initial states (..., d), broadcasts
     arrays through ``f`` and the sums.
 
     Deterministic: identical inputs give bit-identical trajectories.
@@ -85,10 +86,10 @@ def _steps_floats(f, x, dt, times, states):
     half, sixth = dt / 2.0, dt / 6.0
     x = x.tolist()
     for k in range(len(times) - 1):
-        k1 = f(x).tolist()
-        k2 = f([a + half * b for a, b in zip(x, k1)]).tolist()
-        k3 = f([a + half * b for a, b in zip(x, k2)]).tolist()
-        k4 = f([a + dt * b for a, b in zip(x, k3)]).tolist()
+        k1 = f(x)
+        k2 = f([a + half * b for a, b in zip(x, k1)])
+        k3 = f([a + half * b for a, b in zip(x, k2)])
+        k4 = f([a + dt * b for a, b in zip(x, k3)])
         x = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
              for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
         if not all(map(math.isfinite, x)):

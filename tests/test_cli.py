@@ -10,8 +10,10 @@ from reference import trajectory_from_csv
 
 import epistab.cli as cli
 import epistab.compound as compound
+import epistab.covid as covid
 import epistab.linalg as linalg
 import epistab.paper_check as paper_check
+import epistab.seir as seir
 import epistab.stability as stability
 from epistab import cubic_stability, figure_params, r0_reduced, table_params
 from epistab.cli import main
@@ -789,6 +791,33 @@ def test_stability_builds_one_second_compound_per_matrix(command, compounds, det
     capsys.readouterr()
     assert counts == {"add_compound": compounds, "determinant": determinants}
 
+
+# per run of N = 200 steps: RK4 evaluates the flow function 4N times on
+# Python floats; only covid's invariance audit packs an array, one batch
+# through rhs, whose own flows call is the one more
+@pytest.mark.parametrize("command, counted", [
+    ("simulate --config {covid} --x0 1,1,1,1,1",
+     {"covid.rhs": 1, "covid.flows": 801, "seir.rhs3": 0, "seir.flows3": 0}),
+    ("seir simulate --config {seir} --x0 1,0.5,0.2",
+     {"covid.rhs": 0, "covid.flows": 0, "seir.rhs3": 0, "seir.flows3": 800}),
+])
+def test_simulate_steps_on_the_flows_not_the_rhs(command, counted, covid_config, seir_config,
+                                                 monkeypatch, capsys):
+    counts = Counter()
+    for module, name in ((covid, "rhs"), (covid, "flows"), (seir, "rhs3"), (seir, "flows3")):
+        original, key = getattr(module, name), f"{module.__name__.split('.')[-1]}.{name}"
+        def counting(*args, key=key, original=original):
+            counts[key] += 1
+            return original(*args)
+        for mod in list(sys.modules.values()):
+            if mod.__name__.split(".")[0] == "epistab":
+                for attr, obj in list(vars(mod).items()):
+                    if obj is original:
+                        monkeypatch.setattr(mod, attr, counting)
+    argv = command.format(covid=covid_config, seir=seir_config).split()
+    assert main(argv + ["--dt", "0.01", "--t-end", "2", "--out", "-"]) == 0
+    capsys.readouterr()
+    assert {k: counts[k] for k in counted} == counted
 
 def test_only_the_cubic_command_solves_a_cubic(monkeypatch, capsys):
     original = stability.cardano

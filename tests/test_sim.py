@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 
@@ -24,6 +25,11 @@ def _linear_params(mu):
 
 MODELS = {"covid": (covid.rhs, lambda: covid.table_params(0.1), 5),
           "seir": (seir.rhs3, lambda: seir.figure_params(0.1), 3)}
+FLOWS = {"covid": covid.flows, "seir": seir.flows3}
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
 
 
 def _draw_params(rng, model):
@@ -246,6 +252,7 @@ def test_rhs_matches_printed_expressions_on_drawn_states(model, data):
         assert rhs(p, x).tobytes() == want
         assert rhs(p, np.array(x)).tobytes() == want
         assert rhs(p, np.array([x, x]))[1].tobytes() == want
+        assert _hex(FLOWS[model](p, x)) == _hex(np.frombuffer(want))
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
@@ -280,6 +287,54 @@ def test_integrate_hands_a_single_state_to_f_as_a_list(covid_table):
     seen.clear()
     integrate(f, np.ones((2, 5)), dt=0.01, t_end=0.05)
     assert seen == [np.ndarray] * 20
+
+
+# signed zeros, subnormals and negatives, on every component
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, -1.5, -1e-300, 2.0]
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_flows_are_the_rhs_bit_for_bit(model):
+    rhs, make, dim = MODELS[model]
+    flows = FLOWS[model]
+    rng = np.random.default_rng(808)
+    states = ([rng.choice(_SPECIAL, dim).tolist() for _ in range(200)]
+              + [rng.uniform(-2.0, 2.0, dim).tolist() for _ in range(50)])
+    zero_rates = make().replace(**{k: 0.0 for k in make().keys()})
+    for p in (make(), zero_rates, _draw_params(rng, model), _draw_params(rng, model)):
+        for x in states:
+            got = flows(p, x)
+            assert type(got) is list and [type(v) for v in got] == [float] * dim
+            assert _hex(got) == _hex(rhs(p, np.array(x)).tolist())
+    # a -0.0 rate of change survives the flow function
+    x = np.resize([0.0, -0.0], dim).tolist()
+    assert np.signbit(flows(make(), x)).tolist() == np.signbit(rhs(make(), np.array(x))).tolist()
+    assert np.signbit(flows(make(), x)).any()
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_integrate_reads_a_list_or_an_array_from_f_with_the_same_bits(model):
+    rhs, make, dim = MODELS[model]
+    flows = FLOWS[model]
+    for seed in range(911, 921):
+        rng = np.random.default_rng(seed)
+        p = _draw_params(rng, model)
+        dt = float(rng.choice([0.005, 0.01, 0.05]))
+        steps = int(rng.integers(50, 400))
+        x0 = rng.uniform(0.0, 3.0, dim)
+        x0[0], x0[-1] = 0.0, -0.0
+        as_list = integrate(functools.partial(flows, p), x0, dt=dt, t_end=steps * dt)
+        as_array = integrate(lambda x: rhs(p, x), x0, dt=dt, t_end=steps * dt)
+        assert as_list.times.tobytes() == as_array.times.tobytes()
+        assert as_list.states.tobytes() == as_array.states.tobytes()
+    # a blow-up is reported at the same time whichever form f returns
+    p, x0 = make(), np.full(dim, 1e3)
+    times = []
+    for f in (functools.partial(flows, p), lambda x: rhs(p, x)):
+        with pytest.raises(DivergenceError) as exc:
+            integrate(f, x0, dt=0.01, t_end=5.0)
+        times.append(exc.value.time)
+    assert times[0] == times[1] > 0.0
 
 
 # SHA-256 of times.tobytes(), then of states.tobytes() for a single x0 and for
