@@ -133,8 +133,7 @@ def flows(p, x):
 def rhs(p, x):
     """:func:`flows` as a float64 array: one state (5,) or a batch (..., 5)
     in, the same shape out, with the same bits."""
-    x, pack = model.components(x, 5)
-    return pack(flows(p, x))
+    return model.packed(flows, p, x)
 
 
 def sum_rate(p, x):
@@ -302,7 +301,9 @@ def stability_report(p):
     sign test; the column-dominance conditions (a)-(d) for the second
     additive compound at the disease-free point, evaluated literally as
     printed even where unsatisfiable; and exact plus sufficient criterion
-    verdicts at both equilibria.  Where the endemic ratios or the endemic
+    verdicts at both equilibria, which read the one det J and J^[2] built
+    per equilibrium (at the disease-free point, those of the determinant
+    and dominance sections).  Where the endemic ratios or the endemic
     point do not exist, the sections that need them hold
     ``{"error": message}`` and the others stay.
     """
@@ -344,12 +345,14 @@ def stability_report(p):
             "compound_diag_negative": bool(np.diag(j2).max() < 0),
         },
         "equilibria": {"dfe": point.to_dict()},
-        "verdicts": {"dfe": criterion_verdicts(j_dfe)},
+        "verdicts": {"dfe": criterion_verdicts(j_dfe, dj.numeric, j2)},
     }
     try:
         end = endemic(p)
         report["equilibria"]["endemic"] = end.to_dict()
-        report["verdicts"]["endemic"] = criterion_verdicts(jacobian_closed(p, end.state))
+        j_end = jacobian_closed(p, end.state)
+        report["verdicts"]["endemic"] = criterion_verdicts(j_end, determinant(j_end),
+                                                           add_compound(j_end, 2))
     except (InfeasibleError, ArithmeticError) as exc:
         report["equilibria"]["endemic"] = {"error": str(exc)}
     return report

@@ -3,7 +3,7 @@
 Each model writes its derivatives once, as a flow function that returns a
 list (``covid.flows``, ``seir.flows3``); ``simulate`` integrates that list
 on Python floats.  Its right-hand side ``rhs(p, x)`` packs the same flows
-into a float64 array, through ``components``, for equilibria, Jacobians
+into a float64 array, through ``packed``, for equilibria, Jacobians
 and batches, and hands it to the helpers here: validated rate parameters
 with the one mu > 0 check, ``Params.need_mu``; residual-gated equilibria,
 population states and the central-difference Jacobian that serves as the
@@ -98,23 +98,14 @@ def _float(v):
         return math.inf if v > 0 else -math.inf
 
 
-def _pack_one(f):
-    return np.array(f, dtype=float)
-
-
-def _pack_batch(f):
-    return np.stack(f, axis=-1)
-
-
-def components(x, d):
-    """The d components of state(s) ``x``, and the packer of d right-hand
-    sides into the float64 (d,) or (..., d) result.  ``x`` goes through
-    ``np.asarray``: a 1-D state into Python floats, a (..., d) batch into its
-    last-axis slices."""
+def packed(flows, p, x):
+    """``flows(p, x)`` as a float64 (d,) or (..., d) array, for the state(s)
+    ``x`` given through ``np.asarray``: a 1-D state as Python floats, a
+    (..., d) batch as its last-axis slices."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
-        return x.tolist(), _pack_one
-    return [x[..., k] for k in range(d)], _pack_batch
+        return np.array(flows(p, x.tolist()), dtype=float)
+    return np.stack(flows(p, [x[..., k] for k in range(x.shape[-1])]), axis=-1)
 
 
 @dataclass(frozen=True)

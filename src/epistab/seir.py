@@ -10,9 +10,10 @@ beta2 delta); ``delta``, ``beta_eff`` = beta1 + beta2 delta and the
 disease-free ``s_dfe`` = Lambda/mu are properties of :class:`SeirParams`,
 and ``s_dfe``, ``r0_seir`` and ``seir_ngm_matrices`` raise through the one
 mu > 0 check, ``Params.need_mu``; ``r0_seir`` also names a denominator that
-underflows to 0.  The stability report applies the
-compound-matrix criterion to the endemic Jacobian after the diagonal
-similarity P = diag(I2*, I1*, S*).
+underflows to 0.  The stability report builds one det J and one J^[2] at
+the endemic point, for its own sections and the criterion verdicts, and
+applies the diagonal similarity P = diag(I2*, I1*, S*) to J^[2] as a
+scaling, p_i J^[2]_ij / p_j, with no inverse.
 
 The record each ``seir`` command prints is built here: ``seir_r0_report``
 for ``seir r0`` (``r0_seir`` for each point of ``--sweep``),
@@ -76,8 +77,7 @@ def flows3(p, x):
 def rhs3(p, x):
     """:func:`flows3` as a float64 array: one state (3,) or a batch (..., 3)
     in, the same shape out, with the same bits."""
-    x, pack = model.components(x, 3)
-    return pack(flows3(p, x))
+    return model.packed(flows3, p, x)
 
 
 def jacobian3(p, x):
@@ -175,17 +175,17 @@ def seir_stability(p):
     """Stability report at the endemic point via the similarity-transformed compound.
 
     Builds J at the endemic point (cross-checked against finite differences
-    by the test-suite), its second additive compound, the diagonal
-    similarity P = diag(I2*, I1*, S*), and evaluates the three endemic
-    conditions, row dominance of P J^[2] P^-1, the Jacobian determinant
-    sign, and the exact criteria.
+    by the test-suite), its determinant and second additive compound, the
+    diagonal similarity P = diag(I2*, I1*, S*) applied as a scaling, and
+    evaluates the three endemic conditions, row dominance of P J^[2] P^-1,
+    the Jacobian determinant sign, and the exact criteria from the same
+    det J and J^[2].
     """
     end = endemic3(p)
-    s_star, i1_star, i2_star = end.state
     j = jacobian3(p, end.state)
     j2 = add_compound(j, 2)
-    pmat = np.diag([i2_star, i1_star, s_star])
-    transformed = pmat @ j2 @ inverse(pmat)
+    s = end.state[::-1]  # the diagonal of P = diag(I2*, I1*, S*)
+    transformed = (s[:, None] * j2) * (1.0 / s)  # P J^[2] P^-1, entry by entry
     det_j = determinant(j)
     return {
         "params": p.to_dict(),
@@ -198,5 +198,5 @@ def seir_stability(p):
             "measure_inf": measure(transformed, MeasureKind.INF),
         },
         "det_endemic_jacobian": det_j,
-        "verdicts": {"endemic": criterion_verdicts(j)},
+        "verdicts": {"endemic": criterion_verdicts(j, det_j, j2)},
     }

@@ -9,7 +9,8 @@ together with its sufficient variant where s(A^[2]) < 0 is certified by a
 fixed Lozinskii measure mu(A^[2]) < 0.  All strict-inequality verdicts use a
 1e-9 dead band: quantities inside the band yield ``INCONCLUSIVE`` rather than
 a guess.  Each Li-Wang verdict on a matrix reads one (-1)^n det A and one
-A^[2]; ``criterion_verdicts`` builds them once per matrix for all four.
+A^[2]; ``criterion_verdicts`` takes det A and A^[2] from its caller, which
+builds them once per matrix for its own report and all four verdicts.
 
 Also here: diagonal-dominance predicates, determinant bracketing for
 diagonally dominant matrices, the one normalisation of a cubic to monic
@@ -82,16 +83,18 @@ def hurwitz_exact(a):
     return Verdict(_band(-s), "hurwitz", abscissa=s)
 
 
-def _li_wang_inputs(a, exact=False):
-    """What a Li-Wang verdict on A reads: ((-1)^n det A, A^[2]).
-
-    ``exact`` applies the exact criterion's 2 <= n <= 6 guard before any work.
-    """
-    m = as_square(a)
-    n = m.shape[0]
+def _det_sign(n, det, exact):
+    """(-1)^n det A for an n x n A with determinant ``det``; ``exact`` applies
+    the exact criterion's 2 <= n <= 6 guard."""
     if exact and not 2 <= n <= 6:
         raise ValueError(f"exact compound criterion supports 2 <= n <= 6, got n={n}")
-    return (-1.0) ** n * determinant(m), add_compound(m, 2)
+    return (-1.0) ** n * det
+
+
+def _li_wang_inputs(a, exact=False):
+    """What a Li-Wang verdict on A reads: ((-1)^n det A, A^[2])."""
+    m = as_square(a)
+    return _det_sign(len(m), determinant(m), exact), add_compound(m, 2)
 
 
 def _exact(sgn, a2):
@@ -129,13 +132,14 @@ def li_wang_sufficient(a, kind):
     return _sufficient(*_li_wang_inputs(m), kind)
 
 
-def criterion_verdicts(a):
+def criterion_verdicts(a, det, a2):
     """The Hurwitz, exact compound and every sufficient-measure verdict on A, as dicts.
 
-    One det A and one A^[2] serve the exact and all three sufficient verdicts.
+    ``det`` and ``a2`` are det A and A^[2], built once by the caller, which
+    reads them too; they serve the exact and all three sufficient verdicts.
     """
     hurwitz = hurwitz_exact(a)  # first: an n = 0 or n > 16 matrix fails here, before the guard
-    sgn, a2 = _li_wang_inputs(a, exact=True)
+    sgn = _det_sign(len(a), det, exact=True)
     return {
         "hurwitz": hurwitz.to_dict(),
         "li_wang_exact": _exact(sgn, a2).to_dict(),

@@ -766,14 +766,14 @@ def test_r0_out_without_sweep_is_a_usage_error(model, covid_config, seir_config,
     assert not out_path.exists()
 
 
-# per run: covid builds one A^[2] for the dominance section and one for each
-# equilibrium's verdicts, and takes det J(DFE), det V for R0 and one det per
-# equilibrium's verdicts; seir builds its transformed compound's A^[2] and one
-# for the verdicts, and takes det J once for the report and once for them
+# per run: covid builds one A^[2] per equilibrium, the disease-free one shared
+# by the dominance section and the verdicts, and takes det J(DFE) once for the
+# determinant section and the verdicts, det V for R0 and det J at the endemic
+# point; seir builds one J^[2] and one det J, shared by its report and verdicts
 @pytest.mark.parametrize("command, compounds, determinants", [
-    ("stability --config {covid}", 3, 4),
-    ("stability --config {covid} --measure two", 3, 4),
-    ("seir stability --config {seir}", 2, 2),
+    ("stability --config {covid}", 2, 3),
+    ("stability --config {covid} --measure two", 2, 3),
+    ("seir stability --config {seir}", 1, 1),
 ])
 def test_stability_builds_one_second_compound_per_matrix(command, compounds, determinants,
                                                          covid_config, seir_config,
@@ -790,6 +790,21 @@ def test_stability_builds_one_second_compound_per_matrix(command, compounds, det
     assert main(command.format(covid=covid_config, seir=seir_config).split()) == 0
     capsys.readouterr()
     assert counts == {"add_compound": compounds, "determinant": determinants}
+
+
+def test_seir_stability_just_above_the_threshold(tmp_path, capsys):
+    # R0 = 1 + 1e-13: the endemic point is feasible with I1* ~ 1.1e-14, far
+    # below S*, so a pivoted inverse of P = diag(I2*, I1*, S*) would call P
+    # singular; the scaling p_i J^[2]_ij / p_j needs no inverse
+    p = figure_params().replace(Lambda=0.022950819672133443)
+    assert seir.r0_seir(p) - 1.0 == pytest.approx(1e-13, rel=0.01)
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(p.to_dict()))
+    assert main(["seir", "stability", "--config", str(path)]) == 0
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert err == "" and rep["equilibria"]["endemic"]["feasible"] is True
+    assert 0.0 < rep["equilibria"]["endemic"]["state"][1] < 1e-13
 
 
 # per run of N = 200 steps: RK4 evaluates the flow function 4N times on

@@ -288,6 +288,17 @@ def test_det_jp0_sign_findings():
     print(f"dfe determinant sign findings: {findings}/{cases} draws have numeric det >= 0")
 
 
+def test_stability_report_verdicts_read_the_reported_dfe_determinant():
+    # one det J(DFE) per report: (-1)^5 det J is the exact verdict's det_sign
+    rng = np.random.default_rng(2202)
+    for _ in range(1000):
+        vals = rng.uniform(0.01, 1.0, size=10)
+        p = covid.CovidParams(B=rng.uniform(0.1, 2.0), mu=rng.uniform(0.005, 0.5),
+                              **{f"beta{i + 1}": float(vals[i]) for i in range(10)})
+        rep = covid.stability_report(p)
+        assert rep["dfe_determinant"]["numeric"] == -rep["verdicts"]["dfe"]["li_wang_exact"]["det_sign"]
+
+
 def test_chi_cubic_anchor(covid_table):
     a1, a2, a3 = paper_check.chi_cubic(covid_table)
     gap = 1.01 - 36.0

@@ -6,7 +6,8 @@ from epistab.compound import add_compound
 from epistab.model import jacobian_fd
 from epistab.paper_check import j2_dfe_transcribed
 from epistab.linalg import determinant, eigenvalues, inverse, spectral_radius
-from epistab.stability import STABLE, li_wang_exact
+from epistab.lozinskii import MeasureKind, measure
+from epistab.stability import STABLE, dominance, li_wang_exact
 
 
 def test_rhs3_examples(seir_figure):
@@ -94,6 +95,31 @@ def test_similarity_preserves_spectrum(seir_figure):
     ev1 = np.sort_complex(eigenvalues(j2))
     ev2 = np.sort_complex(eigenvalues(pmat @ j2 @ inverse(pmat)))
     assert abs(ev1 - ev2).max() < 1e-8
+
+
+def test_stability_report_shares_det_and_scales_the_compound():
+    # the report's det J is the one its verdicts read ((-1)^3 det J = -det J),
+    # and its transformed compound, P J^[2] P^-1 as a scaling, gives the same
+    # fields as the general product with the LU inverse, the reference here
+    rng = np.random.default_rng(2201)
+    cases = 0
+    while cases < 1000:
+        lam, b1, b2, g, d, mu = rng.uniform(0.01, 1.5, size=6)
+        p = seir.SeirParams(Lambda=lam, beta1=b1, beta2=b2, mu=mu, gamma=g, d=d)
+        if p.Lambda * p.beta_eff - p.mu * (p.mu + p.gamma) <= 0:
+            continue
+        cases += 1
+        rep = seir.seir_stability(p)
+        end = seir.endemic3(p)
+        s_star, i1_star, i2_star = end.state
+        pmat = np.diag([i2_star, i1_star, s_star])
+        ref = pmat @ add_compound(seir.jacobian3(p, end.state), 2) @ inverse(pmat)
+        assert rep["transformed_compound"] == {
+            "row_dominant": dominance(ref, "rows"),
+            "diag_negative": bool(np.diag(ref).max() < 0),
+            "measure_inf": measure(ref, MeasureKind.INF),
+        }
+        assert rep["det_endemic_jacobian"] == -rep["verdicts"]["endemic"]["li_wang_exact"]["det_sign"]
 
 
 def test_conditions_at_figure_params(seir_figure):

@@ -123,7 +123,7 @@ def test_criterion_verdicts_equal_the_verdicts_one_at_a_time():
             "li_wang_sufficient": {k.value: li_wang_sufficient(a, k).to_dict()
                                    for k in MeasureKind},
         }
-        assert _json(criterion_verdicts(a)) == _json(alone)
+        assert _json(criterion_verdicts(a, determinant(a), add_compound(a, 2))) == _json(alone)
 
 
 def test_column_dominance_linkage():
