@@ -16,7 +16,9 @@ numeric output capped at 12 significant digits.  A JSON report is built
 whole, then written: two-space indent, sorted keys, ASCII escapes, each
 float the shortest repr of its 12-significant-digit value.  A NaN or
 infinite value in a JSON object, a sweep's R0 column or a compound matrix
-is a numeric failure, and nothing is printed.
+is a numeric failure, and nothing is printed.  The two seeded
+``paper-check`` claims, the same objects in every report, are rendered once
+per process (with the finiteness check) and their text reused.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 infeasible request.
 """
@@ -84,7 +86,28 @@ def _json(value, indent="\n"):
     if isinstance(value, (list, tuple)):
         items = [inner + _json(v, inner) for v in value]
         return "[" + ",".join(items) + indent + "]" if items else "[]"
+    if type(value) is _Rendered:  # rendered, and so checked for finiteness, at its first use
+        if value.indent != indent:
+            value.text, value.indent = _json(value.value, indent), indent
+        return value.text
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+class _Rendered:
+    """A JSON node that ``_json`` renders once and then writes as text; only
+    a use at another depth renders it again."""
+
+    __slots__ = ("value", "indent", "text")
+
+    def __init__(self, value):
+        self.value, self.indent, self.text = value, None, ""
+
+
+@functools.cache
+def _seeded_claims():
+    """The seeded claims, the same objects in every ``paper-check`` report,
+    as rendered-once nodes keyed by object id."""
+    return {id(c): _Rendered(c.to_dict()) for c in paper_check.seeded_claims()}
 
 
 def _check_size(what, count):
@@ -229,8 +252,8 @@ def _cmd_cubic(args):
 def _cmd_paper_check(args):
     p = covid.CovidParams.from_dict(_load_json(args.config))
     sp = seir.SeirParams.from_dict(_load_json(args.seir_config)) if args.seir_config else None
-    claims = paper_check.build_report(p, sp)
-    _emit(paper_check.report_to_dicts(claims))
+    seeded = _seeded_claims()
+    _emit([seeded.get(id(c)) or c.to_dict() for c in paper_check.build_report(p, sp)])
 
 
 @dataclass(frozen=True)

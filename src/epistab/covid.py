@@ -11,7 +11,8 @@ Only ``det_jp0`` (with its grouping ``_beta_printed``) evaluates a closed
 form as printed in the source publication, because the stability report
 prints it; every other printed form lives in :mod:`epistab.paper_check`,
 which diffs them against oracles.  The full-NGM R0, ``r0_full``, is the
-spectral radius of F V^-1 from ``ngm_matrices``.  The R0-threshold verdict
+spectral radius of F V^-1 from ``ngm_matrices``, through ``ngm_radius``,
+which takes a stack of probes in one LU.  The R0-threshold verdict
 uses the criteria's dead band, ``stability.MARGIN``.
 
 State vectors are (E, I, C, H, D).  ``flows`` gives the five derivatives
@@ -236,16 +237,25 @@ def ngm_matrices(p, x):
 
 
 def ngm_radius(f, v, det_v):
-    """rho(F V^-1), refused as singular where |det V| = |``det_v``| < 1e-300."""
-    if abs(det_v) < 1e-300:
-        raise linalg.SingularMatrixError("transition matrix V is singular", abs(det_v))
-    return spectral_radius(f @ inverse(v))
+    """rho(F V^-1) for each (F, V) of the stacks ``f`` and ``v``, as a list,
+    from one LU and one eigenvalue call for the whole stack.
+
+    V is refused as singular where |det V| = |``det_v``| < 1e-300 or where
+    the LU's pivot floor fails; the first probe that fails raises, as if the
+    probes were taken one by one, each with its det guard before its LU.
+    """
+    tiny = [abs(d) < 1e-300 for d in det_v]
+    k = tiny.index(True) if True in tiny else len(tiny)
+    inv = inverse(v[:k])  # the probes before the first det guard failure
+    if k < len(tiny):
+        raise linalg.SingularMatrixError("transition matrix V is singular", abs(det_v[k]))
+    return spectral_radius(f @ inv)
 
 
 def r0_full(p, x):
     """The full-NGM R0 at state x: rho(F V^-1) of :func:`ngm_matrices`."""
     f, v = ngm_matrices(p, x)
-    return ngm_radius(f, v, determinant(v))
+    return ngm_radius(f[None], v[None], [determinant(v)])[0]
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,20 @@ threshold, which is explicit and scale-aware (a pivot below
 spectra are delegated to LAPACK's Hessenberg + shifted-QR path via
 ``numpy.linalg.eigvals``; non-convergence is re-raised, never swallowed.
 
+:func:`inverse`, :func:`eigenvalues` and the spectral abscissa and radius
+also take a stack (..., n, n): one elimination, or one LAPACK call, serves
+every matrix, and each gets the bits it would get alone.  The LU carries the
+right-hand sides as augmented columns, so there is no permutation vector and
+no separate forward sweep; of a stack, the first matrix whose pivot floor
+fails raises.
+
 All functions are pure: inputs are never mutated and results are freshly
 allocated, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 import numpy as np
 
@@ -53,10 +62,21 @@ def as_square(a):
     return m
 
 
+def as_squares(a):
+    """Validate and return ``a`` as a fresh float array of square matrices,
+    shape (..., n, n), with finite entries: one matrix or a stack of them."""
+    m = np.array(a, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if m.size and not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    return m
+
+
 def _pivot_floor(m):
-    # Scale-aware singularity threshold from the *initial* row norms.
-    scale = abs(m).sum(axis=1).max() if m.size else 0.0
-    return PIVOT_RTOL * max(scale, 1e-300)
+    # Scale-aware singularity threshold from the *initial* row norms, one per matrix.
+    scale = np.maximum.reduce(np.add.reduce(abs(m), axis=-1), axis=-1, initial=0.0)
+    return PIVOT_RTOL * np.maximum(scale, 1e-300)
 
 
 def determinant(a):
@@ -71,53 +91,63 @@ def determinant(a):
 def _lu_solve(m, b):
     """Solve M X = B by row-pivoted elimination, honouring the pivot threshold.
 
-    B is a vector or a matrix of right-hand-side columns.  Raises
-    :class:`SingularMatrixError` with the smallest pivot magnitude met when it
-    is at or below the scale-aware floor.
+    M is one matrix or a stack (..., n, n); B holds right-hand-side columns,
+    (n, c) for every member or (..., n, c) one per member.  B rides along
+    as augmented columns, so its rows swap and eliminate with those of M.
+    Each member gets the pivots, elementwise operations and back-substitution
+    products it would get alone.  The first member, in stack order, whose
+    smallest pivot magnitude is at or below its scale-aware floor raises
+    :class:`SingularMatrixError` with that pivot.
     """
-    lu = m.copy()
-    n = lu.shape[0]
-    perm = list(range(n))
-    min_pivot = np.inf
-    for k in range(n):
-        col = abs(lu[k:, k])
-        j = int(col.argmax())
-        piv = col[j]
-        min_pivot = min(min_pivot, piv)
-        if piv == 0.0:
-            break  # a vanished pivot column: singular whatever follows
-        if j:
-            lu[[k, k + j]] = lu[[k + j, k]]
-            perm[k], perm[k + j] = perm[k + j], perm[k]
-        if k + 1 < n:
-            lu[k + 1:, k] /= lu[k, k]
-            lu[k + 1:, k + 1:] -= lu[k + 1:, k, None] * lu[k, k + 1:]
-    if min_pivot <= _pivot_floor(m):
-        raise SingularMatrixError("matrix is singular to working precision", min_pivot)
-    x = b[perm]
-    low = lu if x.ndim == 1 else lu[..., None]  # column k of L times row k of x
-    for k in range(n - 1):        # forward: L y = P b
-        x[k + 1:] -= low[k + 1:, k] * x[k]
+    n, count, width = m.shape[-1], prod(m.shape[:-2]), m.shape[-1] + b.shape[-1]
+    aug = np.empty(m.shape[:-1] + (width,))
+    aug[..., :n] = m
+    aug[..., n:] = b
+    aug = aug.reshape(count, n, width)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero-pivot member raises below
+        for k in range(n):
+            j = abs(aug[:, k:, k]).argmax(axis=1)
+            if any(j.tolist()):  # bring each member's pivot row up to row k
+                rows = aug.reshape(count * n, width)  # row k of member i is rows[i * n + k]
+                src = np.arange(k, count * n, n) + j
+                top = rows[src]
+                rows[src] = aug[:, k]
+                aug[:, k] = top
+            if k + 1 < n:  # the multipliers are used once, then left behind
+                low = aug[:, k + 1:, k, None] / aug[:, k, None, k, None]
+                aug[:, k + 1:, k + 1:] -= low * aug[:, k, None, k + 1:]
+    # the pivots sit on the diagonal; fmin skips a NaN pivot, as a running min does
+    min_pivot = np.fmin.reduce(abs(aug.diagonal(axis1=1, axis2=2)), axis=-1, initial=np.inf)
+    bad = (min_pivot <= _pivot_floor(m).ravel()).tolist()
+    if True in bad:
+        raise SingularMatrixError("matrix is singular to working precision",
+                                  min_pivot[bad.index(True)])
+    x = aug[..., n:].copy()  # contiguous, so each product below takes the same BLAS path
     for k in range(n - 1, -1, -1):   # backward: U x = y
-        x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
-    return x
+        xk = x[:, k, None]
+        xk -= aug[:, k, None, k + 1:n] @ x[:, k + 1:]
+        xk /= aug[:, k, None, k, None]
+    return x.reshape(m.shape[:-1] + b.shape[-1:])
 
 
 def solve(a, b):
     """Solve A x = b through the pivoted LU, honouring the pivot threshold."""
-    return _lu_solve(as_square(a), np.array(b, dtype=float))
+    b = np.array(b, dtype=float)
+    return _lu_solve(as_square(a), b[:, None] if b.ndim == 1 else b).reshape(b.shape)
 
 
 def inverse(a):
-    """A^-1 with A * inverse(A) = I to inf-norm 1e-9 for well-scaled inputs."""
-    m = as_square(a)
-    return _lu_solve(m, np.eye(m.shape[0]))
+    """A^-1 with A * inverse(A) = I to inf-norm 1e-9 for well-scaled inputs;
+    one inverse per matrix of a stack (..., n, n), from one elimination."""
+    m = as_squares(a)
+    return _lu_solve(m, np.eye(m.shape[-1]))
 
 
 def eigenvalues(a):
-    """All n eigenvalues (with multiplicity) as a complex array."""
-    m = as_square(a)
-    n = m.shape[0]
+    """All n eigenvalues (with multiplicity) as a complex array, (..., n) for
+    a stack (..., n, n): one LAPACK call, each matrix factored as it would be alone."""
+    m = as_squares(a)
+    n = m.shape[-1]
     if n > MAX_EIG_DIM:
         raise DimensionError(f"eigenvalue solver limited to n <= {MAX_EIG_DIM}, got n={n}")
     try:
@@ -127,11 +157,11 @@ def eigenvalues(a):
 
 
 def spectral_abscissa(a):
-    """s(A): the maximum real part over the spectrum."""
-    return float(eigenvalues(a).real.max())
+    """s(A): the maximum real part over the spectrum; a list for a stack."""
+    return eigenvalues(a).real.max(axis=-1).tolist()
 
 
 def spectral_radius(a):
-    """rho(A): the maximum eigenvalue modulus."""
-    return float(abs(eigenvalues(a)).max())
+    """rho(A): the maximum eigenvalue modulus; a list for a stack."""
+    return abs(eigenvalues(a)).max(axis=-1).tolist()
 

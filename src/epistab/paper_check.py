@@ -29,11 +29,14 @@ Jacobian with its cubic (``splitting_matrices``, ``chi_cubic``, raising
 (``second_compound5_display``) and the three-compartment compound display
 (``j2_dfe_transcribed``).  Each NGM probe takes det V once, in one stacked
 LAPACK call: it is both the oracle of the det V claim and the divisor of
-a_c..d_c.
+a_c..d_c.  R0 = rho(F V^-1) at the five probes comes from one stacked LU
+and one stacked eigenvalue call (``covid.ngm_radius``).
 
 The probe states and the two parameter-free claims (the cubic conjugate
 pair and the 10x10 compound display) are fixed by ``SEED``: they are
 computed once per process and shared, read-only, by every report.
+``seeded_claims`` names those two claims, so the CLI can render their JSON
+once per process.
 """
 
 from __future__ import annotations
@@ -70,7 +73,8 @@ class ClaimResult(Record):
 def _claim(claim_id, pairs, tol, note=""):
     """Claim with the values of the first (paper, oracle) pair and the largest
     max|paper - oracle| over all pairs."""
-    diff = max(float(np.abs(pv - ov).max()) for pv, ov in pairs)
+    diff = max(float(abs(pv - ov)) if isinstance(pv, float) and isinstance(ov, float)
+               else float(np.abs(pv - ov).max()) for pv, ov in pairs)
     paper, oracle = pairs[0]
     return ClaimResult(claim_id=claim_id, paper_value=paper, oracle_value=oracle,
                        max_abs_diff=diff, verdict=MATCH if diff <= tol else FLAGGED, note=note)
@@ -287,11 +291,11 @@ def claim_endemic_ratios(p):
 
 
 def claim_ngm(p, probes):
-    fv = [covid.ngm_matrices(p, x) for x in probes]
-    vs = np.array([v for _, v in fv])  # LAPACK factors each matrix of a stack as it would alone
-    det_v = np.linalg.det(vs).tolist()
+    fs, vs = (np.array(a) for a in zip(*(covid.ngm_matrices(p, x) for x in probes)))
+    det_v = np.linalg.det(vs).tolist()  # LAPACK factors each matrix of a stack as it would alone
     minors = np.linalg.det(vs.reshape(len(vs), 25)[:, _MINORS]).tolist()
-    oracles = [(d, *m, covid.ngm_radius(f, v, d)) for (f, v), d, m in zip(fv, det_v, minors)]
+    r0 = covid.ngm_radius(fs, vs, det_v)
+    oracles = [(d, *m, r) for d, m, r in zip(det_v, minors, r0)]
     printed = [ngm_printed(p, x, d) for x, d in zip(probes, det_v)]
     return [_claim(claim_id, [(q[k], o[k]) for q, o in zip(printed, oracles)], 1e-8, note=note)
             for k, (claim_id, note) in enumerate((
@@ -385,6 +389,11 @@ def _seeded():
     for a in (canonical, probes, seir_states, compound.paper_value, compound.oracle_value):
         a.flags.writeable = False
     return (canonical, *probes), cubic, compound, seir_states
+
+
+def seeded_claims():
+    """The claims that depend on ``SEED`` alone: the same two objects in every report."""
+    return _seeded()[1:3]
 
 
 def build_report(p, sp=None):

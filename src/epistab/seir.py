@@ -13,7 +13,8 @@ mu > 0 check, ``Params.need_mu``; ``r0_seir`` also names a denominator that
 underflows to 0.  The stability report builds one det J and one J^[2] at
 the endemic point, for its own sections and the criterion verdicts, and
 applies the diagonal similarity P = diag(I2*, I1*, S*) to J^[2] as a
-scaling, p_i J^[2]_ij / p_j, with no inverse.
+scaling, p_i J^[2]_ij / p_j, with no inverse.  ``seir r0`` inverts the
+lower-triangular V in closed form, so no pivot floor refuses it.
 
 The record each ``seir`` command prints is built here: ``seir_r0_report``
 for ``seir r0`` (``r0_seir`` for each point of ``--sweep``),
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import model
 from .compound import add_compound
-from .linalg import determinant, inverse, spectral_radius
+from .linalg import determinant, spectral_radius
 from .lozinskii import MeasureKind, measure
 from .model import InfeasibleError
 from .stability import criterion_verdicts, dominance
@@ -114,10 +115,20 @@ def seir_ngm_matrices(p):
 
 
 def seir_r0_report(p):
-    """The ``seir r0`` record: R0 in closed form and the spectral radius of -F V^-1."""
+    """The ``seir r0`` record: R0 in closed form and the spectral radius of -F V^-1.
+
+    V = [[a, 0], [gamma, b]] is lower triangular, so V^-1 is taken in closed
+    form, [[1/a, -0], [-(gamma/a)/b, 1/b]], which are the bits the pivoted LU
+    gives wherever its pivot floor accepts V; a, b = -(mu+gamma), -(mu+d) are
+    nonzero for mu > 0.
+    """
     r0 = r0_seir(p)
     fm, vm = seir_ngm_matrices(p)
-    return {"r0": r0, "ngm_spectral_radius": spectral_radius(-fm @ inverse(vm))}
+    (a, _), (gamma, b) = vm.tolist()
+    ngm = -fm @ np.array([[1.0 / a, -0.0], [-(gamma / a) / b, 1.0 / b]])
+    if not np.isfinite(ngm).all():  # an overflow here is a numeric failure, not a bad input
+        raise ArithmeticError("next-generation matrix -F V^-1 is not finite")
+    return {"r0": r0, "ngm_spectral_radius": spectral_radius(ngm)}
 
 
 def dfe3(p):

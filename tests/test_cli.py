@@ -368,6 +368,67 @@ def test_seeded_paper_check_golden_bytes(tmp_path, capsys):
     assert shas == SEEDED_PAPER_CHECK_GOLDENS
 
 
+def test_seeded_paper_check_golden_bytes_twice_in_one_process(tmp_path, capsys):
+    # the second pass writes the seeded claims from their text rendered in the first
+    covid_path, seir_path = tmp_path / "covid.json", tmp_path / "seir.json"
+    for _ in range(2):
+        shas = []
+        for covid_params, seir_params in _seeded_paper_check_params():
+            covid_path.write_text(json.dumps(covid_params))
+            seir_path.write_text(json.dumps(seir_params))
+            assert main(["paper-check", "--config", str(covid_path),
+                         "--seir-config", str(seir_path)]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            shas.append(_sha256(out.encode()))
+        assert shas == SEEDED_PAPER_CHECK_GOLDENS
+
+
+def test_seeded_claims_are_rendered_once_per_process(covid_config, monkeypatch, capsys):
+    claims, nodes = paper_check.seeded_claims(), cli._seeded_claims()
+    assert main(["paper-check", "--config", covid_config]) == 0
+    first = capsys.readouterr().out
+    texts = [nodes[id(c)].text for c in claims]
+    assert texts == [cli._json(c.to_dict(), "\n  ") for c in claims]
+    assert all(text in first for text in texts)
+    rendered = []
+    original = cli._json
+
+    def spy(value, indent="\n"):
+        rendered.append(value)
+        return original(value, indent)
+
+    monkeypatch.setattr(cli, "_json", spy)
+    assert main(["paper-check", "--config", covid_config]) == 0
+    assert capsys.readouterr().out == first
+    assert all(nodes[id(c)].text is text for c, text in zip(claims, texts))
+    # every other claim is rendered anew, the seeded ones never
+    rendered_ids = [v["claim_id"] for v in rendered if isinstance(v, dict) and "claim_id" in v]
+    assert len(rendered_ids) == first.count('"claim_id"') - len(claims)
+    assert not {c.claim_id for c in claims} & set(rendered_ids)
+
+
+@pytest.mark.parametrize("command", ["r0", "stability", "paper-check"])
+def test_pivot_floor_refuses_v_at_mu_1e_minus_9(command, tmp_path, capsys):
+    # V is invertible at the disease-free point (det V > 0), but its (1,1)
+    # pivot mu is below 1e-13 of its largest row sum, which holds beta1*B/mu
+    assert main([command, "--config", _config(tmp_path, mu=1e-9)]) == 2
+    assert capsys.readouterr() == (
+        "", "numeric failure: matrix is singular to working precision (pivot magnitude 1.000e-09)\n")
+
+
+def test_seir_r0_with_mu_plus_gamma_far_below_mu_plus_d(tmp_path, capsys):
+    # V = [[-(mu+gamma), 0], [gamma, -(mu+d)]] is invertible; a pivoted LU's
+    # floor, 1e-13 of the largest row sum, would refuse its pivot 2e-15
+    path = tmp_path / "seir.json"
+    path.write_text(json.dumps({"Lambda": 0.7, "beta1": 0.3, "beta2": 0.8, "mu": 1e-15,
+                                "gamma": 1e-15, "d": 0.04}))
+    assert main(["seir", "r0", "--config", str(path)]) == 0
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert err == "" and rep["ngm_spectral_radius"] == pytest.approx(rep["r0"], rel=1e-12)
+
+
 # SHA-256 of stdout of the model commands off the README parameters: the
 # five-compartment ``r0`` and ``stability`` (all three measures) at
 # beta10 = 0.2 and 0.6 (a = beta1 - beta10 < 0), and the three-compartment

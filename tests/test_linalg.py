@@ -118,6 +118,42 @@ def test_inverse_and_solve_bytes_match_the_reference_lu():
     assert singular >= 30  # the pivot of the singular error is compared too
 
 
+def test_stacked_inverse_matches_the_reference_lu_member_by_member():
+    by_order = {}
+    for a in _lu_cases():
+        by_order.setdefault(a.shape[0], []).append(a)
+    rng = np.random.default_rng(8)
+    mixed = 0
+    for n, cases in by_order.items():
+        for _ in range(6):  # stacks of 2 or more cases of one order, in a seeded order
+            stack = np.array([cases[i] for i in rng.permutation(len(cases))[:rng.integers(2, 9)]])
+            want = [_lu_outcome(lu_solve, a, np.eye(n)) for a in stack]
+            regular = [w for w in want if type(w) is bytes]
+            failing = [k for k, w in enumerate(want) if type(w) is tuple]
+            if failing:  # the first failing member's pivot and message
+                assert _lu_outcome(inverse, stack) == want[failing[0]]
+                if failing[0]:  # the members before it, as a stack of their own
+                    assert [x.tobytes() for x in inverse(stack[:failing[0]])] == want[:failing[0]]
+            if regular:
+                ok = stack[[type(w) is bytes for w in want]]
+                assert [x.tobytes() for x in inverse(ok)] == regular
+                assert [x.tobytes() for x in inverse(ok[None])[0]] == regular
+            mixed += bool(regular) and bool(failing)
+    assert mixed >= 30
+
+
+def test_stacked_spectra_match_one_matrix_at_a_time():
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 5, 10):
+        stack = rng.normal(size=(7, n, n))
+        stack[0] = np.diag(rng.normal(size=n))  # a real spectrum among complex ones
+        assert spectral_radius(stack) == [spectral_radius(a) for a in stack]
+        assert spectral_abscissa(stack) == [spectral_abscissa(a) for a in stack]
+        assert eigenvalues(stack).shape == (7, n)
+    with pytest.raises(DimensionError):
+        inverse(np.zeros((2, 3, 4)))
+
+
 def test_eigenvalue_examples():
     assert match_multisets(eigenvalues(np.diag([1.0, 2.0, 3.0])), [1, 2, 3]) < 1e-9
     assert match_multisets(eigenvalues([[0.0, -1.0], [1.0, 0.0]]), [1j, -1j]) < 1e-9

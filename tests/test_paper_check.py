@@ -2,9 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from reference import lu_solve
 
 from epistab import covid, paper_check, seir
-from epistab.linalg import determinant
+from epistab.linalg import SingularMatrixError, determinant
 from epistab.paper_check import FLAGGED, MATCH, build_report, report_to_dicts
 
 
@@ -129,3 +130,61 @@ def test_seeded_parts_are_shared_and_read_only():
     for array in (*states, seir_states, compound.paper_value, compound.oracle_value):
         with pytest.raises(ValueError):
             array[0] = 1.0
+
+
+def _ngm_radius_per_probe(fs, vs, det_v):
+    """rho(F V^-1) one probe at a time: its det guard, then the reference LU."""
+    radii = []
+    for f, v, d in zip(fs, vs, det_v):
+        if abs(d) < 1e-300:
+            raise SingularMatrixError("transition matrix V is singular", abs(d))
+        radii.append(float(abs(np.linalg.eigvals(f @ lu_solve(v, np.eye(5)))).max()))
+    return radii
+
+
+def test_ngm_claims_and_r0_full_equal_the_per_probe_loop_bit_for_bit():
+    rng = np.random.default_rng(20261020)
+    base, states = covid.table_params(0.1).to_dict(), paper_check._seeded()[0]
+    for _ in range(1000):
+        factors = rng.uniform(0.5, 1.5, size=len(base))
+        p = covid.CovidParams(**{k: v * f for (k, v), f in zip(base.items(), factors)})
+        probes = [covid.dfe(p).state, *states]
+        fs, vs = zip(*(covid.ngm_matrices(p, x) for x in probes))
+        single = [[determinant(v)] + [determinant(np.delete(np.delete(v, i, 0), j, 1))
+                                      for i in (0, 1) for j in (0, 1)] for v in vs]
+        oracles = [s + [r] for s, r in zip(single, _ngm_radius_per_probe(fs, vs, [s[0] for s in single]))]
+        assert [covid.r0_full(p, x) for x in probes] == [o[5] for o in oracles]
+        printed = [paper_check.ngm_printed(p, x, o[0]) for x, o in zip(probes, oracles)]
+        claims = paper_check.claim_ngm(p, probes)
+        assert [c.claim_id[:10] for c in claims] == ["covid_ngm_"] * 6
+        for k, c in enumerate(claims):
+            diff = max(abs(q[k] - o[k]) for q, o in zip(printed, oracles))
+            assert (c.paper_value, c.oracle_value, c.max_abs_diff) == (printed[0][k], oracles[0][k], diff)
+            assert c.verdict == (MATCH if diff <= 1e-8 else FLAGGED)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except SingularMatrixError as exc:
+        return str(exc), exc.pivot
+
+
+@pytest.mark.parametrize("det_at", [None, 0, 1, 2, 3, 4])
+@pytest.mark.parametrize("pivot_at", [None, 0, 1, 2, 3, 4])
+def test_stacked_ngm_radius_raises_what_the_per_probe_loop_raises(det_at, pivot_at):
+    p = covid.table_params(0.1)
+    probes = [covid.dfe(p).state, *paper_check._seeded()[0]]
+    fs, vs = (np.array(a) for a in zip(*(covid.ngm_matrices(p, x) for x in probes)))
+    if pivot_at is not None:  # det V = 1e-14 passes the det guard, not the pivot floor
+        vs[pivot_at] = np.diag([1.0, 1.0, 1.0, 1.0, 1e-14])
+    if det_at is not None:  # a zero column: det V = 0 fails the det guard
+        vs[det_at][:, 4] = 0.0
+    det_v = np.linalg.det(vs).tolist()
+    want = _outcome(_ngm_radius_per_probe, fs, vs, det_v)
+    assert _outcome(covid.ngm_radius, fs, vs, det_v) == want
+    first = min(k for k in (det_at, pivot_at, 5) if k is not None)
+    assert type(want) is (list if first == 5 else tuple)
+    if first < 5:
+        assert want[0].startswith("transition matrix V is singular" if first == det_at
+                                  else "matrix is singular to working precision")

@@ -5,7 +5,7 @@ import epistab.seir as seir
 from epistab.compound import add_compound
 from epistab.model import jacobian_fd
 from epistab.paper_check import j2_dfe_transcribed
-from epistab.linalg import determinant, eigenvalues, inverse, spectral_radius
+from epistab.linalg import SingularMatrixError, determinant, eigenvalues, inverse, spectral_radius
 from epistab.lozinskii import MeasureKind, measure
 from epistab.stability import STABLE, dominance, li_wang_exact
 
@@ -29,6 +29,28 @@ def test_r0_anchor(seir_figure):
     fm, vm = seir.seir_ngm_matrices(seir_figure)
     assert abs(r0 - spectral_radius(-fm @ inverse(vm))) < 1e-10
     assert seir.r0_seir(seir_figure.replace(Lambda=0.0)) == 0.0
+
+
+def test_ngm_radius_takes_the_lu_bits_wherever_the_lu_accepts_v():
+    # mu and gamma down to 1e-17 put mu + gamma below 1e-13 (mu + d), where
+    # the pivot floor refuses V; the closed-form inverse of the triangular V
+    # must give the LU's bits everywhere else
+    rng = np.random.default_rng(20261021)
+    base = seir.figure_params().to_dict()
+    accepted = refused = 0
+    for _ in range(3000):
+        p = seir.SeirParams(**{k: v * 10.0 ** rng.uniform(-16, 1) for k, v in base.items()})
+        fm, vm = seir.seir_ngm_matrices(p)
+        try:
+            want = spectral_radius(-fm @ inverse(vm))
+        except SingularMatrixError:
+            refused += 1
+            assert seir.seir_r0_report(p)["ngm_spectral_radius"] == pytest.approx(
+                seir.r0_seir(p), rel=1e-9)
+            continue
+        assert seir.seir_r0_report(p)["ngm_spectral_radius"] == want
+        accepted += 1
+    assert accepted > 2000 and refused > 20
 
 
 def test_r0_decreasing_in_mu():
