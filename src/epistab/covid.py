@@ -16,8 +16,10 @@ which takes a stack of probes in one LU.  The R0-threshold verdict
 uses the criteria's dead band, ``stability.MARGIN``.
 
 State vectors are (E, I, C, H, D).  ``flows`` gives the five derivatives
-as a list; ``rhs`` packs them into a float64 array and broadcasts over
-leading axes, so batches of states integrate in one call.
+as a list; ``rhs`` packs them into a float64 array through
+``model.packed`` and broadcasts over leading axes, so batches of states
+integrate in one call: a batch's flows are taken on the component arrays
+of ``x.T`` and packed component-major by one ``np.array``.
 
 The record each model command prints is built here: ``r0_report`` for
 ``r0`` (``r0_reduced`` for each point of ``r0 --sweep``),

@@ -101,11 +101,13 @@ def _float(v):
 def packed(flows, p, x):
     """``flows(p, x)`` as a float64 (d,) or (..., d) array, for the state(s)
     ``x`` given through ``np.asarray``: a 1-D state as Python floats, a
-    (..., d) batch as its last-axis slices."""
+    (..., d) batch as the d component arrays of ``x.T``, whose flows one
+    ``np.array`` packs component-major and ``.T`` turns back to (..., d),
+    the same values in a layout that need not be C order."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         return np.array(flows(p, x.tolist()), dtype=float)
-    return np.stack(flows(p, [x[..., k] for k in range(x.shape[-1])]), axis=-1)
+    return np.array(flows(p, x.T)).T
 
 
 @dataclass(frozen=True)

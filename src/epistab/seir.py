@@ -9,8 +9,11 @@ from I2 = delta I1 with delta = gamma/(mu+d) and S* = (mu+gamma)/(beta1 +
 beta2 delta); ``delta``, ``beta_eff`` = beta1 + beta2 delta and the
 disease-free ``s_dfe`` = Lambda/mu are properties of :class:`SeirParams`,
 and ``s_dfe``, ``r0_seir`` and ``seir_ngm_matrices`` raise through the one
-mu > 0 check, ``Params.need_mu``; ``r0_seir`` also names a denominator that
-underflows to 0.  The stability report builds one det J and one J^[2] at
+mu > 0 check, ``Params.need_mu``; ``s_dfe`` also names a Lambda/mu that
+overflows to inf, and ``r0_seir`` a denominator that underflows to 0 or
+overflows to inf.  ``flows3`` gives the three derivatives as a list, and
+``rhs3`` packs them through ``model.packed`` as ``covid.rhs`` does, a batch
+component-major.  The stability report builds one det J and one J^[2] at
 the endemic point, for its own sections and the criterion verdicts, and
 applies the diagonal similarity P = diag(I2*, I1*, S*) to J^[2] as a
 scaling, p_i J^[2]_ij / p_j, with no inverse.  ``seir r0`` inverts the
@@ -55,9 +58,13 @@ class SeirParams(model.Params):
 
     @property
     def s_dfe(self):
-        """S at the disease-free point, Lambda/mu; it exists only for mu > 0."""
+        """S at the disease-free point, Lambda/mu; it exists only for mu > 0,
+        and a quotient that overflows (a subnormal mu) raises ArithmeticError."""
         self.need_mu("disease-free equilibrium")
-        return self.Lambda / self.mu
+        s = self.Lambda / self.mu
+        if s == np.inf:
+            raise ArithmeticError("disease-free S* = Lambda/mu overflows to inf")
+        return s
 
 
 def figure_params(mu=0.1):
@@ -96,12 +103,14 @@ def r0_seir(p):
     """R0 = Lambda*(beta1*(mu+d) + beta2*gamma) / (mu*(mu+d)*(mu+gamma)).
 
     A denominator that underflows to 0 (a subnormal mu passes the mu > 0
-    check) raises ArithmeticError naming it.
+    check) or overflows to inf raises ArithmeticError naming it.
     """
     p.need_mu("R0")
     den = p.mu * (p.mu + p.d) * (p.mu + p.gamma)
     if den == 0:
         raise ArithmeticError("R0 denominator mu*(mu+d)*(mu+gamma) underflows to 0")
+    if den == np.inf:
+        raise ArithmeticError("R0 denominator mu*(mu+d)*(mu+gamma) overflows to inf")
     return p.Lambda * (p.beta1 * (p.mu + p.d) + p.beta2 * p.gamma) / den
 
 

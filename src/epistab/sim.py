@@ -43,8 +43,9 @@ def integrate(f, x0, dt, t_end):
     (1-D ``x0``) keeps the RK4 sums on Python float lists, handing ``f`` a
     list of d floats and reading back a list (a model's flow function, the
     fast path) or a (d,) array, element by element on the same doubles; any
-    other shape, such as a batch of initial states (..., d), broadcasts
-    arrays through ``f`` and the sums.
+    other shape, such as a batch of initial states (..., d), runs
+    component-major: the sums run on (d, ...) arrays, laid out like a packed
+    right-hand side's ``.T``, and ``f`` gets and returns (..., d) arrays.
 
     Deterministic: identical inputs give bit-identical trajectories.
     """
@@ -70,15 +71,17 @@ def integrate(f, x0, dt, t_end):
 
 
 def _steps_arrays(f, x, dt, times, states):
+    half, sixth = dt / 2.0, dt / 6.0
+    x = np.array(x.T)
     for k in range(len(times) - 1):
-        k1 = f(x)
-        k2 = f(x + (dt / 2.0) * k1)
-        k3 = f(x + (dt / 2.0) * k2)
-        k4 = f(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = f(x.T).T
+        k2 = f((x + half * k1).T).T
+        k3 = f((x + half * k2).T).T
+        k4 = f((x + dt * k3).T).T
+        x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(x).all():
             raise DivergenceError(times[k + 1])
-        states[k + 1] = x
+        states[k + 1] = x.T
 
 
 def _steps_floats(f, x, dt, times, states):

@@ -11,6 +11,10 @@ reads a trajectory CSV back.  ``json_text`` (the standard library's
 row-pivoted LU written with ``np.outer`` and an index-array permutation) are
 the byte-for-byte oracles of the CLI's JSON writer and of ``linalg``'s LU.
 ``det4_block`` is a 4x4 determinant by Laplace expansion in 2x2 blocks.
+``packed_stacked`` and ``steps_arrays_state_major`` are the batch packer
+and the batch RK4 loop as they were written state-major, with ``np.stack``
+of last-axis slices: the byte oracles of ``epistab.model.packed`` and
+``epistab.sim._steps_arrays``.
 """
 
 import io
@@ -21,7 +25,7 @@ import numpy as np
 
 from epistab.linalg import DimensionError, SingularMatrixError, _pivot_floor, as_square
 from epistab.lozinskii import MeasureKind
-from epistab.sim import Trajectory
+from epistab.sim import DivergenceError, Trajectory
 
 _ORD = {MeasureKind.ONE: 1, MeasureKind.TWO: 2, MeasureKind.INF: np.inf}
 
@@ -71,6 +75,29 @@ def seir_rhs3_printed(p, x):
          force - (p.mu + p.gamma) * i1,
          p.gamma * i1 - (p.mu + p.d) * i2]
     return np.array(f) if single else np.stack(f, axis=-1)
+
+
+def packed_stacked(flows, p, x):
+    """``flows(p, x)`` as a float64 (d,) or (..., d) array, a batch packed
+    by ``np.stack`` of the flows of its last-axis slices."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return np.array(flows(p, x.tolist()), dtype=float)
+    return np.stack(flows(p, [x[..., k] for k in range(x.shape[-1])]), axis=-1)
+
+
+def steps_arrays_state_major(f, x, dt, times, states):
+    """The batch RK4 loop on (..., d) states, with ``epistab.sim._steps_arrays``'
+    signature."""
+    for k in range(len(times) - 1):
+        k1 = f(x)
+        k2 = f(x + (dt / 2.0) * k1)
+        k3 = f(x + (dt / 2.0) * k2)
+        k4 = f(x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(x).all():
+            raise DivergenceError(times[k + 1])
+        states[k + 1] = x
 
 
 def csv_per_row(traj, header):

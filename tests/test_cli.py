@@ -692,6 +692,29 @@ def test_seir_r0_denominator_underflow_is_named(command, tmp_path, capsys):
         "", "numeric failure: R0 denominator mu*(mu+d)*(mu+gamma) underflows to 0\n")
 
 
+@pytest.mark.parametrize("command", ["seir r0", "seir r0 --sweep mu=1.6e44:1.6e44:1"])
+def test_seir_r0_denominator_overflow_is_named(command, tmp_path, capsys):
+    # mu*(mu+d) overflows to inf, which would give R0 = 0.0 beside a positive
+    # NGM spectral radius
+    config = tmp_path / "seir.json"
+    config.write_text(json.dumps(figure_params().replace(mu=1.6e44, d=3.7e285).to_dict()))
+    assert main(command.split() + ["--config", str(config)]) == 2
+    assert capsys.readouterr() == (
+        "", "numeric failure: R0 denominator mu*(mu+d)*(mu+gamma) overflows to inf\n")
+
+
+@pytest.mark.parametrize("command", ["seir equilibria --config {seir}",
+                                     "paper-check --config {covid} --seir-config {seir}"])
+def test_seir_s_dfe_overflow_is_named(command, tmp_path, capsys):
+    # a subnormal mu passes the mu > 0 check; Lambda/mu overflows to inf
+    seir_config, covid_config = tmp_path / "seir.json", tmp_path / "covid.json"
+    seir_config.write_text(json.dumps(figure_params().replace(mu=5e-324).to_dict()))
+    covid_config.write_text(json.dumps(table_params(0.1).to_dict()))
+    assert main(command.format(seir=seir_config, covid=covid_config).split()) == 2
+    assert capsys.readouterr() == (
+        "", "numeric failure: disease-free S* = Lambda/mu overflows to inf\n")
+
+
 def _exit_case(exc, code, message, **kw):
     return pytest.param(exc, code, message, id=type(exc).__name__, **kw)
 

@@ -31,6 +31,20 @@ def test_r0_anchor(seir_figure):
     assert seir.r0_seir(seir_figure.replace(Lambda=0.0)) == 0.0
 
 
+def test_overflowing_quotients_raise_naming_them(seir_figure):
+    with pytest.raises(ArithmeticError, match=r"^disease-free S\* = Lambda/mu overflows to inf$"):
+        seir_figure.replace(mu=5e-324).s_dfe
+    with pytest.raises(ArithmeticError,
+                       match=r"^R0 denominator mu\*\(mu\+d\)\*\(mu\+gamma\) overflows to inf$"):
+        seir.r0_seir(seir_figure.replace(mu=1.6e44, d=3.7e285))
+    # the largest finite quotients still pass
+    largest = 1.7976931348623157e308
+    assert seir_figure.replace(Lambda=largest, mu=1.0).s_dfe == largest
+    big = seir_figure.replace(mu=1e100, d=1e100, gamma=1e100)
+    assert seir.r0_seir(big) == big.Lambda * (big.beta1 * 2e100 + big.beta2 * 1e100) / (
+        1e100 * 2e100 * 2e100)
+
+
 def test_ngm_radius_takes_the_lu_bits_wherever_the_lu_accepts_v():
     # mu and gamma down to 1e-17 put mu + gamma below 1e-13 (mu + d), where
     # the pivot floor refuses V; the closed-form inverse of the triangular V

@@ -6,10 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import covid_rhs_printed, csv_per_row, seir_rhs3_printed, trajectory_from_csv
+from reference import (
+    covid_rhs_printed,
+    csv_per_row,
+    packed_stacked,
+    seir_rhs3_printed,
+    steps_arrays_state_major,
+    trajectory_from_csv,
+)
 
 import epistab.covid as covid
 import epistab.seir as seir
+import epistab.sim as sim
+from epistab.model import jacobian_fd
 from epistab.sim import (
     DivergenceError,
     Trajectory,
@@ -279,14 +288,16 @@ def test_integrate_hands_a_single_state_to_f_as_a_list(covid_table):
     seen = []
 
     def f(x):
-        seen.append(type(x))
+        seen.append((type(x), np.shape(x)))
         return covid.rhs(covid_table, x)
 
     integrate(f, np.ones(5), dt=0.01, t_end=0.05)
-    assert seen == [list] * 20
-    seen.clear()
-    integrate(f, np.ones((2, 5)), dt=0.01, t_end=0.05)
-    assert seen == [np.ndarray] * 20
+    assert seen == [(list, (5,))] * 20
+    # a batch is handed over as an array of the batch's own shape (..., d)
+    for shape in ((2, 5), (3, 1, 5), (2, 3, 4, 5), (1, 5), (0, 5)):
+        seen.clear()
+        integrate(f, np.ones(shape), dt=0.01, t_end=0.05)
+        assert seen == [(np.ndarray, shape)] * 20
 
 
 # signed zeros, subnormals and negatives, on every component
@@ -335,6 +346,80 @@ def test_integrate_reads_a_list_or_an_array_from_f_with_the_same_bits(model):
             integrate(f, x0, dt=0.01, t_end=5.0)
         times.append(exc.value.time)
     assert times[0] == times[1] > 0.0
+
+
+def _special_batch(rng, shape):
+    """Uniform draws in [-3, 3) with about half the entries from ``_SPECIAL``."""
+    return np.where(rng.random(shape) < 0.5, rng.choice(_SPECIAL, shape),
+                    rng.uniform(-3.0, 3.0, shape))
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_batch_rhs_matches_the_stacking_packer_bytes(model):
+    rhs, make, dim = MODELS[model]
+    flows = FLOWS[model]
+    rng = np.random.default_rng(1010)
+    shapes = [(7, dim), (3, 4, dim), (2, 1, 3, dim), (1, dim), (0, dim), (dim, dim),
+              (4, dim, dim)]  # the last two are FD probe shapes (..., d, d)
+    zero_rates = make().replace(**{k: 0.0 for k in make().keys()})
+    for p in (make(), zero_rates, _draw_params(rng, model), _draw_params(rng, model)):
+        for shape in shapes:
+            x = _special_batch(rng, shape)
+            want = packed_stacked(flows, p, x)
+            got = rhs(p, x)
+            assert got.shape == want.shape == shape and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+            if model == "covid":
+                total = covid.sum_rate(p, x)
+                assert total.shape == shape[:-1]
+                assert total.tobytes() == np.sum(want, axis=-1).tobytes()
+        # the central-difference Jacobian of one state and of a batch
+        for x in (_special_batch(rng, dim), _special_batch(rng, (3, dim))):
+            want = jacobian_fd(lambda p, y: packed_stacked(flows, p, y), p, x)
+            assert jacobian_fd(rhs, p, x).tobytes() == want.tobytes()
+
+
+def _both_batch_loops(monkeypatch, f, x0, dt, steps):
+    """``integrate`` with the batch loop, then with the state-major reference
+    loop: each as its times and states bytes, or a blow-up's DivergenceError time."""
+    out = []
+    for loop in (sim._steps_arrays, steps_arrays_state_major):
+        with monkeypatch.context() as m:
+            m.setattr(sim, "_steps_arrays", loop)
+            try:
+                traj = integrate(f, x0, dt=dt, t_end=steps * dt)
+            except DivergenceError as exc:
+                out.append(exc.time)
+            else:
+                out.append((traj.times.tobytes(), traj.states.tobytes()))
+    return out
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_batch_loop_matches_the_state_major_loop_bytes(model, monkeypatch):
+    rhs, make, dim = MODELS[model]
+    shapes = [(4, dim), (2, 3, dim), (2, 1, 3, dim), (1, dim), (0, dim)]
+    for seed in range(1111, 1114):
+        rng = np.random.default_rng(seed)
+        p = _draw_params(rng, model)
+        dt = float(rng.choice([0.005, 0.01, 0.05]))
+        steps = int(rng.integers(20, 120))
+        # a model's rhs, one that returns a C-order array, and a linear f
+        fs = (lambda y: rhs(p, y), lambda y: np.ascontiguousarray(rhs(p, y)), lambda y: -0.3 * y)
+        for shape in shapes:
+            x0 = abs(_special_batch(rng, shape))
+            x0[..., 0] = -0.0
+            for f in fs:
+                got, want = _both_batch_loops(monkeypatch, f, x0, dt, steps)
+                assert type(got) is tuple and got == want
+    # a blow-up is reported at the same time by both loops
+    p = make()
+    for shape in ((3, dim), (2, 2, dim)):
+        x0 = np.ones(shape)
+        x0[-1] = 1e3
+        for f in (lambda y: rhs(p, y), lambda y: np.ascontiguousarray(rhs(p, y))):
+            got, want = _both_batch_loops(monkeypatch, f, x0, 0.01, 500)
+            assert type(got) is float and got == want > 0.01
 
 
 # SHA-256 of times.tobytes(), then of states.tobytes() for a single x0 and for
