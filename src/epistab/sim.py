@@ -3,10 +3,18 @@
 No adaptivity and no clipping: determinism matters more than speed here, and
 projecting states onto the positive cone would mask exactly the model defects
 the audits exist to surface.
+
+A single state of d components steps in a loop generated for that d
+(:func:`_float_kernel`, compiled once per d): its RK4 stages live in local
+Python floats, each stage hands ``f`` a list of d floats and unpacks exactly
+d values back, and the rows reach ``states`` a ``CHUNK`` at a time.  A batch
+of states steps on numpy arrays in the same operand order, so both give the
+same bits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,10 +48,12 @@ def integrate(f, x0, dt, t_end):
 
     ``f`` maps a state to its derivatives.  ``x0.ndim`` picks one of two
     paths with the same operand order, hence the same bits: a single state
-    (1-D ``x0``) keeps the RK4 sums on Python float lists, handing ``f`` a
-    list of d floats and reading back a list (a model's flow function, the
-    fast path) or a (d,) array, element by element on the same doubles; any
-    other shape, such as a batch of initial states (..., d), runs
+    (1-D ``x0`` of d components) runs the RK4 loop generated for d, which
+    keeps the stages in local Python floats, hands ``f`` a list of d floats
+    and unpacks exactly d values from what it returns, a list (a model's
+    flow function, the fast path) or a (d,) array; any other length is a
+    ValueError.  Its rows are written into ``states`` every ``CHUNK`` steps.
+    Any other shape, such as a batch of initial states (..., d), runs
     component-major: the sums run on (d, ...) arrays, laid out like a packed
     right-hand side's ``.T``, and ``f`` gets and returns (..., d) arrays.
 
@@ -65,7 +75,7 @@ def integrate(f, x0, dt, t_end):
     states[0] = x
     # blow-ups surface as DivergenceError, not as overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = _steps_floats if x.ndim == 1 else _steps_arrays
+        steps = _float_kernel(x.shape[0]) if x.ndim == 1 else _steps_arrays
         steps(f, x, dt, times, states)
     return Trajectory(times=times, states=states)
 
@@ -84,20 +94,58 @@ def _steps_arrays(f, x, dt, times, states):
         states[k + 1] = x.T
 
 
-def _steps_floats(f, x, dt, times, states):
-    """:func:`_steps_arrays` for one state, element by element on Python floats."""
+# rows go into ``states`` a chunk at a time, so the tuples held at once stay
+# bounded whatever the step count
+CHUNK = 512
+
+_KERNEL = """\
+def steps(f, x, dt, times, states):
     half, sixth = dt / 2.0, dt / 6.0
-    x = x.tolist()
-    for k in range(len(times) - 1):
-        k1 = f(x)
-        k2 = f([a + half * b for a, b in zip(x, k1)])
-        k3 = f([a + half * b for a, b in zip(x, k2)])
-        k4 = f([a + dt * b for a, b in zip(x, k3)])
-        x = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-        if not all(map(math.isfinite, x)):
-            raise DivergenceError(times[k + 1])
-        states[k + 1] = x
+    [{x}] = x.tolist()
+    n = len(times)
+    for start in range(1, n, CHUNK):
+        stop = min(start + CHUNK, n)
+        rows = []
+        append = rows.append
+        for k in range(start, stop):
+            [{k1}] = f([{x}])
+            [{k2}] = f([{x_k1}])
+            [{k3}] = f([{x_k2}])
+            [{k4}] = f([{x_k3}])
+            {update}
+            if not ({finite}):
+                raise DivergenceError(times[k])
+            append(({x}))
+        states[start:stop] = rows
+"""
+
+
+@functools.cache
+def _float_kernel(d):
+    """The single-state RK4 loop for states of ``d`` components, compiled once.
+
+    Like ``collections.namedtuple``, it fills a fixed source template, here
+    with ``d`` local float names per stage, and ``exec``s it: each stage calls
+    ``f`` with a list of d floats and unpacks exactly d values from its list
+    or (d,) array (a ValueError otherwise), and every sum keeps the operand
+    order ``x + half*k``, ``x + dt*k3``, ``x + sixth*(k1 + 2*k2 + 2*k3 + k4)``.
+    The text is built from the integer ``d`` alone.
+    """
+    def names(fmt):  # "x0, x1, " -- a valid list and tuple body for every d, 0 included
+        return "".join(fmt.format(i) + ", " for i in range(d))
+
+    source = _KERNEL.format(
+        x=names("x{0}"), k1=names("k1_{0}"), k2=names("k2_{0}"), k3=names("k3_{0}"),
+        k4=names("k4_{0}"), x_k1=names("x{0} + half * k1_{0}"),
+        x_k2=names("x{0} + half * k2_{0}"), x_k3=names("x{0} + dt * k3_{0}"),
+        update="\n            ".join(
+            f"x{i} = x{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
+            for i in range(d)),
+        finite=" and ".join(f"isfinite(x{i})" for i in range(d)) or "True")
+    namespace = {"CHUNK": CHUNK, "DivergenceError": DivergenceError,
+                 "isfinite": math.isfinite}
+    exec(compile(source, f"<RK4 kernel, d = {d}>", "exec"), namespace)
+    return namespace["steps"]
 
 
 def invariance_audit(traj, p):

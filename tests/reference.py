@@ -14,7 +14,10 @@ the byte-for-byte oracles of the CLI's JSON writer and of ``linalg``'s LU.
 ``packed_stacked`` and ``steps_arrays_state_major`` are the batch packer
 and the batch RK4 loop as they were written state-major, with ``np.stack``
 of last-axis slices: the byte oracles of ``epistab.model.packed`` and
-``epistab.sim._steps_arrays``.
+``epistab.sim._steps_arrays``.  ``steps_floats_listwise`` is the
+single-state RK4 loop written with one list comprehension per stage and a
+row write per step: the byte oracle of the generated kernels of
+``epistab.sim._float_kernel``.
 """
 
 import io
@@ -96,6 +99,23 @@ def steps_arrays_state_major(f, x, dt, times, states):
         k4 = f(x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(x).all():
+            raise DivergenceError(times[k + 1])
+        states[k + 1] = x
+
+
+def steps_floats_listwise(f, x, dt, times, states):
+    """The single-state RK4 loop on Python float lists, with the signature of
+    the kernels of ``epistab.sim._float_kernel``."""
+    half, sixth = dt / 2.0, dt / 6.0
+    x = x.tolist()
+    for k in range(len(times) - 1):
+        k1 = f(x)
+        k2 = f([a + half * b for a, b in zip(x, k1)])
+        k3 = f([a + half * b for a, b in zip(x, k2)])
+        k4 = f([a + dt * b for a, b in zip(x, k3)])
+        x = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+        if not all(map(isfinite, x)):
             raise DivergenceError(times[k + 1])
         states[k + 1] = x
 

@@ -14,6 +14,7 @@ import epistab.covid as covid
 import epistab.linalg as linalg
 import epistab.paper_check as paper_check
 import epistab.seir as seir
+import epistab.sim as sim
 import epistab.stability as stability
 from epistab import cubic_stability, figure_params, r0_reduced, table_params
 from epistab.cli import main
@@ -210,6 +211,17 @@ def test_readme_simulate_golden_bytes(model, covid_config, seir_config, tmp_path
     out, err = capsys.readouterr()
     assert (_sha256(out_csv.read_bytes()), _sha256(out.encode()),
             _sha256(err.encode())) == README_SIMULATE[model]
+
+
+def test_simulate_runs_compile_one_kernel_per_state_size(covid_config, seir_config, tmp_path):
+    sim._float_kernel.cache_clear()
+    for _ in range(2):
+        for argv in (["simulate", "--config", covid_config, "--x0", "1,1,1,1,1"],
+                     ["seir", "simulate", "--config", seir_config, "--x0", "1,0.5,0.2"]):
+            out = str(tmp_path / "traj.csv")
+            assert main(argv + ["--dt", "0.01", "--t-end", "1", "--out", out]) == 0
+    info = sim._float_kernel.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
 
 
 # the README's other examples: argv with {covid}, {seir}, {matrix} and {out}

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from reference import (
     packed_stacked,
     seir_rhs3_printed,
     steps_arrays_state_major,
+    steps_floats_listwise,
     trajectory_from_csv,
 )
 
@@ -420,6 +422,78 @@ def test_batch_loop_matches_the_state_major_loop_bytes(model, monkeypatch):
         for f in (lambda y: rhs(p, y), lambda y: np.ascontiguousarray(rhs(p, y))):
             got, want = _both_batch_loops(monkeypatch, f, x0, 0.01, 500)
             assert type(got) is float and got == want > 0.01
+
+
+def _kernel_and_listwise(monkeypatch, f, x0, dt, steps):
+    """``integrate`` on one state with the generated kernel, then with the
+    list-comprehension reference loop: each as its times and states bytes, or
+    a blow-up's DivergenceError time."""
+    out = []
+    for kernel in (sim._float_kernel, lambda d: steps_floats_listwise):
+        with monkeypatch.context() as m:
+            m.setattr(sim, "_float_kernel", kernel)
+            try:
+                traj = integrate(f, x0, dt=dt, t_end=steps * dt)
+            except DivergenceError as exc:
+                out.append(exc.time)
+            else:
+                assert traj.states.shape == (steps + 1, len(x0))
+                out.append((traj.times.tobytes(), traj.states.tobytes()))
+    return out
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 5, 8])
+def test_float_kernel_matches_the_listwise_loop_bytes(d, monkeypatch):
+    rng = np.random.default_rng(2500 + d)
+    a = -0.5 * np.eye(d) + rng.uniform(-0.2, 0.2, (d, d))
+    scale = rng.choice([-0.7, 0.3], d).tolist()
+    # a diagonal f and a coupled one returning lists, the coupled one as an array
+    fs = (lambda x: [c * v for c, v in zip(scale, x)], lambda x: (a @ x).tolist(), lambda x: a @ x)
+    x0 = rng.uniform(-2.0, 2.0, d)
+    x0[:2] = [-0.0, 0.0][:d]
+    x0[3:5] = [-0.0, -0.0][:max(d - 3, 0)]
+    # both sides of each flush of a CHUNK of rows
+    for steps in (1, sim.CHUNK - 1, sim.CHUNK, sim.CHUNK + 1, 2 * sim.CHUNK + 1):
+        dt = 0.01 if steps > 1 else 0.1
+        for f in fs:
+            got, want = _kernel_and_listwise(monkeypatch, f, x0, dt, steps)
+            assert type(got) is tuple and got == want
+    if d == 0:
+        return
+    # a blow-up at the first step, and one at each side of the first flush
+    square = lambda x: [v * v for v in x]
+    got, want = _kernel_and_listwise(monkeypatch, square, np.full(d, 1e160), 0.01, 5)
+    assert type(got) is float and got == want == 0.01
+    for row in (sim.CHUNK, sim.CHUNK + 1):
+        # the first component is a clock; the rest turn infinite once it
+        # passes (row - 0.3)*dt, which the last stage of step ``row`` does
+        clock = lambda x, t=(row - 0.3) * 0.01: [1.0] + [0.0 if x[0] < t else math.inf] * (d - 1)
+        as_array = lambda x, clock=clock: np.array(clock(x))
+        for f in (clock, as_array):
+            got, want = _kernel_and_listwise(monkeypatch, f, np.zeros(d), 0.01, 3 * sim.CHUNK)
+            if d > 1:
+                assert type(got) is float and got == want == row * 0.01
+            else:  # the clock alone never blows up
+                assert type(got) is tuple and got == want
+
+
+@pytest.mark.parametrize("d, lengths", [(2, (1, 3)), (3, (2, 4)), (5, (4, 6))])
+def test_integrate_refuses_an_f_of_the_wrong_length(d, lengths):
+    # the 1-D path (a list, or a (d,) array) and the batch path alike; a
+    # length-1 output is left out of the batch case, where it broadcasts
+    for m in lengths:
+        as_list = lambda x: [1.0] * m
+        as_array = lambda x: np.ones(np.shape(x)[:-1] + (m,))
+        for f, x0 in ((as_list, np.zeros(d)), (as_array, np.zeros(d)), (as_array, np.zeros((4, d)))):
+            if m == 1 and x0.ndim == 2:
+                continue
+            with pytest.raises(ValueError):
+                integrate(f, x0, dt=0.01, t_end=0.03)
+
+
+def test_float_kernel_is_compiled_once_per_state_size():
+    assert sim._float_kernel(5) is sim._float_kernel(5)
+    assert sim._float_kernel(3) is not sim._float_kernel(5)
 
 
 # SHA-256 of times.tobytes(), then of states.tobytes() for a single x0 and for
