@@ -6,10 +6,10 @@ equilibria are re-derived from it here, from rate groups that are
 properties of :class:`CovidParams`: a = beta1 - beta10, the I, C and H
 outflows alpha = beta2+beta6+beta8+mu, beta_c = beta3+beta5+mu and gamma_c =
 beta4+beta9+mu, and the disease-free ``e_dfe`` = B/mu.  ``e_dfe``, ``endemic``
-and ``r0_reduced`` raise through the one mu > 0 check, ``Params.need_mu``.
-Only ``det_jp0`` (with its grouping ``_beta_printed``) evaluates a closed
-form as printed in the source publication, because the stability report
-prints it; every other printed form lives in :mod:`epistab.paper_check`,
+and ``r0_reduced`` raise through the one mu > 0 check, ``Params.need_mu``;
+``e_dfe`` also names a B/mu that overflows to inf.  Only ``det_jp0`` (with
+its grouping ``_beta_printed``) evaluates a closed form as printed in the
+source publication, because the stability report prints it; every other printed form lives in :mod:`epistab.paper_check`,
 which diffs them against oracles.  The full-NGM R0, ``r0_full``, is the
 spectral radius of F V^-1 from ``ngm_matrices``, through ``ngm_radius``,
 which takes a stack of probes in one LU.  The R0-threshold verdict
@@ -78,9 +78,13 @@ class CovidParams(model.Params):
 
     @property
     def e_dfe(self):
-        """E at the disease-free point, B/mu; it exists only for mu > 0."""
+        """E at the disease-free point, B/mu; it exists only for mu > 0, and
+        a quotient that overflows (a subnormal mu) raises ArithmeticError."""
         self.need_mu("disease-free equilibrium")
-        return self.B / self.mu
+        e = self.B / self.mu
+        if e == np.inf:
+            raise ArithmeticError("disease-free E* = B/mu overflows to inf")
+        return e
 
 
 def table_params(beta10):

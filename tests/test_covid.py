@@ -137,9 +137,21 @@ def test_each_mu_guard_keeps_its_message_at_mu_0(call, message):
 
 
 def test_nan_residual_fails_the_gate(covid_table):
-    # B/mu overflows to inf, so rhs at the point is NaN and the gate inf
+    # at E = inf the rhs is NaN (inf*0, inf - inf) and the gate inf
+    p = covid_table.replace(B=1e300, mu=1e-300)
     with pytest.raises(ArithmeticError, match="residual nan"):
-        covid.dfe(covid_table.replace(B=1e300, mu=1e-300))
+        model.equilibrium(covid.rhs, p, np.array([np.inf, 0.0, 0.0, 0.0, 0.0]), "dfe")
+
+
+def test_overflowing_disease_free_quotient_raises_naming_it(covid_table):
+    for p in (covid_table.replace(B=1e300, mu=1e-300), covid_table.replace(mu=5e-324)):
+        with pytest.raises(ArithmeticError, match=r"^disease-free E\* = B/mu overflows to inf$"):
+            p.e_dfe
+        with pytest.raises(ArithmeticError, match=r"^disease-free E\* = B/mu overflows to inf$"):
+            covid.dfe(p)
+    # the largest finite quotient still passes
+    largest = 1.7976931348623157e308
+    assert covid_table.replace(B=largest, mu=1.0).e_dfe == largest
 
 
 def test_derived_groups(covid_table):

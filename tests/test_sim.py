@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -479,14 +480,12 @@ def test_float_kernel_matches_the_listwise_loop_bytes(d, monkeypatch):
 
 @pytest.mark.parametrize("d, lengths", [(2, (1, 3)), (3, (2, 4)), (5, (4, 6))])
 def test_integrate_refuses_an_f_of_the_wrong_length(d, lengths):
-    # the 1-D path (a list, or a (d,) array) and the batch path alike; a
-    # length-1 output is left out of the batch case, where it broadcasts
+    # the 1-D path (a list, or a (d,) array) and the batch path alike, a
+    # batch output of length 1 included, which would broadcast
     for m in lengths:
         as_list = lambda x: [1.0] * m
         as_array = lambda x: np.ones(np.shape(x)[:-1] + (m,))
         for f, x0 in ((as_list, np.zeros(d)), (as_array, np.zeros(d)), (as_array, np.zeros((4, d)))):
-            if m == 1 and x0.ndim == 2:
-                continue
             with pytest.raises(ValueError):
                 integrate(f, x0, dt=0.01, t_end=0.03)
 
@@ -494,6 +493,101 @@ def test_integrate_refuses_an_f_of_the_wrong_length(d, lengths):
 def test_float_kernel_is_compiled_once_per_state_size():
     assert sim._float_kernel(5) is sim._float_kernel(5)
     assert sim._float_kernel(3) is not sim._float_kernel(5)
+
+
+def _listwise(f, x0, dt, steps):
+    """The list-comprehension reference loop on one state, as ``integrate``
+    would return it: its times and states bytes, or a DivergenceError time."""
+    times = np.arange(steps + 1) * dt
+    states = np.empty((steps + 1, len(x0)))
+    states[0] = x0
+    try:
+        steps_floats_listwise(f, np.array(x0, dtype=float), dt, times, states)
+    except DivergenceError as exc:
+        return exc.time
+    return times.tobytes(), states.tobytes()
+
+
+def _run(f, x0, dt, steps):
+    try:
+        traj = integrate(f, x0, dt=dt, t_end=steps * dt)
+    except DivergenceError as exc:
+        return exc.time
+    return traj.times.tobytes(), traj.states.tobytes()
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_inlined_kernel_matches_the_listwise_loop_bytes(model):
+    _, make, dim = MODELS[model]
+    flows = FLOWS[model]
+    assert sim._inlined_kernel(flows)[0] == dim
+    for seed in range(2601, 2611):
+        rng = np.random.default_rng(seed)
+        p = _draw_params(rng, model)
+        f = functools.partial(flows, p)
+        assert sim._single_state_kernel(f, dim) is sim._inlined_kernel(flows)[1]
+        dt = float(rng.choice([0.005, 0.01, 0.05]))
+        steps = int(rng.choice([1, sim.CHUNK - 1, sim.CHUNK, sim.CHUNK + 1, 700]))
+        x0 = abs(np.where(rng.random(dim) < 0.5, rng.choice(_SPECIAL, dim), rng.uniform(0, 3, dim)))
+        x0[rng.integers(dim)] = -0.0
+        got = _run(f, x0, dt, steps)
+        assert type(got) is tuple and got == _listwise(f, x0, dt, steps)
+    # a blow-up: the same DivergenceError time as the call path and the reference
+    p = make()
+    x0 = np.full(dim, 1e3) if model == "seir" else np.array([1e160, 1e160, 0.0, 0.0, 0.0])
+    f = functools.partial(flows, p)
+    got = _run(f, x0, 0.01, 500)
+    assert type(got) is float and got == _run(lambda x: flows(p, x), x0, 0.01, 500)
+    assert got == _listwise(f, x0, 0.01, 500)
+
+
+def _flows_with_a_swap(p, x):
+    a, b = x
+    a, b = p.rate * b, a  # its values read its targets, so it stays one statement
+    return [a - b, b]
+
+
+def test_inlined_kernel_of_any_flow_function_of_that_shape_keeps_the_bits():
+    p = types.SimpleNamespace(rate=-0.7)
+    f = functools.partial(_flows_with_a_swap, p)
+    d, kernel = sim._inlined_kernel.__wrapped__(_flows_with_a_swap)
+    assert d == 2
+    for x0 in ([1.0, -0.0], [-0.0, 2.5], [0.3, 1e-310]):
+        times = np.arange(301) * 0.01
+        states = np.empty((301, 2))
+        states[0] = x0
+        kernel(f, np.array(x0), 0.01, times, states)
+        assert (times.tobytes(), states.tobytes()) == _listwise(f, x0, 0.01, 300)
+
+
+def _flows_calling_a_global(p, x):
+    a, b = x
+    return [math.exp(a), p.rate * b]
+
+
+def _flows_of_the_wrong_length(p, x):
+    a, b = x
+    return [p.rate * a]
+
+
+def test_only_a_partial_of_a_model_flow_function_is_inlined(monkeypatch):
+    p = covid.table_params(0.1)
+    call_path = sim._float_kernel(5)
+    for f in (lambda x: covid.flows(p, x), functools.partial(covid.flows, p=p),
+              functools.partial(lambda p, x: covid.flows(p, x), p)):
+        assert sim._single_state_kernel(f, 5) is call_path
+    # a wrong length takes the call path, and its ValueError
+    assert sim._single_state_kernel(functools.partial(covid.flows, p), 3) is sim._float_kernel(3)
+    for model, x0 in (("covid", np.zeros(3)), ("seir", np.zeros(5))):
+        f = functools.partial(FLOWS[model], MODELS[model][1]())
+        with pytest.raises(ValueError):
+            integrate(f, x0, dt=0.01, t_end=0.03)
+    # source of another shape, and source that cannot be read, are not inlined
+    build = sim._inlined_kernel.__wrapped__
+    assert build(_flows_calling_a_global) is None and build(_flows_of_the_wrong_length) is None
+    assert build(covid.flows)[0] == 5
+    monkeypatch.setattr(sim.linecache, "getlines", lambda filename: [])
+    assert build(covid.flows) is None and build(seir.flows3) is None
 
 
 # SHA-256 of times.tobytes(), then of states.tobytes() for a single x0 and for
