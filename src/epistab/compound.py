@@ -11,12 +11,18 @@ leftover index of ((i)) and r that of ((j)).  This orientation reproduces the
 standard closed-form templates for n = 3, 4, 5 and satisfies
 A^[k] = d/dh C_k(I + hA) at h = 0.
 
-Both builders read an index plan cached per (n, k) and built once from
+Both builders read index arrays cached per (n, k) and built once from
 :func:`lex_tuples` alone: a tuple's rank is its position in that list.
-C_k(A) gathers the k x k blocks a few plan rows at a time, each chunk's
-stack within ``_STACK_BYTES``, and takes their minors over the stack (closed
-forms for k <= 3, batched LAPACK determinants for k >= 4); A^[k] is one
-scatter assignment plus the diagonal sums.
+For k <= 3, C_k(A) has one rule: each minor is expanded along its first row
+over C_{k-1}(A), starting from C_1(A) = A,
+
+    det A(alpha|beta) = sum_s (-1)^s a[alpha_1, beta_s] det A(alpha - alpha_1 | beta - beta_s),
+
+with the terms summed left to right, a few plan columns at a time.  For
+k >= 4 it gathers the k x k blocks a few plan rows at a time and takes
+batched LAPACK determinants, whose pivoting keeps the stability that a
+Laplace expansion loses as k grows.  A^[k] is one scatter assignment plus
+the diagonal sums.
 """
 
 from __future__ import annotations
@@ -28,8 +34,9 @@ import numpy as np
 
 from .linalg import as_square
 
-# bytes of one gathered stack of k x k blocks in mult_compound; a 10x10
-# matrix at k = 3 (1,036,800 bytes) still takes a single chunk
+# bytes of one chunk's working arrays in mult_compound: the gathered stack of
+# k x k blocks for k >= 4, or the two factors of an expansion term for k <= 3
+# (a single chunk up to n = 12 at k = 3)
 _STACK_BYTES = 2**20
 
 
@@ -40,11 +47,23 @@ def lex_tuples(n, k):
     return list(itertools.combinations(range(1, n + 1), k))
 
 
+def _frozen(rows, width):
+    a = np.array(rows, dtype=np.intp).reshape(-1, width)
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=64)
-def _plan(n, k):
-    """The (n, k) plan: ``idx``, the tuples 0-based in rank order, and ``scatter``,
-    (row, col, i, j, sign) for each off-diagonal entry of A^[k], whose row and
-    column tuples share all but one index; i and j are the leftover indices."""
+def _index(n, k):
+    """(C(n,k), k): the k-tuples, 0-based, in rank order."""
+    return _frozen([[i - 1 for i in t] for t in lex_tuples(n, k)], k)
+
+
+@lru_cache(maxsize=64)
+def _scatter(n, k):
+    """(5, m): (row, col, i, j, sign) for each off-diagonal entry of A^[k],
+    whose row and column tuples share all but one index; i and j are the
+    leftover indices."""
     tups = lex_tuples(n, k)
     rank = {t: r for r, t in enumerate(tups)}
     scatter = []
@@ -55,44 +74,56 @@ def _plan(n, k):
                     col = tuple(sorted(t[:s] + t[s + 1:] + (j,)))
                     sign = (-1) ** (s + col.index(j))
                     scatter.append((row, rank[col], i - 1, j - 1, sign))
-    idx = np.array(tups, dtype=np.intp) - 1
-    scatter = np.array(scatter, dtype=np.intp).reshape(-1, 5).T
-    idx.flags.writeable = scatter.flags.writeable = False
-    return idx, scatter
+    return _frozen(scatter, 5).T
 
 
-def _minors(b):
-    """Determinants of the k x k blocks on the last two axes of ``b``."""
-    k = b.shape[-1]
-    if k == 1:
-        return b[..., 0, 0]
-    if k == 2:
-        return b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0]
-    if k == 3:
-        return (
-            b[..., 0, 0] * (b[..., 1, 1] * b[..., 2, 2] - b[..., 1, 2] * b[..., 2, 1])
-            - b[..., 0, 1] * (b[..., 1, 0] * b[..., 2, 2] - b[..., 1, 2] * b[..., 2, 0])
-            + b[..., 0, 2] * (b[..., 1, 0] * b[..., 2, 1] - b[..., 1, 1] * b[..., 2, 0])
-        )
-    return np.linalg.det(b)
+@lru_cache(maxsize=64)
+def _drops(n, k):
+    """(k, C(n,k)) ranks among the (k-1)-tuples: row s holds, for each k-tuple
+    in rank order, the rank of the tuple with its position s removed."""
+    rank = {t: r for r, t in enumerate(lex_tuples(n, k - 1))}
+    return _frozen([[rank[t[:s] + t[s + 1:]] for s in range(k)] for t in lex_tuples(n, k)], k).T
 
 
 def mult_compound(a, k):
     """C_k(A): the C(n,k) x C(n,k) matrix of all k x k minors det A(alpha|beta)."""
-    m = as_square(a)
-    idx, _ = _plan(m.shape[0], k)
+    return _mult(as_square(a), k)
+
+
+def _mult(m, k):
+    """C_k(M) of an already validated square M, C-contiguous."""
+    idx = _index(m.shape[0], k)
+    if k == 1:
+        return np.ascontiguousarray(m)
     size = len(idx)
     out = np.empty((size, size))
-    rows = max(1, _STACK_BYTES // (size * k * k * m.itemsize))  # plan rows per chunk
-    for r in range(0, size, rows):
-        out[r:r + rows] = _minors(m[idx[r:r + rows, None, :, None], idx[None, :, None, :]])
+    if k > 3:
+        rows = max(1, _STACK_BYTES // (size * k * k * m.itemsize))  # plan rows per chunk
+        for r in range(0, size, rows):
+            out[r:r + rows] = np.linalg.det(m[idx[r:r + rows, None, :, None], idx[None, :, None, :]])
+        return out
+    # the first-row expansion over C_{k-1}(A), a few plan columns at a time; term s
+    # multiplies a[alpha_1, beta_s] by C_{k-1}(A) at (alpha's tail, beta without beta_s)
+    prev, drop = _mult(m, k - 1), _drops(m.shape[0], k)
+    cols = max(1, _STACK_BYTES // (2 * size * m.itemsize))  # plan columns per chunk
+    for c in range(0, size, cols):
+        acc = out[:, c:c + cols]
+        for s in range(k):
+            term = m.take(idx[c:c + cols, s], axis=1).take(idx[:, 0], axis=0)
+            term *= prev.take(drop[s, c:c + cols], axis=1).take(drop[0], axis=0)
+            if s == 0:
+                acc[...] = term
+            elif s % 2:
+                acc -= term
+            else:
+                acc += term
     return out
 
 
 def add_compound(a, k):
     """A^[k]: the k-th additive compound."""
     m = as_square(a)
-    idx, (row, col, i, j, sign) = _plan(m.shape[0], k)
+    idx, (row, col, i, j, sign) = _index(m.shape[0], k), _scatter(m.shape[0], k)
     out = np.zeros((len(idx), len(idx)))
     out[row, col] = sign * m[i, j]  # assignment: a negated 0.0 stays -0.0
     # diagonal sums in tuple order from 0.0, so a lone -0.0 term gives 0.0

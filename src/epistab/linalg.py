@@ -12,7 +12,8 @@ also take a stack (..., n, n): one elimination, or one LAPACK call, serves
 every matrix, and each gets the bits it would get alone.  The LU carries the
 right-hand sides as augmented columns, so there is no permutation vector and
 no separate forward sweep; of a stack, the first matrix whose pivot floor
-fails raises.
+fails raises.  Several blocks of right-hand sides can share one elimination,
+each back-substituted on its own, so each gets the bits it would get alone.
 
 All functions are pure: inputs are never mutated and results are freshly
 allocated, so values can be shared freely across threads.
@@ -20,6 +21,7 @@ allocated, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import prod
 
 import numpy as np
@@ -88,21 +90,28 @@ def determinant(a):
     return float(np.linalg.det(as_square(a)))
 
 
-def _lu_solve(m, b):
-    """Solve M X = B by row-pivoted elimination, honouring the pivot threshold.
+def _lu_solve(m, *bs):
+    """Solve M X = B for each block B of right-hand-side columns by one
+    row-pivoted elimination, honouring the pivot threshold; one X per block.
 
-    M is one matrix or a stack (..., n, n); B holds right-hand-side columns,
-    (n, c) for every member or (..., n, c) one per member.  B rides along
-    as augmented columns, so its rows swap and eliminate with those of M.
-    Each member gets the pivots, elementwise operations and back-substitution
-    products it would get alone.  The first member, in stack order, whose
-    smallest pivot magnitude is at or below its scale-aware floor raises
-    :class:`SingularMatrixError` with that pivot.
+    M is one matrix or a stack (..., n, n); each B is (n, c) for every member
+    or (..., n, c) one per member.  The blocks ride along as augmented
+    columns, so their rows swap and eliminate with those of M; the row
+    operations are elementwise, so a column's bits do not depend on what
+    else rides along.  Each block is then back-substituted on its own
+    contiguous copy, so each member and block get the pivots, elementwise
+    operations and back-substitution products they would get alone.  The
+    first member, in stack order, whose smallest pivot magnitude is at or
+    below its scale-aware floor raises :class:`SingularMatrixError` with
+    that pivot.
     """
-    n, count, width = m.shape[-1], prod(m.shape[:-2]), m.shape[-1] + b.shape[-1]
+    n, count = m.shape[-1], prod(m.shape[:-2])
+    ends = list(accumulate([n, *(b.shape[-1] for b in bs)]))  # block j is columns ends[j]:ends[j+1]
+    width = ends[-1]
     aug = np.empty(m.shape[:-1] + (width,))
     aug[..., :n] = m
-    aug[..., n:] = b
+    for b, lo, hi in zip(bs, ends, ends[1:]):
+        aug[..., lo:hi] = b
     aug = aug.reshape(count, n, width)
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero-pivot member raises below
         for k in range(n):
@@ -122,25 +131,30 @@ def _lu_solve(m, b):
     if True in bad:
         raise SingularMatrixError("matrix is singular to working precision",
                                   min_pivot[bad.index(True)])
-    x = aug[..., n:].copy()  # contiguous, so each product below takes the same BLAS path
-    for k in range(n - 1, -1, -1):   # backward: U x = y
-        xk = x[:, k, None]
-        xk -= aug[:, k, None, k + 1:n] @ x[:, k + 1:]
-        xk /= aug[:, k, None, k, None]
-    return x.reshape(m.shape[:-1] + b.shape[-1:])
+    xs = []
+    for lo, hi in zip(ends, ends[1:]):
+        x = aug[..., lo:hi].copy()  # contiguous, so each product below takes the same BLAS path
+        for k in range(n - 1, -1, -1):   # backward: U x = y
+            xk = x[:, k, None]
+            xk -= aug[:, k, None, k + 1:n] @ x[:, k + 1:]
+            xk /= aug[:, k, None, k, None]
+        xs.append(x.reshape(m.shape[:-1] + (hi - lo,)))
+    return xs
 
 
 def solve(a, b):
     """Solve A x = b through the pivoted LU, honouring the pivot threshold."""
     b = np.array(b, dtype=float)
-    return _lu_solve(as_square(a), b[:, None] if b.ndim == 1 else b).reshape(b.shape)
+    x, = _lu_solve(as_square(a), b[:, None] if b.ndim == 1 else b)
+    return x.reshape(b.shape)
 
 
 def inverse(a):
     """A^-1 with A * inverse(A) = I to inf-norm 1e-9 for well-scaled inputs;
     one inverse per matrix of a stack (..., n, n), from one elimination."""
     m = as_squares(a)
-    return _lu_solve(m, np.eye(m.shape[-1]))
+    inv, = _lu_solve(m, np.eye(m.shape[-1]))
+    return inv
 
 
 def eigenvalues(a):

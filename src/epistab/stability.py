@@ -32,10 +32,9 @@ import numpy as np
 from .compound import add_compound, mult_compound
 from .linalg import (
     SingularMatrixError,
+    _lu_solve,
     as_square,
     determinant,
-    inverse,
-    solve,
     spectral_abscissa,
     spectral_radius,
 )
@@ -328,23 +327,23 @@ def m_matrix(a):
     ``dominant_after_scaling`` looks for a positive diagonal scaling D with
     A D strictly row dominant with positive diagonal, taking d_j = x_j from
     the solve A x = e.  ``inverse_nonnegative`` tolerates entries down to
-    -1e-10.  A singular matrix reports False flags with a note instead of
-    raising.
+    -1e-10.  A^-1 and x come from one elimination of [A | I | e], each with
+    the bits of ``inverse(A)`` and ``solve(A, e)``.  A singular matrix
+    reports False flags with a note instead of raising.
     """
     m = as_square(a)
     n = m.shape[0]
     z_pattern = bool((m - np.diag(np.diag(m)) <= 0).all())
     # stops at the first minor <= 0; a NaN minor (overflow) does not stop it
-    minors_pos = not any(determinant(m[:k, :k]) <= 0 for k in range(1, n + 1))
+    minors_pos = not any(np.linalg.det(m[:k, :k]) <= 0 for k in range(1, n + 1))
     flags = dict(z_pattern=z_pattern, leading_minors_positive=minors_pos,
                  is_nonsingular_m=z_pattern and minors_pos)
     try:
-        inv = inverse(m)
+        inv, x = _lu_solve(m, np.eye(n), np.ones((n, 1)))
     except SingularMatrixError:
         return MMatrixFlags(**flags, inverse_nonnegative=False, dominant_after_scaling=False,
                             note="singular: inverse-based conditions reported false")
-    # same elimination as inverse(m), so it passes the same pivot floor
-    x = solve(m, np.ones(n))
+    x = x[:, 0]
     dominant_scaled = False
     if (x > 0).all():
         scaled = m * x  # columns scaled by x_j

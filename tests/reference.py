@@ -11,6 +11,9 @@ reads a trajectory CSV back.  ``json_text`` (the standard library's
 row-pivoted LU written with ``np.outer`` and an index-array permutation) are
 the byte-for-byte oracles of the CLI's JSON writer and of ``linalg``'s LU.
 ``det4_block`` is a 4x4 determinant by Laplace expansion in 2x2 blocks.
+``mult_compound_closed`` builds C_k(A) for k <= 3 from the gathered k x k
+blocks and the closed-form minors that ``epistab.compound`` evaluated before
+it expanded along the first row: its byte oracle.
 ``packed_stacked`` and ``steps_arrays_state_major`` are the batch packer
 and the batch RK4 loop as they were written state-major, with ``np.stack``
 of last-axis slices: the byte oracles of ``epistab.model.packed`` and
@@ -26,6 +29,7 @@ from math import isfinite
 
 import numpy as np
 
+from epistab.compound import lex_tuples
 from epistab.linalg import DimensionError, SingularMatrixError, _pivot_floor, as_square
 from epistab.lozinskii import MeasureKind
 from epistab.sim import DivergenceError, Trajectory
@@ -209,3 +213,28 @@ def det4_block(a):
         - d(1, 3, 0, 1) * d(0, 2, 2, 3)
         + d(2, 3, 0, 1) * d(0, 1, 2, 3)
     )
+
+
+def minors_closed(b):
+    """Determinants of the k x k blocks (k <= 3) on the last two axes of ``b``,
+    each in closed form."""
+    k = b.shape[-1]
+    if k == 1:
+        return b[..., 0, 0]
+    if k == 2:
+        return b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0]
+    if k == 3:
+        return (
+            b[..., 0, 0] * (b[..., 1, 1] * b[..., 2, 2] - b[..., 1, 2] * b[..., 2, 1])
+            - b[..., 0, 1] * (b[..., 1, 0] * b[..., 2, 2] - b[..., 1, 2] * b[..., 2, 0])
+            + b[..., 0, 2] * (b[..., 1, 0] * b[..., 2, 1] - b[..., 1, 1] * b[..., 2, 0])
+        )
+    raise ValueError(f"closed-form minors only for k <= 3, got k={k}")
+
+
+def mult_compound_closed(a, k):
+    """C_k(A) for k <= 3: each plan row's k x k blocks gathered and their
+    closed-form minors taken, one row at a time so memory stays small."""
+    m = as_square(a)
+    idx = np.array(lex_tuples(m.shape[0], k)) - 1
+    return np.array([minors_closed(m[rows[:, None], idx[:, None, :]]) for rows in idx])

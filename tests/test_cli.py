@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from reference import trajectory_from_csv
+from reference import mult_compound_closed, trajectory_from_csv
 
 import epistab.cli as cli
 import epistab.compound as compound
@@ -661,6 +661,24 @@ def test_non_finite_output_exit_2(covid_config, tmp_path, capsys):
         with pytest.raises(ArithmeticError):
             cli._emit({"x": [1.0, bad]})
         assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_multiplicative_compound_overflow_exit_2(k, tmp_path, capsys):
+    # entries near 1e155: the products overflow to inf and meet as inf - inf
+    a = np.random.default_rng(214).choice([-1.0, 1.0], size=(4, 4)) * 1e155
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = mult_compound_closed(a, k)
+    value = want[~np.isfinite(want)][0]
+    mat = tmp_path / "m.txt"
+    mat.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning would reach stderr
+        assert main(["compound", "--matrix", str(mat), "--k", str(k),
+                     "--mode", "multiplicative"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"numeric failure: non-finite entry {value} in the compound\n"
 
 
 @pytest.mark.parametrize("command", ["stability", "paper-check"])

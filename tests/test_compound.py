@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from reference import mult_compound_closed
 
 from epistab.compound import (
     _STACK_BYTES,
@@ -59,17 +60,55 @@ def test_mult_compound_matches_direct_minors():
 
 def test_mult_compound_memory_is_bounded():
     rng = np.random.default_rng(207)
-    for n, k in ((8, 4), (10, 4), (10, 5)):
+    # C(19,3)**2 = 938,961 entries, under the CLI's size cap
+    for n, k in ((8, 4), (10, 4), (10, 5), (16, 2), (16, 3), (19, 2), (19, 3)):
         a = rng.normal(size=(n, n))
-        idx = np.array(lex_tuples(n, k)) - 1
-        whole = np.linalg.det(a[idx[:, None, :, None], idx[None, :, None, :]])
+        if k > 3:
+            idx = np.array(lex_tuples(n, k)) - 1
+            want = np.linalg.det(a[idx[:, None, :, None], idx[None, :, None, :]])
+        else:
+            want = mult_compound_closed(a, k)
         tracemalloc.start()
         out = mult_compound(a, k)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert out.tobytes() == whole.tobytes()
+        assert out.tobytes() == want.tobytes()
         # the whole gathered stack would take len(idx)**2 * k*k * 8 bytes
         assert peak < out.nbytes + 3 * _STACK_BYTES, (n, k, peak)
+
+
+def _edge_matrix(rng, n, case):
+    """Seeded n x n matrices whose compounds hold signed zeros, subnormals,
+    or products that overflow to inf and then meet as inf - inf = NaN."""
+    a = rng.normal(size=(n, n))
+    if case == "zeros":
+        a.flat[rng.integers(0, n * n, size=n)] = -0.0
+        a.flat[rng.integers(0, n * n, size=n)] = 0.0
+    elif case == "subnormal":
+        a *= 10.0 ** rng.uniform(-310, -300, size=(n, n))
+    elif case == "overflow":
+        a = rng.choice([-1.0, 1.0], size=(n, n)) * rng.uniform(0.5, 2.0, size=(n, n)) * 1e155
+    return a
+
+
+def test_mult_compound_bytes_match_the_closed_forms():
+    # the first-row expansion over C_{k-1} evaluates each closed-form term in
+    # the same order, so every bit agrees: -0.0, subnormals, inf and NaN included
+    rng = np.random.default_rng(213)
+    seen = {"nonfinite": 0, "negzero": 0, "subnormal": 0}
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for n in range(1, 13):
+            for case in ("plain", "zeros", "subnormal", "overflow"):
+                a = _edge_matrix(rng, n, case)
+                for k in range(1, min(3, n) + 1):
+                    want = mult_compound_closed(a, k)
+                    for out in (mult_compound(a, k), mult_compound(np.asfortranarray(a), k)):
+                        assert out.flags.c_contiguous
+                        assert out.tobytes() == want.tobytes(), (n, case, k)
+                    seen["nonfinite"] += int((~np.isfinite(want)).sum())
+                    seen["negzero"] += int(((want == 0) & np.signbit(want)).sum())
+                    seen["subnormal"] += int(((want != 0) & (abs(want) < np.finfo(float).tiny)).sum())
+    assert all(seen.values()), seen
 
 
 def test_add_compound_examples():

@@ -5,6 +5,7 @@ from reference import det4_block, lu_solve
 from epistab.linalg import (
     DimensionError,
     SingularMatrixError,
+    _lu_solve,
     as_matrix,
     determinant,
     eigenvalues,
@@ -140,6 +141,23 @@ def test_stacked_inverse_matches_the_reference_lu_member_by_member():
                 assert [x.tobytes() for x in inverse(ok[None])[0]] == regular
             mixed += bool(regular) and bool(failing)
     assert mixed >= 30
+
+
+def test_lu_blocks_keep_the_bits_they_get_alone():
+    # several right-hand-side blocks share one elimination; each block's
+    # solution has the bytes of a solve with that block alone
+    rng = np.random.default_rng(9)
+    for n in range(1, 11):
+        for lead in ((), (3,)):
+            a = rng.normal(size=lead + (n, n)) * 10.0 ** rng.uniform(-3, 3)
+            blocks = (np.eye(n), np.ones((n, 1)), rng.normal(size=lead + (n, 2)))
+            together = _lu_solve(a, *blocks)
+            assert len(together) == len(blocks)
+            for x, b in zip(together, blocks):
+                alone, = _lu_solve(a, b)
+                assert x.shape == alone.shape and x.tobytes() == alone.tobytes()
+    with pytest.raises(SingularMatrixError):
+        _lu_solve(np.ones((3, 3)), np.eye(3), np.ones((3, 1)))
 
 
 def test_stacked_spectra_match_one_matrix_at_a_time():

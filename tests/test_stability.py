@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
+import epistab.linalg as linalg
+import epistab.stability as stability
 from epistab.cli import _json
 from epistab.compound import add_compound
-from epistab.linalg import determinant, eigenvalues, spectral_abscissa, spectral_radius
+from epistab.linalg import (
+    determinant,
+    eigenvalues,
+    inverse,
+    solve,
+    spectral_abscissa,
+    spectral_radius,
+)
 from epistab.stability import (
     INCONCLUSIVE,
     ONE_REAL_TWO_COMPLEX,
@@ -330,6 +339,34 @@ def test_m_matrix_singular_is_reported_not_raised():
     flags = m_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
     assert not flags.inverse_nonnegative
     assert "singular" in flags.note
+    # rank 3 of 4: the Z-pattern and minor flags are still evaluated
+    a = np.array([[2.0, -1.0, 0.0, -1.0], [-1.0, 2.0, -1.0, 0.0],
+                  [0.0, -1.0, 2.0, -1.0], [-1.0, 0.0, -1.0, 2.0]])
+    flags = m_matrix(a)
+    assert flags.z_pattern and not flags.inverse_nonnegative and not flags.dominant_after_scaling
+    assert flags.note == "singular: inverse-based conditions reported false"
+
+
+def test_m_matrix_takes_one_elimination(monkeypatch):
+    # A^-1 and the scaling solve A x = 1 share one LU of [A | I | 1], and each
+    # has the bits that inverse and solve give on their own
+    lu, calls = linalg._lu_solve, []
+
+    def spy(*args):
+        calls.append(lu(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(linalg, "_lu_solve", spy)
+    monkeypatch.setattr(stability, "_lu_solve", spy, raising=False)
+    rng = np.random.default_rng(411)
+    for n in range(1, 11):
+        for a in (_random_dominant_z(rng, n), rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3)):
+            calls.clear()
+            m_matrix(a)
+            assert len(calls) == 1
+            inv, x = calls[0]
+            assert inv.tobytes() == inverse(a).tobytes()
+            assert x.ravel().tobytes() == solve(a, np.ones(n)).tobytes()
 
 
 def _random_dominant_z(rng, n):
