@@ -20,6 +20,13 @@ is a numeric failure, and nothing is printed.  The two seeded
 ``paper-check`` claims, the same objects in every report, are rendered once
 per process (with the finiteness check) and their text reused.
 
+``r0 --sweep`` takes R0 at all its points in one call, on a record whose
+swept field holds the points as an array (``model.Params.batch``), and
+writes its rows with one ``%`` format per ``SWEEP_BLOCK`` rows; elementwise
+float64 arithmetic gives each point the bits it gets alone.  Where any
+point fails, the points are taken one by one, and the first failing point
+raises what it raises alone, its message ending in `` at name=value``.
+
 Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 infeasible request.
 """
 
@@ -49,6 +56,8 @@ EXIT_INFEASIBLE = 3
 
 # cap on sweep points, trajectory rows and compound entries, checked before allocating
 MAX_SIZE = 10**6
+# sweep rows per % format: bounds the Python floats alive at once on a long sweep
+SWEEP_BLOCK = 1 << 16
 
 
 class UsageError(Exception):
@@ -151,7 +160,7 @@ def _parse_sweep(text):
         raise UsageError("sweep needs positive step and lo <= hi")
     count = np.floor((hi - lo) / step + 1e-9) + 1
     _check_size("sweep points", count)
-    return name.strip(), [lo + k * step for k in range(int(count))]
+    return name.strip(), lo + np.arange(int(count)) * step
 
 
 def _write_text(path, text):
@@ -190,14 +199,39 @@ def _cmd_equilibria(args):
     _emit(args.model.equilibria(_load_params(args)))
 
 
-def _sweep_csv(name, values, fn):
-    lines = [f"{name},R0"]
-    for v in values:
-        r0 = fn(v)
-        if not isfinite(r0):  # as in the JSON commands: exit 2, nothing written
-            raise ArithmeticError(f"non-finite R0 {r0} at {name}={v:.12g}")
-        lines.append(f"{v:.12g},{r0:.12g}")
-    return "\n".join(lines) + "\n"
+def _sweep_csv(name, values, p, r0):
+    """The sweep CSV of ``r0`` over the points ``values`` of parameter
+    ``name`` in the record ``p``: one call on ``p.batch(name, values)``,
+    or point by point where any point fails."""
+    try:
+        r0s = r0(p.batch(name, values))
+        ok = np.isfinite(r0s).all()
+    except (ValueError, ArithmeticError):
+        ok = False
+    if not ok:
+        r0s = _sweep_points(name, values, p, r0)
+    # an R0 that does not read the swept parameter is one float
+    table = np.column_stack((values, np.broadcast_to(r0s, values.shape)))
+    parts = [f"{name},R0\n"]
+    for k in range(0, len(table), SWEEP_BLOCK):
+        block = table[k:k + SWEEP_BLOCK]
+        parts.append(("%.12g,%.12g\n" * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(parts)
+
+
+def _sweep_points(name, values, p, r0):
+    """R0 at each point from its own record; the first failing point raises."""
+    r0s = []
+    for v in values.tolist():
+        try:
+            value = r0(p.replace(**{name: v}))
+        except (ValueError, ArithmeticError) as exc:
+            exc.args = (f"{exc} at {name}={v:.12g}",)
+            raise
+        if not isfinite(value):  # as in the JSON commands: exit 2, nothing written
+            raise ArithmeticError(f"non-finite R0 {value} at {name}={v:.12g}")
+        r0s.append(value)
+    return r0s
 
 
 def _cmd_r0(args):
@@ -209,7 +243,7 @@ def _cmd_r0(args):
         name, values = _parse_sweep(args.sweep)
         if name not in m.params.keys():
             raise UsageError(f"unknown sweep parameter {name!r}")
-        _write_text(args.out, _sweep_csv(name, values, lambda v: m.r0(p.replace(**{name: v}))))
+        _write_text(args.out, _sweep_csv(name, values, p, m.r0))
     else:
         _emit(m.r0_report(p))
 
@@ -268,7 +302,7 @@ class _Model:
     name: str
     params: type            # a model.Params subclass
     compartments: tuple     # order of --x0 and of the trajectory CSV columns
-    r0: Callable            # p -> R0, evaluated along ``r0 --sweep``
+    r0: Callable            # p -> R0; on a batch record, every ``r0 --sweep`` point at once
     r0_report: Callable     # p -> the ``r0`` record
     equilibria: Callable    # p -> the ``equilibria`` record
     stability: Callable     # p -> the ``stability`` record, with per-equilibrium "verdicts"

@@ -22,7 +22,7 @@ integrate in one call: a batch's flows are taken on the component arrays
 of ``x.T`` and packed component-major by one ``np.array``.
 
 The record each model command prints is built here: ``r0_report`` for
-``r0`` (``r0_reduced`` for each point of ``r0 --sweep``),
+``r0`` (``r0_reduced`` on a batch record for all points of ``r0 --sweep``),
 ``equilibria_report`` for ``equilibria`` and ``stability_report`` for
 ``stability``; ``simulate`` integrates ``flows``.
 """
@@ -199,11 +199,13 @@ def r0_reduced(p):
     """Basic reproduction number from the reduced 2x2 infected subsystem.
 
     R0 = beta1 * B / (alpha * mu + beta10 * B), the spectral radius of the
-    reduced next-generation matrix at the disease-free point.
+    reduced next-generation matrix at the disease-free point.  A batch
+    record (``Params.batch``) gives an array with each point's bits, and
+    fails when any point fails; a float record gives a float.
     """
     p.need_mu("R0")
     den = p.alpha * p.mu + p.beta10 * p.B
-    if den <= 0:
+    if (bad := den <= 0) is not False and (bad is True or bad.any()):
         raise InfeasibleError("reduced R0 undefined: alpha*mu + beta10*B vanishes")
     return p.beta1 * p.B / den
 

@@ -9,11 +9,18 @@ with the one mu > 0 check, ``Params.need_mu``; residual-gated equilibria,
 population states and the central-difference Jacobian that serves as the
 ground-truth oracle, taken with the fixed step ``FD_STEP``.  ``Record`` is
 the base of every result record and holds its one JSON rule, ``to_dict``.
+
+``Params.batch`` gives a record whose one swept field holds a float64
+array: the formulas and guards that a swept R0 reads (``need_mu``,
+``covid.r0_reduced``, ``seir.r0_seir``) run on it elementwise, so each
+point gets the bits it gets alone, and a guard fails when any point fails
+it.  Only ``r0 --sweep`` builds one; every other command takes float records.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -55,12 +62,13 @@ class Params(Record):
     MISSING_NOTE = ""
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
+        for k in self.keys():
+            v = getattr(self, k)
             if not math.isfinite(v) or v < 0:
-                raise ValueError(f"parameter {f.name} must be finite and >= 0, got {v}")
+                raise ValueError(f"parameter {k} must be finite and >= 0, got {v}")
 
     @classmethod
+    @functools.cache
     def keys(cls):
         """Parameter names in field order."""
         return tuple(f.name for f in fields(cls))
@@ -83,12 +91,27 @@ class Params(Record):
 
     def need_mu(self, what):
         """The one mu > 0 rule: ``what`` (a quantity that divides by mu)
-        raises ValueError unless mu > 0."""
-        if self.mu <= 0:
+        raises ValueError unless mu > 0, on a batch at every point.  A float
+        mu that passes costs one comparison and one identity test."""
+        if (bad := self.mu <= 0) is not False and (bad is True or bad.any()):
             raise ValueError(f"{what} needs mu > 0")
 
     def replace(self, **kw):
         return dataclasses.replace(self, **kw)
+
+    def batch(self, name, values):
+        """This record with field ``name`` holding ``values`` as a float64
+        array, validated once by ``__post_init__``'s rule (finite and >= 0);
+        the other fields keep their validated floats."""
+        if name not in self.keys():
+            raise ValueError(f"unknown parameter {name}")
+        values = np.asarray(values, dtype=float)
+        ok = (values >= 0) & (values < math.inf)  # also fails NaN
+        if not ok.all():
+            raise ValueError(f"parameter {name} must be finite and >= 0, got {values[~ok][0]}")
+        out = object.__new__(type(self))  # no __init__: the float fields are already checked
+        vars(out).update(vars(self), **{name: values})
+        return out
 
 
 def _float(v):

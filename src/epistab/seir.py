@@ -20,7 +20,7 @@ scaling, p_i J^[2]_ij / p_j, with no inverse.  ``seir r0`` inverts the
 lower-triangular V in closed form, so no pivot floor refuses it.
 
 The record each ``seir`` command prints is built here: ``seir_r0_report``
-for ``seir r0`` (``r0_seir`` for each point of ``--sweep``),
+for ``seir r0`` (``r0_seir`` on a batch record for all points of ``--sweep``),
 ``seir_equilibria`` for ``seir equilibria`` and ``seir_stability`` for
 ``seir stability``; ``seir simulate`` integrates ``flows3``.
 """
@@ -103,13 +103,15 @@ def r0_seir(p):
     """R0 = Lambda*(beta1*(mu+d) + beta2*gamma) / (mu*(mu+d)*(mu+gamma)).
 
     A denominator that underflows to 0 (a subnormal mu passes the mu > 0
-    check) or overflows to inf raises ArithmeticError naming it.
+    check) or overflows to inf raises ArithmeticError naming it.  A batch
+    record (``Params.batch``) gives an array with each point's bits, and
+    fails when any point fails; a float record gives a float.
     """
     p.need_mu("R0")
     den = p.mu * (p.mu + p.d) * (p.mu + p.gamma)
-    if den == 0:
+    if (bad := den == 0) is not False and (bad is True or bad.any()):
         raise ArithmeticError("R0 denominator mu*(mu+d)*(mu+gamma) underflows to 0")
-    if den == np.inf:
+    if (bad := den == np.inf) is not False and (bad is True or bad.any()):
         raise ArithmeticError("R0 denominator mu*(mu+d)*(mu+gamma) overflows to inf")
     return p.Lambda * (p.beta1 * (p.mu + p.d) + p.beta2 * p.gamma) / den
 

@@ -20,7 +20,9 @@ of last-axis slices: the byte oracles of ``epistab.model.packed`` and
 ``epistab.sim._steps_arrays``.  ``steps_floats_listwise`` is the
 single-state RK4 loop written with one list comprehension per stage and a
 row write per step: the byte oracle of the generated kernels of
-``epistab.sim._float_kernel``.
+``epistab.sim._float_kernel``.  ``sweep_csv_per_point`` is the ``r0 --sweep``
+CSV built one point at a time, each R0 from its own record and each row by
+its own format: the byte oracle of ``epistab.cli._sweep_csv``.
 """
 
 import io
@@ -129,6 +131,24 @@ def csv_per_row(traj, header):
     lines = [header]
     for t, state in zip(traj.times.tolist(), traj.states.tolist()):
         lines.append(",".join("%.12g" % v for v in [t] + state))
+    return "\n".join(lines) + "\n"
+
+
+def sweep_csv_per_point(name, values, p, r0):
+    """The sweep CSV of ``r0`` over the points ``values`` of parameter
+    ``name`` in the record ``p``, with ``epistab.cli._sweep_csv``'s
+    signature; the first failing point raises, its message ending in
+    `` at name=value``."""
+    lines = [f"{name},R0"]
+    for v in values.tolist():
+        try:
+            value = r0(p.replace(**{name: v}))
+        except (ValueError, ArithmeticError) as exc:
+            exc.args = (f"{exc} at {name}={v:.12g}",)
+            raise
+        if not isfinite(value):
+            raise ArithmeticError(f"non-finite R0 {value} at {name}={v:.12g}")
+        lines.append(f"{v:.12g},{value:.12g}")
     return "\n".join(lines) + "\n"
 
 

@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from reference import mult_compound_closed, trajectory_from_csv
+from reference import mult_compound_closed, sweep_csv_per_point, trajectory_from_csv
 
 import epistab.cli as cli
 import epistab.compound as compound
@@ -719,22 +719,98 @@ def test_cubic_quotient_overflow_names_the_quotient(coeffs, message, capsys):
                                      "seir stability"])
 def test_seir_r0_denominator_underflow_is_named(command, tmp_path, capsys):
     # a subnormal mu passes the mu > 0 check; mu*(mu+d)*(mu+gamma) underflows to 0
+    point = " at mu=4.94065645841e-324" if "--sweep" in command else ""
     config = tmp_path / "seir.json"
     config.write_text(json.dumps(figure_params().replace(mu=5e-324).to_dict()))
     assert main(command.split() + ["--config", str(config)]) == 2
     assert capsys.readouterr() == (
-        "", "numeric failure: R0 denominator mu*(mu+d)*(mu+gamma) underflows to 0\n")
+        "", f"numeric failure: R0 denominator mu*(mu+d)*(mu+gamma) underflows to 0{point}\n")
 
 
 @pytest.mark.parametrize("command", ["seir r0", "seir r0 --sweep mu=1.6e44:1.6e44:1"])
 def test_seir_r0_denominator_overflow_is_named(command, tmp_path, capsys):
     # mu*(mu+d) overflows to inf, which would give R0 = 0.0 beside a positive
     # NGM spectral radius
+    point = " at mu=1.6e+44" if "--sweep" in command else ""
     config = tmp_path / "seir.json"
     config.write_text(json.dumps(figure_params().replace(mu=1.6e44, d=3.7e285).to_dict()))
     assert main(command.split() + ["--config", str(config)]) == 2
     assert capsys.readouterr() == (
-        "", "numeric failure: R0 denominator mu*(mu+d)*(mu+gamma) overflows to inf\n")
+        "", f"numeric failure: R0 denominator mu*(mu+d)*(mu+gamma) overflows to inf{point}\n")
+
+
+def _sweep_against_reference(argv, capsys, monkeypatch):
+    """(exit code, stdout, stderr) of ``argv``, checked equal to those of the
+    per-point reference sweep."""
+    got = (main(argv), *capsys.readouterr())
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_sweep_csv", sweep_csv_per_point)
+        want = (main(argv), *capsys.readouterr())
+    assert got == want
+    return got
+
+
+@pytest.mark.parametrize("model, name", [("covid", k) for k in covid.CovidParams.keys()]
+                         + [("seir", k) for k in seir.SeirParams.keys()])
+def test_sweep_bytes_match_the_per_point_reference(model, name, tmp_path, capsys, monkeypatch):
+    p = table_params(0.1) if model == "covid" else figure_params()
+    config = tmp_path / "params.json"
+    config.write_text(json.dumps(p.to_dict()))
+    rng = np.random.default_rng([2804, len(name), ord(name[-1])])
+    monkeypatch.setattr(cli, "SWEEP_BLOCK", 1000)  # 4097 rows take five % formats
+    for count in (1, 2, 60, 4097):
+        lo = getattr(p, name) * rng.uniform(0.5, 1.5)
+        step = getattr(p, name) * rng.uniform(0.5, 1.5) / count
+        spec = f"{name}={lo!r}:{lo + (count - 0.5) * step!r}:{step!r}"
+        with monkeypatch.context() as m:  # a good sweep never takes the per-point path
+            m.setattr(cli, "_sweep_points", None)
+            code, out, err = _sweep_against_reference(
+                ["seir"] * (model == "seir") + ["r0", "--config", str(config), "--sweep", spec],
+                capsys, monkeypatch)
+        assert (code, err) == (0, "") and len(out.splitlines()) == count + 1
+
+
+# (model, config changes, sweep, exit code, the failing point, or "" for none)
+SWEEP_EDGES = [
+    ("covid", {}, "mu=5e-324:2.5e-323:5e-324", 0, ""),
+    ("covid", {}, "beta1=0:2e-323:5e-324", 0, ""),
+    ("covid", {}, "beta1=1e300:9e300:1e300", 0, ""),
+    ("covid", {"beta10": 0.0}, "B=1e300:1e301:1e300", 0, ""),
+    ("seir", {}, "beta2=5e-324:2.5e-323:5e-324", 0, ""),
+    ("seir", {}, "Lambda=1e300:9e300:1e300", 0, ""),
+    # the first point fails
+    ("covid", {}, "mu=-0.02:0.05:0.01", 1, "mu=-0.02"),
+    ("covid", {}, "mu=0:0.05:0.01", 1, "mu=0"),
+    ("covid", {"beta2": 0.0, "beta6": 0.0, "beta8": 0.0, "beta10": 0.0},
+     "mu=5e-324:0.01:0.001", 3, "mu=4.94065645841e-324"),
+    ("covid", {}, "beta1=3e307:1.5e308:1e307", 2, "beta1=3e+307"),
+    ("seir", {}, "gamma=-1:1:0.5", 1, "gamma=-1"),
+    ("seir", {}, "mu=0:1:0.1", 1, "mu=0"),
+    ("seir", {}, "mu=5e-324:1:0.1", 2, "mu=4.94065645841e-324"),
+    ("seir", {}, "mu=1e103:1e104:1e103", 2, "mu=1e+103"),
+    ("seir", {}, "Lambda=5e306:1e308:1e306", 2, "Lambda=5e+306"),
+    # point k+1 fails after k good points
+    # the sweep's second point rounds past the largest float to inf
+    ("covid", {}, "B=7.976931349623157e+307:1.7976931348623157e+308:1e308", 1, "B=inf"),
+    ("covid", {}, "beta1=1e307:1.5e308:1e307", 2, "beta1=3e+307"),
+    ("seir", {}, "mu=1e102:1e103:1e102", 2, "mu=6e+102"),
+    ("seir", {}, "Lambda=1e306:1e308:1e306", 2, "Lambda=5e+306"),
+]
+
+
+@pytest.mark.parametrize("model, changes, sweep, code, point", SWEEP_EDGES)
+def test_sweep_edges_match_the_per_point_reference(model, changes, sweep, code, point, tmp_path,
+                                                   capsys, monkeypatch):
+    p = (table_params(0.1) if model == "covid" else figure_params()).replace(**changes)
+    config = tmp_path / "params.json"
+    config.write_text(json.dumps(p.to_dict()))
+    out_csv = tmp_path / "sweep.csv"
+    argv = ["seir"] * (model == "seir") + ["r0", "--config", str(config), "--sweep", sweep]
+    if not point:  # a good sweep never takes the per-point path
+        monkeypatch.setattr(cli, "_sweep_points", None)
+    got = _sweep_against_reference(argv, capsys, monkeypatch)
+    assert got[0] == code and (got[2].endswith(f" at {point}\n") if point else got[2] == "")
+    assert (main(argv + ["--out", str(out_csv)]) == 0) == out_csv.exists()
 
 
 @pytest.mark.parametrize("command", ["seir equilibria --config {seir}",

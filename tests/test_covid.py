@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,53 @@ def test_r0_monotone_decreasing_in_mu(covid_table):
     values = [covid.r0_reduced(covid_table.replace(mu=0.005 + 0.015 * k))
               for k in range(50)]
     assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def test_batch_record_validates_its_points_once(covid_table):
+    b = covid_table.batch("beta1", [0.1, 0.0, 0.2])
+    assert type(b) is covid.CovidParams
+    assert b.beta1.dtype == float and b.beta1.tolist() == [0.1, 0.0, 0.2]
+    assert dict(vars(b), beta1=None) == dict(vars(covid_table), beta1=None)
+    for bad, shown in ((-0.1, "-0.1"), (np.inf, "inf"), (np.nan, "nan")):
+        with pytest.raises(ValueError, match=f"^parameter beta1 must be finite and >= 0, got {shown}$"):
+            covid_table.batch("beta1", [0.1, bad, -1.0])
+    with pytest.raises(ValueError, match="^unknown parameter bogus$"):
+        covid_table.batch("bogus", [0.1])
+
+
+@pytest.mark.parametrize("name", covid.CovidParams.keys())
+def test_r0_reduced_batch_has_each_points_bits(covid_table, name):
+    rng = np.random.default_rng([2802, covid.CovidParams.keys().index(name)])
+    extra = [5e-324] if name == "mu" else [5e-324, 0.0, 1e300]
+    values = np.concatenate([getattr(covid_table, name) * rng.uniform(0.1, 10.0, 61), extra])
+    got = covid.r0_reduced(covid_table.batch(name, values))
+    want = [covid.r0_reduced(covid_table.replace(**{name: v})) for v in values.tolist()]
+    # an R0 that does not read the swept parameter stays one float
+    assert type(got) is (np.ndarray if name in ("B", "mu", "beta1", "beta2", "beta6", "beta8",
+                                                "beta10") else float)
+    assert np.broadcast_to(got, values.shape).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_batch_guards_fail_when_any_point_fails(covid_table, k):
+    # with beta2 = beta6 = beta8 = beta10 = 0, alpha*mu + beta10*B is mu*mu,
+    # which underflows to 0 at a subnormal mu
+    vanishing = covid_table.replace(beta2=0.0, beta6=0.0, beta8=0.0, beta10=0.0)
+    for p, bad, call in ((covid_table, 0.0, lambda q: q.need_mu("R0")),
+                         (covid_table, 0.0, covid.r0_reduced),
+                         (vanishing, 5e-324, covid.r0_reduced)):
+        mu = [0.01, 0.02, 0.03]
+        call(p.batch("mu", mu))
+        mu[k] = bad
+        with pytest.raises(ValueError) as scalar:
+            call(p.replace(mu=bad))
+        with pytest.raises(type(scalar.value), match=f"^{re.escape(str(scalar.value))}$"):
+            call(p.batch("mu", mu))
+
+
+def test_float_records_give_float_results(covid_table):
+    assert covid_table.need_mu("R0") is None
+    assert type(covid.r0_reduced(covid_table)) is float
 
 
 def test_r0_full_at_dfe_matches_reduced(covid_table):

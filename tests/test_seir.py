@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,31 @@ def test_overflowing_quotients_raise_naming_them(seir_figure):
     big = seir_figure.replace(mu=1e100, d=1e100, gamma=1e100)
     assert seir.r0_seir(big) == big.Lambda * (big.beta1 * 2e100 + big.beta2 * 1e100) / (
         1e100 * 2e100 * 2e100)
+
+
+@pytest.mark.parametrize("name", seir.SeirParams.keys())
+def test_r0_seir_batch_has_each_points_bits(seir_figure, name):
+    rng = np.random.default_rng([2803, seir.SeirParams.keys().index(name)])
+    extra = [] if name == "mu" else [5e-324, 0.0, 1e300]
+    values = np.concatenate([getattr(seir_figure, name) * rng.uniform(0.1, 10.0, 61), extra])
+    got = seir.r0_seir(seir_figure.batch(name, values))
+    want = [seir.r0_seir(seir_figure.replace(**{name: v})) for v in values.tolist()]
+    assert type(got) is np.ndarray and got.tobytes() == np.array(want).tobytes()
+    assert type(seir.r0_seir(seir_figure)) is float
+
+
+@pytest.mark.parametrize("k", range(3))
+@pytest.mark.parametrize("bad", [0.0, 5e-324, 1e103])
+def test_r0_seir_batch_fails_when_any_point_fails(seir_figure, bad, k):
+    # mu = 0 fails need_mu; the denominator underflows to 0 at a subnormal mu
+    # and overflows to inf at mu = 1e103
+    mu = [0.1, 0.2, 0.3]
+    mu[k] = bad
+    with pytest.raises((ValueError, ArithmeticError)) as scalar:
+        seir.r0_seir(seir_figure.replace(mu=bad))
+    with np.errstate(over="ignore"):
+        with pytest.raises(type(scalar.value), match=f"^{re.escape(str(scalar.value))}$"):
+            seir.r0_seir(seir_figure.batch("mu", mu))
 
 
 def test_ngm_radius_takes_the_lu_bits_wherever_the_lu_accepts_v():
