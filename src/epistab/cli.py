@@ -11,6 +11,11 @@ the JSON record of its commands (``covid.r0_report``,
 ``stability.cardano`` and ``stability.cubic_stability`` (on the monic
 coefficients of ``stability.monic_cubic``) here.
 
+``main`` parses a leaf command (``r0``, ``seir r0``, ...) with the
+subparser ``build_parser`` holds for it, one argparse level, with the
+same output and errors as the whole parser; help, no or an unknown command
+and a bare ``seir`` go through the whole parser.
+
 Deterministic by construction: no environment configuration, no network,
 numeric output capped at 12 significant digits.  A JSON report is built
 whole, then written: two-space indent, sorted keys, ASCII escapes, each
@@ -23,9 +28,11 @@ per process (with the finiteness check) and their text reused.
 ``r0 --sweep`` takes R0 at all its points in one call, on a record whose
 swept field holds the points as an array (``model.Params.batch``), and
 writes its rows with one ``%`` format per ``SWEEP_BLOCK`` rows; elementwise
-float64 arithmetic gives each point the bits it gets alone.  Where any
-point fails, the points are taken one by one, and the first failing point
+float64 arithmetic gives each point the bits it gets alone.  Where the
+batch raises, the points are taken one by one, and the first failing point
 raises what it raises alone, its message ending in `` at name=value``.
+Where it returns, no point failed a guard, so its first non-finite R0, if
+any, names the failing point.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 infeasible request.
 """
@@ -202,16 +209,18 @@ def _cmd_equilibria(args):
 def _sweep_csv(name, values, p, r0):
     """The sweep CSV of ``r0`` over the points ``values`` of parameter
     ``name`` in the record ``p``: one call on ``p.batch(name, values)``,
-    or point by point where any point fails."""
+    or point by point where the batch raises."""
     try:
         r0s = r0(p.batch(name, values))
-        ok = np.isfinite(r0s).all()
     except (ValueError, ArithmeticError):
-        ok = False
-    if not ok:
         r0s = _sweep_points(name, values, p, r0)
     # an R0 that does not read the swept parameter is one float
-    table = np.column_stack((values, np.broadcast_to(r0s, values.shape)))
+    r0s = np.broadcast_to(r0s, values.shape)
+    bad = ~np.isfinite(r0s)
+    if bad.any():  # no point failed a guard, so the first non-finite R0 is the failing point
+        k = int(bad.argmax())
+        raise ArithmeticError(f"non-finite R0 {float(r0s[k])} at {name}={values[k]:.12g}")
+    table = np.column_stack((values, r0s))
     parts = [f"{name},R0\n"]
     for k in range(0, len(table), SWEEP_BLOCK):
         block = table[k:k + SWEEP_BLOCK]
@@ -356,14 +365,19 @@ def _add_model_commands(sub, m):
 
 @functools.cache
 def build_parser():
-    """The process's one parser, built on the first call; callers must not change it."""
+    """The process's one parser, built on the first call; callers must not change it.
+
+    ``parser.leaves`` maps the command words of each leaf command, such as
+    ("r0",) or ("seir", "r0"), to the subparser that parses the rest.
+    """
     parser = _Parser(prog="epistab",
                      description="Compound-matrix stability toolkit for small epidemic models.")
     sub = parser.add_subparsers(dest="command", required=True)
     _add_model_commands(sub, _COVID)
 
     seir_p = sub.add_parser("seir", help="same analyses for the three-compartment system")
-    _add_model_commands(seir_p.add_subparsers(dest="seir_command", required=True), _SEIR)
+    seir_sub = seir_p.add_subparsers(dest="seir_command", required=True)
+    _add_model_commands(seir_sub, _SEIR)
 
     sp = sub.add_parser("compound", help="k-th compound of a matrix file")
     sp.set_defaults(handler=_cmd_compound)
@@ -380,13 +394,20 @@ def build_parser():
     sp.set_defaults(handler=_cmd_paper_check)
     sp.add_argument("--config", required=True)
     sp.add_argument("--seir-config", default=None)
+    parser.leaves = {**{(name,): leaf for name, leaf in sub.choices.items() if leaf is not seir_p},
+                     **{("seir", name): leaf for name, leaf in seir_sub.choices.items()}}
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    words = 2 if argv[:1] == ["seir"] else 1
+    leaf = parser.leaves.get(tuple(argv[:words]))
     try:
-        args = parser.parse_args(argv)
+        # a leaf command parses with its own subparser; help, no or an unknown
+        # command and a bare ``seir`` go through the whole parser
+        args = leaf.parse_args(argv[words:]) if leaf else parser.parse_args(argv)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # results are checked
             args.handler(args)
         return EXIT_OK

@@ -11,8 +11,10 @@ leftover index of ((i)) and r that of ((j)).  This orientation reproduces the
 standard closed-form templates for n = 3, 4, 5 and satisfies
 A^[k] = d/dh C_k(I + hA) at h = 0.
 
-Both builders read index arrays cached per (n, k) and built once from
-:func:`lex_tuples` alone: a tuple's rank is its position in that list.
+Each public builder validates A once and calls an unchecked kernel
+(``_mult``, ``_add``), which callers holding a validated matrix call
+directly.  Both kernels read index arrays cached per (n, k) and built once
+from :func:`lex_tuples` alone: a tuple's rank is its position in that list.
 For k <= 3, C_k(A) has one rule: each minor is expanded along its first row
 over C_{k-1}(A), starting from C_1(A) = A,
 
@@ -21,8 +23,10 @@ over C_{k-1}(A), starting from C_1(A) = A,
 with the terms summed left to right, a few plan columns at a time.  For
 k >= 4 it gathers the k x k blocks a few plan rows at a time and takes
 batched LAPACK determinants, whose pivoting keeps the stability that a
-Laplace expansion loses as k grows.  A^[k] is one scatter assignment plus
-the diagonal sums.
+Laplace expansion loses as k grows.  A^[k] is planned by flat index: one
+1-D assignment puts each signed a_ij at its flat position in a zero buffer,
+and the diagonal sums, gathered from A in tuple order from 0.0, are added
+through the buffer's strided diagonal.
 """
 
 from __future__ import annotations
@@ -61,20 +65,27 @@ def _index(n, k):
 
 @lru_cache(maxsize=64)
 def _scatter(n, k):
-    """(5, m): (row, col, i, j, sign) for each off-diagonal entry of A^[k],
-    whose row and column tuples share all but one index; i and j are the
-    leftover indices."""
+    """A^[k] by flat positions: (pos, src, sign, diag).  For each off-diagonal
+    entry, whose row and column tuples share all but one index, its position
+    in A^[k], the position in A of a_ij with i and j the leftover indices,
+    and the sign as a float; diag[c] holds, for each k-tuple in rank order,
+    the position in A of the a_ii of its c-th index."""
     tups = lex_tuples(n, k)
     rank = {t: r for r, t in enumerate(tups)}
-    scatter = []
+    pos, src, sign = [], [], []
     for row, t in enumerate(tups):
         for s, i in enumerate(t):
             for j in range(1, n + 1):
                 if j not in t:
                     col = tuple(sorted(t[:s] + t[s + 1:] + (j,)))
-                    sign = (-1) ** (s + col.index(j))
-                    scatter.append((row, rank[col], i - 1, j - 1, sign))
-    return _frozen(scatter, 5).T
+                    pos.append(row * len(tups) + rank[col])
+                    src.append((i - 1) * n + j - 1)
+                    sign.append((-1.0) ** (s + col.index(j)))
+    plan = (np.array(pos, dtype=np.intp), np.array(src, dtype=np.intp), np.array(sign),
+            np.ascontiguousarray(_index(n, k).T * (n + 1)))
+    for a in plan:
+        a.flags.writeable = False
+    return plan
 
 
 @lru_cache(maxsize=64)
@@ -122,16 +133,22 @@ def _mult(m, k):
 
 def add_compound(a, k):
     """A^[k]: the k-th additive compound."""
-    m = as_square(a)
-    idx, (row, col, i, j, sign) = _index(m.shape[0], k), _scatter(m.shape[0], k)
-    out = np.zeros((len(idx), len(idx)))
-    out[row, col] = sign * m[i, j]  # assignment: a negated 0.0 stays -0.0
+    return _add(as_square(a), k)
+
+
+def _add(m, k):
+    """A^[k] of an already validated square M."""
+    pos, src, sign, diag = _scatter(m.shape[0], k)
+    size = diag.shape[1]
+    out = np.zeros(size * size)
+    off = m.take(src)
+    off *= sign
+    out[pos] = off  # assignment: a negated 0.0 stays -0.0
     # diagonal sums in tuple order from 0.0, so a lone -0.0 term gives 0.0
-    diag = np.zeros(len(idx))
+    sums = out[::size + 1]
     for c in range(k):
-        diag += m[idx[:, c], idx[:, c]]
-    np.fill_diagonal(out, diag)
-    return out
+        sums += m.take(diag[c])
+    return out.reshape(size, size)
 
 
 def add_compound2_closed(a):

@@ -12,7 +12,8 @@ its grouping ``_beta_printed``) evaluates a closed form as printed in the
 source publication, because the stability report prints it; every other printed form lives in :mod:`epistab.paper_check`,
 which diffs them against oracles.  The full-NGM R0, ``r0_full``, is the
 spectral radius of F V^-1 from ``ngm_matrices``, through ``ngm_radius``,
-which takes a stack of probes in one LU.  The R0-threshold verdict
+which takes a stack of probes in one LU; a V or an F V^-1 that is not
+finite is a numeric failure that names the matrix.  The R0-threshold verdict
 uses the criteria's dead band, ``stability.MARGIN``.
 
 State vectors are (E, I, C, H, D).  ``flows`` gives the five derivatives
@@ -248,22 +249,30 @@ def ngm_radius(f, v, det_v):
     """rho(F V^-1) for each (F, V) of the stacks ``f`` and ``v``, as a list,
     from one LU and one eigenvalue call for the whole stack.
 
-    V is refused as singular where |det V| = |``det_v``| < 1e-300 or where
-    the LU's pivot floor fails; the first probe that fails raises, as if the
-    probes were taken one by one, each with its det guard before its LU.
+    A V that is not finite fails with ArithmeticError, and V is refused as
+    singular where |det V| = |``det_v``| < 1e-300 or where the LU's pivot
+    floor fails; an F V^-1 that is not finite fails with ArithmeticError.
+    The first probe that fails raises, as if the probes were taken one by
+    one, each with its finiteness and det guards before its LU.
     """
-    tiny = [abs(d) < 1e-300 for d in det_v]
-    k = tiny.index(True) if True in tiny else len(tiny)
-    inv = inverse(v[:k])  # the probes before the first det guard failure
-    if k < len(tiny):
+    finite = np.isfinite(v).all(axis=(-2, -1)).tolist()
+    bad = [not ok or abs(d) < 1e-300 for ok, d in zip(finite, det_v)]
+    k = bad.index(True) if True in bad else len(bad)
+    ngm = f[:k] @ inverse(v[:k])  # the probes before the first guard failure
+    if not np.isfinite(ngm).all():
+        raise ArithmeticError("next-generation matrix F V^-1 is not finite")
+    if k < len(bad):
+        if not finite[k]:
+            raise ArithmeticError("transition matrix V is not finite")
         raise linalg.SingularMatrixError("transition matrix V is singular", abs(det_v[k]))
-    return spectral_radius(f @ inv)
+    return spectral_radius(ngm)
 
 
 def r0_full(p, x):
     """The full-NGM R0 at state x: rho(F V^-1) of :func:`ngm_matrices`."""
     f, v = ngm_matrices(p, x)
-    return ngm_radius(f[None], v[None], [determinant(v)])[0]
+    det_v = determinant(v) if np.isfinite(v).all() else np.nan  # ngm_radius names a V not finite
+    return ngm_radius(f[None], v[None], [det_v])[0]
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,12 @@ a guess.  Each Li-Wang verdict on a matrix reads one (-1)^n det A and one
 A^[2]; ``criterion_verdicts`` takes det A and A^[2] from its caller, which
 builds them once per matrix for its own report and all four verdicts.
 
+Each public verdict validates A once and then calls unchecked kernels on
+it (``np.linalg.det``, ``compound._add``, ``compound._mult``).  A derived
+matrix that can overflow is validated once, where it is first read: A^[2]
+by the spectral abscissa or by ``lozinskii.measure``, C_2(A) by the
+spectral radius and I - A^2 by ``determinant``.
+
 Also here: diagonal-dominance predicates, determinant bracketing for
 diagonally dominant matrices, the one normalisation of a cubic to monic
 form (``monic_cubic``), a Cardano cubic solver with discriminant
@@ -29,7 +35,7 @@ from math import isfinite
 
 import numpy as np
 
-from .compound import add_compound, mult_compound
+from .compound import _add, _mult
 from .linalg import (
     SingularMatrixError,
     _lu_solve,
@@ -38,7 +44,7 @@ from .linalg import (
     spectral_abscissa,
     spectral_radius,
 )
-from .lozinskii import MeasureKind, measure
+from .lozinskii import MeasureKind, _measure, measure
 from .model import Record
 
 MARGIN = 1e-9
@@ -90,10 +96,9 @@ def _det_sign(n, det, exact):
     return (-1.0) ** n * det
 
 
-def _li_wang_inputs(a, exact=False):
-    """What a Li-Wang verdict on A reads: ((-1)^n det A, A^[2])."""
-    m = as_square(a)
-    return _det_sign(len(m), determinant(m), exact), add_compound(m, 2)
+def _li_wang_inputs(m, exact=False):
+    """What a Li-Wang verdict on a validated square M reads: ((-1)^n det M, M^[2])."""
+    return _det_sign(len(m), float(np.linalg.det(m)), exact), _add(m, 2)
 
 
 def _exact(sgn, a2):
@@ -102,9 +107,8 @@ def _exact(sgn, a2):
     return Verdict(_band(sgn, -s2), "li-wang-exact", det_sign=sgn, abscissa=s2)
 
 
-def _sufficient(sgn, a2, kind):
-    """The sufficient verdict from (-1)^n det A, A^[2] and a ``MeasureKind``."""
-    mu2 = measure(a2, kind)
+def _sufficient(sgn, mu2, kind):
+    """The sufficient verdict from (-1)^n det A and mu2 = mu_kind(A^[2])."""
     outcome = _band(sgn, -mu2)
     if outcome == UNSTABLE and _band(sgn) != UNSTABLE:
         outcome = INCONCLUSIVE  # mu2 > 0 alone proves nothing
@@ -117,7 +121,7 @@ def li_wang_exact(a):
 
     The reported abscissa is that of the second additive compound.
     """
-    return _exact(*_li_wang_inputs(a, exact=True))
+    return _exact(*_li_wang_inputs(as_square(a), exact=True))
 
 
 def li_wang_sufficient(a, kind):
@@ -128,7 +132,8 @@ def li_wang_sufficient(a, kind):
     otherwise -- the chosen measure may simply be too weak.
     """
     m, kind = as_square(a), MeasureKind.coerce(kind)  # a bad kind fails before n < 2 does
-    return _sufficient(*_li_wang_inputs(m), kind)
+    sgn, a2 = _li_wang_inputs(m)
+    return _sufficient(sgn, measure(a2, kind), kind)  # measure validates A^[2]
 
 
 def criterion_verdicts(a, det, a2):
@@ -136,13 +141,16 @@ def criterion_verdicts(a, det, a2):
 
     ``det`` and ``a2`` are det A and A^[2], built once by the caller, which
     reads them too; they serve the exact and all three sufficient verdicts.
+    The exact verdict comes first and validates A^[2]; the measures then
+    read it unchecked.
     """
     hurwitz = hurwitz_exact(a)  # first: an n = 0 or n > 16 matrix fails here, before the guard
     sgn = _det_sign(len(a), det, exact=True)
     return {
         "hurwitz": hurwitz.to_dict(),
         "li_wang_exact": _exact(sgn, a2).to_dict(),
-        "li_wang_sufficient": {k.value: _sufficient(sgn, a2, k).to_dict() for k in MeasureKind},
+        "li_wang_sufficient": {k.value: _sufficient(sgn, _measure(a2, k), k).to_dict()
+                               for k in MeasureKind},
     }
 
 
@@ -304,8 +312,8 @@ def schur_sufficient(a):
     n = m.shape[0]
     if n < 2:
         raise ValueError(f"second compound needs n >= 2, got n={n}")
-    rho2 = spectral_radius(mult_compound(m, 2))
-    d = determinant(np.eye(n) - m @ m)
+    rho2 = spectral_radius(_mult(m, 2))  # validates C_2(A)
+    d = determinant(np.eye(n) - m @ m)  # validates I - A^2
     return bool(rho2 < 1.0 and d > 0.0)
 
 

@@ -28,3 +28,19 @@ def match_multisets(xs, ys):
 def companion_roots(coeffs):
     """Polynomial roots via the companion-matrix eigenvalues (independent oracle)."""
     return np.roots(coeffs)
+
+
+def byte_cases(rng, n):
+    """Seeded n x n inputs for byte-for-byte oracle tests, each as
+    (name, array): plain, signed zeros, subnormals and small integers (so
+    that sums tie), each C-ordered, Fortran-ordered and a non-contiguous view."""
+    plain = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3, size=(n, n))
+    zeros = rng.normal(size=(n, n))
+    zeros[rng.random((n, n)) < 0.5] = -0.0
+    zeros[rng.random((n, n)) < 0.25] = 0.0
+    subnormal = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-320, -305, size=(n, n))
+    ties = rng.integers(-3, 4, size=(n, n)).astype(float)
+    for name, a in (("plain", plain), ("zeros", zeros), ("subnormal", subnormal), ("ties", ties)):
+        wide = np.zeros((2 * n, 2 * n))
+        wide[::2, ::2] = a
+        yield from ((name, a), (name + " F", np.asfortranarray(a)), (name + " strided", wide[::2, ::2]))

@@ -23,6 +23,10 @@ row write per step: the byte oracle of the generated kernels of
 ``epistab.sim._float_kernel``.  ``sweep_csv_per_point`` is the ``r0 --sweep``
 CSV built one point at a time, each R0 from its own record and each row by
 its own format: the byte oracle of ``epistab.cli._sweep_csv``.
+``add_compound_2d`` scatters A^[k] through 2-D (row, col) fancy indexing
+from a (row, col, i, j, sign) list, and ``measure_diag_matrix`` takes a
+Lozinskii measure from |A| - diag(diag(|A|)): the byte oracles of
+``epistab.compound.add_compound`` and ``epistab.lozinskii.measure``.
 """
 
 import io
@@ -250,6 +254,42 @@ def minors_closed(b):
             + b[..., 0, 2] * (b[..., 1, 0] * b[..., 2, 1] - b[..., 1, 1] * b[..., 2, 0])
         )
     raise ValueError(f"closed-form minors only for k <= 3, got k={k}")
+
+
+def add_compound_2d(a, k):
+    """A^[k], each off-diagonal entry placed at its (row, col) pair, then the
+    diagonal sums written by ``np.fill_diagonal``."""
+    m = as_square(a)
+    tups = lex_tuples(m.shape[0], k)
+    rank = {t: r for r, t in enumerate(tups)}
+    scatter = []
+    for row, t in enumerate(tups):
+        for s, i in enumerate(t):
+            for j in range(1, m.shape[0] + 1):
+                if j not in t:
+                    col = tuple(sorted(t[:s] + t[s + 1:] + (j,)))
+                    scatter.append((row, rank[col], i - 1, j - 1, (-1) ** (s + col.index(j))))
+    row, col, i, j, sign = np.array(scatter, dtype=np.intp).reshape(-1, 5).T
+    idx = np.array(tups, dtype=np.intp).reshape(-1, k) - 1
+    out = np.zeros((len(tups), len(tups)))
+    out[row, col] = sign * m[i, j]
+    diag = np.zeros(len(tups))
+    for c in range(k):
+        diag += m[idx[:, c], idx[:, c]]
+    np.fill_diagonal(out, diag)
+    return out
+
+
+def measure_diag_matrix(a, kind):
+    """mu_kind(A) from the off-diagonal |A| built as |A| - diag(diag(|A|))."""
+    m = as_square(a)
+    kind = MeasureKind.coerce(kind)
+    off = abs(m) - np.diag(np.diag(abs(m)))
+    if kind is MeasureKind.ONE:
+        return float((np.diag(m) + off.sum(axis=0)).max())
+    if kind is MeasureKind.INF:
+        return float((np.diag(m) + off.sum(axis=1)).max())
+    return float(np.linalg.eigvalsh((m + m.T) / 2.0)[-1])
 
 
 def mult_compound_closed(a, k):

@@ -1130,3 +1130,98 @@ def test_sweep_csv_round_trip(covid_config, tmp_path):
     rows = [tuple(map(float, ln.split(","))) for ln in lines[1:]]
     assert len(rows) == 10
     assert rows[0][0] == pytest.approx(0.1) and rows[-1][0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("command", ["r0", "stability"])
+def test_a_transition_matrix_that_is_not_finite_exits_2(command, tmp_path, capsys):
+    # beta2 = beta8 = 1.7e308 make alpha = inf; V at the disease-free point holds
+    # it, and is a numeric failure, not a usage error
+    assert main([command, "--config", _config(tmp_path, beta2=1.7e308, beta8=1.7e308)]) == 2
+    assert capsys.readouterr() == ("", "numeric failure: transition matrix V is not finite\n")
+
+
+def _no_per_point_path(*args):
+    raise AssertionError("the per-point path was taken")
+
+
+@pytest.mark.parametrize("model, changes, sweep, point", [
+    # R0 overflows with no guard failed: at the first point, or after good points
+    ("covid", {}, "beta1=3e307:1.5e308:1e307", "beta1=3e+307"),
+    ("seir", {}, "Lambda=5e306:1e308:1e306", "Lambda=5e+306"),
+    ("covid", {}, "beta1=1e307:1.5e308:1e307", "beta1=3e+307"),
+    ("seir", {}, "Lambda=1e306:1e308:1e306", "Lambda=5e+306"),
+    # 10^5 points; R0 overflows from point 91,701
+    ("covid", {"beta10": 0.0}, "B=0:3.59999e306:3.6e301", "B=3.301236e+306"),
+])
+def test_a_non_finite_r0_is_named_from_the_batch(model, changes, sweep, point, tmp_path, capsys,
+                                                 monkeypatch):
+    p = (table_params(0.1) if model == "covid" else figure_params()).replace(**changes)
+    config = tmp_path / "params.json"
+    config.write_text(json.dumps(p.to_dict()))
+    argv = ["seir"] * (model == "seir") + ["r0", "--config", str(config), "--sweep", sweep]
+    monkeypatch.setattr(cli, "_sweep_points", _no_per_point_path)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numeric failure: non-finite R0 inf at ")
+    assert err.endswith(f" at {point}\n")
+
+
+# argv templates: those the tests above pass to main, then help after a command,
+# "--", abbreviated options, missing values, extra arguments and a bare seir
+PARSER_CASES = [
+    "r0 --config {covid}", "r0 --config {covid} --sweep mu=0.005:0.74:0.015",
+    "r0 --config {covid} --sweep mu=1:0:0.1", "r0 --config {covid} --sweep nope=0:1:0.1",
+    "r0 --config {covid} --out x.csv", "r0", "equilibria --config {covid}",
+    "stability --config {covid}", "stability --config {covid} --measure one",
+    "stability --config {covid} --measure three", "paper-check --config {covid}",
+    "paper-check --config {covid} --seir-config {seir}",
+    "simulate --config {covid} --x0 1,1,1,1,1 --dt 0.1 --t-end 1",
+    "simulate --config {covid} --x0 1,1,1 --dt 0.1 --t-end 1",
+    "seir r0 --config {seir}", "seir equilibria --config {seir}", "seir stability --config {seir}",
+    "seir stability --config {seir} --measure inf",
+    "seir simulate --config {seir} --x0 1,0.5,0.2 --dt 0.1 --t-end 1",
+    "seir r0 --config {seir} --sweep mu=0.05:1.0:0.05", "seir no-such-command",
+    "compound --matrix {mat} --k 2", "compound --matrix {mat} --k 3",
+    "compound --matrix {mat} --k 2 --mode multiplicative", "compound --matrix {mat} --k 4",
+    "cubic 1 -6 11 -6", "cubic -- 1 1 1 -1e-5", "cubic 1 1 1 -1e-5", "cubic 1 1 1 -0.00001",
+    "cubic x 1 1 1", "cubic 1e-310 1 1 1", "cubic inf 1 1 1", "cubic", "cubic 1 1 1",
+    "no-such-command", "",
+    "-h", "--help", "seir", "seir -h", "r0 -h", "r0 --config {covid} -h", "seir r0 -h",
+    "cubic -h", "compound --help", "paper-check -h",
+    "-- r0 --config {covid}", "r0 -- --config {covid}", "cubic 1 -- -6 11 -6",
+    "r0 --conf {covid}", "r0 --co {covid} --sw mu=0.1:0.2:0.05", "stability --config {covid} --meas two",
+    "seir stability --conf {seir} --m one", "compound --mat {mat} --k 2 --mo mult",
+    "r0 --config", "r0 --config {covid} --sweep", "stability --config {covid} --measure",
+    "compound --matrix {mat} --k", "compound --matrix {mat} --k two",
+    "r0 --config {covid} extra", "r0 extra --config {covid}", "cubic 1 2 3 4 5",
+    "seir r0 --config {seir} extra", "paper-check --config {covid} --seir-config",
+    "r0 --config {covid} --config {covid}", "--config {covid} r0", "seir seir r0 --config {seir}",
+]
+
+
+@pytest.mark.parametrize("template", PARSER_CASES)
+def test_the_leaf_parser_matches_the_full_parser(template, tmp_path, capsys, monkeypatch):
+    mat = tmp_path / "m.txt"
+    mat.write_text("-1,2,0\n0.5,-3,1\n0,1,-2\n")
+    seir_config = tmp_path / "seir.json"
+    seir_config.write_text(json.dumps(figure_params().to_dict()))
+    argv = template.format(covid=_config(tmp_path), seir=seir_config, mat=mat).split()
+    monkeypatch.chdir(tmp_path)
+
+    def run():
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # help
+            code = ("exit", exc.code)
+        return (code, *capsys.readouterr())
+
+    parser = cli.build_parser()
+    words = 2 if argv[:1] == ["seir"] else 1
+    with monkeypatch.context() as m:
+        if tuple(argv[:words]) in parser.leaves:  # a leaf command never reaches the full parser
+            m.setattr(parser, "parse_args", _no_per_point_path)
+        leaf = run()
+    with monkeypatch.context() as m:
+        m.setattr(parser, "leaves", {})
+        full = run()
+    assert leaf == full

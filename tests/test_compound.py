@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import mult_compound_closed
+from reference import add_compound_2d, mult_compound_closed
 
 from epistab.compound import (
     _STACK_BYTES,
@@ -15,7 +15,7 @@ from epistab.compound import (
 )
 from epistab.linalg import determinant, eigenvalues
 
-from conftest import match_multisets
+from conftest import byte_cases, match_multisets
 
 
 def test_lex_tuples_examples():
@@ -108,6 +108,24 @@ def test_mult_compound_bytes_match_the_closed_forms():
                     seen["nonfinite"] += int((~np.isfinite(want)).sum())
                     seen["negzero"] += int(((want == 0) & np.signbit(want)).sum())
                     seen["subnormal"] += int(((want != 0) & (abs(want) < np.finfo(float).tiny)).sum())
+    assert all(seen.values()), seen
+
+
+def test_add_compound_bytes_match_the_2d_scatter():
+    # the flat scatter writes the same products and sums the diagonal in the
+    # same order as the 2-D (row, col) scatter, so every bit agrees
+    rng = np.random.default_rng(229)
+    seen = {"negzero": 0, "subnormal": 0}
+    for n in [*range(1, 13), 16]:
+        orders = range(1, n + 1) if n <= 8 else range(1, 4) if n <= 12 else (2,)
+        for name, a in byte_cases(rng, n):
+            for k in orders:
+                want = add_compound_2d(a, k)
+                out = add_compound(a, k)
+                assert out.flags.c_contiguous and out.shape == want.shape
+                assert out.tobytes() == want.tobytes(), (n, name, k)
+                seen["negzero"] += int(((want == 0) & np.signbit(want)).sum())
+                seen["subnormal"] += int(((want != 0) & (abs(want) < np.finfo(float).tiny)).sum())
     assert all(seen.values()), seen
 
 

@@ -280,6 +280,49 @@ def test_r0_full_is_the_spectral_radius_bit_for_bit(beta10):
     assert claim.max_abs_diff == max(abs(q - value) for q, value in zip(printed, r0))
 
 
+def test_a_transition_matrix_that_is_not_finite_is_a_numeric_failure(covid_table):
+    # beta2 = beta8 = 1.7e308 make alpha = inf, so V(DFE) holds inf
+    p = covid_table.replace(beta2=1.7e308, beta8=1.7e308)
+    with pytest.raises(ArithmeticError, match=r"^transition matrix V is not finite$"):
+        covid.r0_full(p, covid.dfe(p).state)
+    with pytest.raises(ArithmeticError, match=r"^transition matrix V is not finite$"):
+        covid.stability_report(p)
+
+
+def _ngm_outcome(fs, vs, det_v):
+    try:
+        return covid.ngm_radius(fs, vs, det_v)
+    except ArithmeticError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("nonfinite_at", [None, 0, 2, 4])
+@pytest.mark.parametrize("det_at", [None, 0, 2, 4])
+@pytest.mark.parametrize("ngm_at", [None, 0, 2, 4])
+def test_stacked_ngm_radius_raises_for_the_first_failing_probe(covid_table, nonfinite_at, det_at,
+                                                                ngm_at):
+    p = covid_table
+    probes = [covid.dfe(p).state, *paper_check._seeded()[0]]
+    fs, vs = (np.array(a) for a in zip(*(covid.ngm_matrices(p, x) for x in probes)))
+    failures = {}
+    if ngm_at is not None:  # F V^-1 = 2e308 I overflows; V = I / 2 passes every guard
+        fs[ngm_at], vs[ngm_at] = 1e308 * np.eye(5), 0.5 * np.eye(5)
+        failures[ngm_at] = "next-generation matrix F V^-1 is not finite"
+    if det_at is not None:  # a zero column: det V = 0 fails the det guard
+        vs[det_at][:, 4] = 0.0
+        failures[det_at] = "transition matrix V is singular (pivot magnitude 0.000e+00)"
+    if nonfinite_at is not None:  # checked before the det guard of its probe
+        vs[nonfinite_at][1, 1] = np.inf
+        failures[nonfinite_at] = "transition matrix V is not finite"
+    det_v = np.linalg.det(np.where(np.isfinite(vs), vs, 0.0)).tolist()
+    with np.errstate(over="ignore"):  # as the CLI runs
+        got = _ngm_outcome(fs, vs, det_v)
+    if failures:
+        assert got == failures[min(failures)]
+    else:
+        assert got == [covid.r0_full(p, x) for x in probes]
+
+
 def test_ngm_block_triangular_detv(covid_table):
     p = covid_table
     x = np.array([p.B / p.mu, 0.0, 2.0, 1.5, 0.0])  # I = D = 0

@@ -4,7 +4,9 @@ import pytest
 from epistab.linalg import eigenvalues, spectral_abscissa
 from epistab.lozinskii import MeasureKind, measure
 
-from reference import induced_norm, measure_limit_probe
+from reference import induced_norm, measure_diag_matrix, measure_limit_probe
+
+from conftest import byte_cases
 
 KINDS = (MeasureKind.ONE, MeasureKind.TWO, MeasureKind.INF)
 
@@ -18,6 +20,18 @@ def test_measure_examples():
     assert measure(a, "inf") == pytest.approx(-1.0, abs=1e-12)
     assert measure(a, "one") == pytest.approx(-2.0, abs=1e-12)
     assert measure(a, "two") == pytest.approx(-2.5 + np.sqrt(2.0) / 2.0, abs=1e-12)
+
+
+def test_measure_bytes_match_the_diag_matrix_form():
+    # |A| with its diagonal zeroed in place holds the bits of |A| - diag(diag(|A|)),
+    # summed in C order whatever the input layout; mu_2 reads neither
+    rng = np.random.default_rng(306)
+    for n in [*range(1, 13), 16]:
+        for name, a in byte_cases(rng, n):
+            for kind in (*KINDS, "one", "TWO", "inf"):
+                got, want = measure(a, kind), measure_diag_matrix(a, kind)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (n, name, kind)
 
 
 def test_measure_kind_coercion():

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import epistab.linalg as linalg
+import epistab.lozinskii as lozinskii
 import epistab.stability as stability
 from epistab.cli import _json
 from epistab.compound import add_compound
 from epistab.linalg import (
+    DimensionError,
     determinant,
     eigenvalues,
     inverse,
@@ -133,6 +135,98 @@ def test_criterion_verdicts_equal_the_verdicts_one_at_a_time():
                                    for k in MeasureKind},
         }
         assert _json(criterion_verdicts(a, determinant(a), add_compound(a, 2))) == _json(alone)
+
+
+FINITE = "matrix entries must be finite (no NaN/Inf)"
+# diag(1e308, 1e-300, 1e-300, 1e308): det A = 1e16 is finite, and the (1, 4)
+# diagonal entry of A^[2], 1e308 + 1e308, overflows to inf
+A2_OVERFLOW = np.diag([1e308, 1e-300, 1e-300, 1e308])
+VERDICTS = {
+    "li_wang_exact": li_wang_exact,
+    **{f"li_wang_sufficient {k}": lambda a, k=k: li_wang_sufficient(a, k) for k in ("one", "two", "inf")},
+    "criterion_verdicts": lambda a: criterion_verdicts(np.asarray(a, dtype=float), determinant(a),
+                                                       add_compound(a, 2)),
+    "schur_sufficient": schur_sufficient,
+}
+
+
+@pytest.mark.parametrize("a, exc, message", [
+    (-np.eye(1), ValueError, "exact compound criterion supports 2 <= n <= 6, got n=1"),
+    (-np.eye(7), ValueError, "exact compound criterion supports 2 <= n <= 6, got n=7"),
+    (np.ones((2, 3)), DimensionError, "expected a square matrix, got shape (2, 3)"),
+    ([[1.0, np.nan], [0.0, 1.0]], ValueError, FINITE),
+    ([[-1.0, np.inf], [0.0, -1.0]], ValueError, FINITE),
+    (A2_OVERFLOW, ValueError, FINITE),
+])
+def test_li_wang_exact_errors_are_pinned(a, exc, message):
+    # the n guard runs after det A is taken; A^[2] is validated where its abscissa is taken
+    with np.errstate(over="ignore"), pytest.raises(exc) as info:
+        li_wang_exact(a)
+    assert type(info.value) is exc and str(info.value) == message
+
+
+@pytest.mark.parametrize("name", [n for n in VERDICTS if n != "criterion_verdicts"])
+def test_every_verdict_refuses_a_bad_a_with_the_same_error(name):
+    for a, exc, message in ((np.ones((2, 3)), DimensionError, "expected a square matrix, got shape (2, 3)"),
+                            ([[1.0, np.nan], [0.0, 1.0]], ValueError, FINITE)):
+        with pytest.raises(exc) as info:
+            VERDICTS[name](a)
+        assert type(info.value) is exc and str(info.value) == message
+
+
+@pytest.mark.parametrize("name", [n for n in VERDICTS if n != "schur_sufficient"])
+def test_an_overflowing_second_compound_raises_the_same_error_everywhere(name):
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as info:
+        VERDICTS[name](A2_OVERFLOW)
+    assert type(info.value) is ValueError and str(info.value) == FINITE
+
+
+def test_sufficient_kind_fails_before_the_order_does():
+    with pytest.raises(ValueError, match="'three' is not a valid MeasureKind"):
+        li_wang_sufficient(-np.eye(1), "three")
+    with pytest.raises(ValueError, match=r"order k must satisfy 1 <= k <= n, got k=2, n=1"):
+        li_wang_sufficient(-np.eye(1), "one")
+    with pytest.raises(DimensionError):  # A is validated before the kind
+        li_wang_sufficient(np.ones((2, 3)), "three")
+
+
+def test_schur_errors_are_pinned():
+    with pytest.raises(ValueError, match=r"second compound needs n >= 2, got n=1"):
+        schur_sufficient(np.eye(1))
+    # C_2(A) = [[0]] is finite; A^2 = diag(1e400, 0) overflows, so I - A^2 is refused
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as info:
+        schur_sufficient(np.array([[1e200, 0.0], [0.0, 0.0]]))
+    assert str(info.value) == FINITE
+    # C_2(A) = [[-1e400]] overflows and is refused first
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as info:
+        schur_sufficient(np.array([[0.0, 1e200], [1e200, 0.0]]))
+    assert str(info.value) == FINITE
+
+
+@pytest.mark.parametrize("name, shapes", [
+    ("li_wang_exact", [(5, 5), (10, 10)]),
+    ("li_wang_sufficient one", [(5, 5), (10, 10)]),
+    ("li_wang_sufficient two", [(5, 5), (10, 10)]),
+    ("criterion_verdicts", [(5, 5), (10, 10)]),
+    ("schur_sufficient", [(5, 5), (10, 10), (5, 5)]),
+])
+def test_each_matrix_is_validated_once(name, shapes, monkeypatch):
+    # A, then each derived matrix that can overflow (A^[2], C_2(A), I - A^2),
+    # each at the one point where it is checked
+    a = np.random.default_rng(41).normal(size=(5, 5)) / 5.0
+    args = (a, determinant(a), add_compound(a, 2)) if name == "criterion_verdicts" else (a,)
+    seen = []
+    for mod, fn in ((stability, "as_square"), (lozinskii, "as_square"), (linalg, "as_square"),
+                    (linalg, "as_squares")):
+        def checking(m, original=getattr(mod, fn)):
+            seen.append(np.shape(m))
+            return original(m)
+        monkeypatch.setattr(mod, fn, checking)
+    if name == "criterion_verdicts":
+        criterion_verdicts(*args)
+    else:
+        VERDICTS[name](*args)
+    assert seen == shapes
 
 
 def test_column_dominance_linkage():
