@@ -806,10 +806,13 @@ def test_sweep_edges_match_the_per_point_reference(model, changes, sweep, code, 
     config.write_text(json.dumps(p.to_dict()))
     out_csv = tmp_path / "sweep.csv"
     argv = ["seir"] * (model == "seir") + ["r0", "--config", str(config), "--sweep", sweep]
-    if not point:  # a good sweep never takes the per-point path
-        monkeypatch.setattr(cli, "_sweep_points", None)
+    retaken, per_point = [], cli._sweep_points
+    monkeypatch.setattr(cli, "_sweep_points", lambda *args: retaken.append(args) or per_point(*args))
     got = _sweep_against_reference(argv, capsys, monkeypatch)
     assert got[0] == code and (got[2].endswith(f" at {point}\n") if point else got[2] == "")
+    # the points are retaken one by one only where a guard fails; a sweep that
+    # fails no guard names its first non-finite R0 from the batch
+    assert bool(retaken) == (bool(point) and "non-finite R0" not in got[2])
     assert (main(argv + ["--out", str(out_csv)]) == 0) == out_csv.exists()
 
 
@@ -1140,30 +1143,18 @@ def test_a_transition_matrix_that_is_not_finite_exits_2(command, tmp_path, capsy
     assert capsys.readouterr() == ("", "numeric failure: transition matrix V is not finite\n")
 
 
-def _no_per_point_path(*args):
-    raise AssertionError("the per-point path was taken")
+def _never_called(*args):
+    raise AssertionError("a path that must not be taken was taken")
 
 
-@pytest.mark.parametrize("model, changes, sweep, point", [
-    # R0 overflows with no guard failed: at the first point, or after good points
-    ("covid", {}, "beta1=3e307:1.5e308:1e307", "beta1=3e+307"),
-    ("seir", {}, "Lambda=5e306:1e308:1e306", "Lambda=5e+306"),
-    ("covid", {}, "beta1=1e307:1.5e308:1e307", "beta1=3e+307"),
-    ("seir", {}, "Lambda=1e306:1e308:1e306", "Lambda=5e+306"),
-    # 10^5 points; R0 overflows from point 91,701
-    ("covid", {"beta10": 0.0}, "B=0:3.59999e306:3.6e301", "B=3.301236e+306"),
-])
-def test_a_non_finite_r0_is_named_from_the_batch(model, changes, sweep, point, tmp_path, capsys,
-                                                 monkeypatch):
-    p = (table_params(0.1) if model == "covid" else figure_params()).replace(**changes)
+def test_a_late_non_finite_r0_in_a_long_sweep_is_named_from_the_batch(tmp_path, capsys, monkeypatch):
+    # 10^5 points with beta10 = 0; R0 overflows from point 91,701, and no
+    # point is retaken one by one
     config = tmp_path / "params.json"
-    config.write_text(json.dumps(p.to_dict()))
-    argv = ["seir"] * (model == "seir") + ["r0", "--config", str(config), "--sweep", sweep]
-    monkeypatch.setattr(cli, "_sweep_points", _no_per_point_path)
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("numeric failure: non-finite R0 inf at ")
-    assert err.endswith(f" at {point}\n")
+    config.write_text(json.dumps(table_params(0.1).replace(beta10=0.0).to_dict()))
+    monkeypatch.setattr(cli, "_sweep_points", _never_called)
+    assert main(["r0", "--config", str(config), "--sweep", "B=0:3.59999e306:3.6e301"]) == 2
+    assert capsys.readouterr() == ("", "numeric failure: non-finite R0 inf at B=3.301236e+306\n")
 
 
 # argv templates: those the tests above pass to main, then help after a command,
@@ -1219,7 +1210,7 @@ def test_the_leaf_parser_matches_the_full_parser(template, tmp_path, capsys, mon
     words = 2 if argv[:1] == ["seir"] else 1
     with monkeypatch.context() as m:
         if tuple(argv[:words]) in parser.leaves:  # a leaf command never reaches the full parser
-            m.setattr(parser, "parse_args", _no_per_point_path)
+            m.setattr(parser, "parse_args", _never_called)
         leaf = run()
     with monkeypatch.context() as m:
         m.setattr(parser, "leaves", {})
