@@ -26,9 +26,10 @@ is a numeric failure, and nothing is printed.  The two seeded
 per process (with the finiteness check) and their text reused.
 
 ``r0 --sweep`` takes R0 at all its points in one call, on a record whose
-swept field holds the points as an array (``model.Params.batch``), and
-writes its rows with one ``%`` format per ``SWEEP_BLOCK`` rows; elementwise
-float64 arithmetic gives each point the bits it gets alone.  Where the
+swept field holds the points as an array (``model.Params.batch``);
+elementwise float64 arithmetic gives each point the bits it gets alone.
+Its rows, like those of ``simulate`` and ``compound``, go through the one
+table writer ``model.csv_table``, one ``%`` format per ``CSV_BLOCK`` rows.  Where the
 batch raises, the points are taken one by one, and the first failing point
 raises what it raises alone, its message ending in `` at name=value``.
 Where it returns, no point failed a guard, so its first non-finite R0, if
@@ -53,7 +54,7 @@ import numpy as np
 from . import covid, paper_check, seir, sim
 from .compound import add_compound, mult_compound
 from .linalg import as_matrix
-from .model import InfeasibleError, population
+from .model import InfeasibleError, csv_table, population
 from .stability import cardano, cubic_stability, monic_cubic
 
 EXIT_OK = 0
@@ -63,8 +64,6 @@ EXIT_INFEASIBLE = 3
 
 # cap on sweep points, trajectory rows and compound entries, checked before allocating
 MAX_SIZE = 10**6
-# sweep rows per % format: bounds the Python floats alive at once on a long sweep
-SWEEP_BLOCK = 1 << 16
 
 
 class UsageError(Exception):
@@ -153,10 +152,6 @@ def read_matrix(path):
     return as_matrix(rows)
 
 
-def format_matrix(m):
-    return "\n".join(",".join(f"{v:.12g}" for v in row) for row in np.atleast_2d(m)) + "\n"
-
-
 def _parse_sweep(text):
     try:
         name, spec = text.split("=", 1)
@@ -220,12 +215,7 @@ def _sweep_csv(name, values, p, r0):
     if bad.any():  # no point failed a guard, so the first non-finite R0 is the failing point
         k = int(bad.argmax())
         raise ArithmeticError(f"non-finite R0 {float(r0s[k])} at {name}={values[k]:.12g}")
-    table = np.column_stack((values, r0s))
-    parts = [f"{name},R0\n"]
-    for k in range(0, len(table), SWEEP_BLOCK):
-        block = table[k:k + SWEEP_BLOCK]
-        parts.append(("%.12g,%.12g\n" * len(block)) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+    return csv_table(f"{name},R0", values, r0s)
 
 
 def _sweep_points(name, values, p, r0):
@@ -272,7 +262,7 @@ def _cmd_compound(args):
     out = (add_compound if args.mode == "additive" else mult_compound)(m, args.k)
     if not np.isfinite(out).all():  # as in the JSON commands: exit 2, nothing printed
         raise ArithmeticError(f"non-finite entry {out[~np.isfinite(out)][0]} in the compound")
-    sys.stdout.write(format_matrix(out))
+    sys.stdout.write(csv_table(None, out))
 
 
 def _finite_float(text):

@@ -25,7 +25,11 @@ of ``x.T`` and packed component-major by one ``np.array``.
 The record each model command prints is built here: ``r0_report`` for
 ``r0`` (``r0_reduced`` on a batch record for all points of ``r0 --sweep``),
 ``equilibria_report`` for ``equilibria`` and ``stability_report`` for
-``stability``; ``simulate`` integrates ``flows``.
+``stability``; ``simulate`` integrates ``flows``.  Each record is a list of
+named sections that ``model.report`` runs in order.  Only two sections of
+``stability_report`` survive a failure: ``unique_dfe_conditions`` an
+InfeasibleError, and the endemic point with its verdicts an InfeasibleError
+or ArithmeticError.
 """
 
 from __future__ import annotations
@@ -212,9 +216,10 @@ def r0_reduced(p):
 
 
 def r0_report(p):
-    """The ``r0`` record: the reduced R0 and the full-NGM R0 at the disease-free point."""
-    r0 = r0_full(p, dfe(p).state)  # before r0_reduced: which step fails first is pinned
-    return {"reduced": r0_reduced(p), "full_dfe": r0}
+    """The ``r0`` record: the full-NGM R0 at the disease-free point, then
+    the reduced R0 (which step fails first is pinned)."""
+    return model.report([("full_dfe", lambda r: r0_full(p, dfe(p).state)),
+                         ("reduced", lambda r: r0_reduced(p))])
 
 
 def equilibria_report(p):
@@ -223,7 +228,7 @@ def equilibria_report(p):
     if p.beta1 < p.beta10:
         raise InfeasibleError(
             "beta1 < beta10, so the disease-free point is the unique equilibrium")
-    return {"dfe": dfe(p).to_dict(), "endemic": endemic(p).to_dict()}
+    return model.report([("dfe", lambda r: dfe(p)), ("endemic", lambda r: endemic(p))])
 
 
 def ngm_matrices(p, x):
@@ -320,6 +325,35 @@ def _threshold_verdict(r0):
     return INCONCLUSIVE
 
 
+def _unique_dfe_conditions(p):
+    """The conditions for a unique disease-free equilibrium; they read the
+    endemic ratios I*/H* and C*/H*."""
+    alpha_hat, beta_hat = _linear_ratios(p)
+    return {"beta1_lt_beta10": bool(p.beta1 < p.beta10),
+            "alpha_alphahat_lt_beta5_betahat_plus_beta9": bool(
+                p.alpha * alpha_hat < p.beta5 * beta_hat + p.beta9)}
+
+
+def _dfe_dominance(p, j2):
+    """The column-dominance conditions (a)-(d) for J^[2] at the disease-free
+    point, evaluated literally as printed, beside what that J^[2] shows."""
+    e_star = p.e_dfe
+    conditions = {"cond_a_beta3_lt_beta2_beta5_mu": bool(p.beta3 < _beta_printed(p)),
+                  "cond_b_2aE_lt_beta6_mu": bool(2.0 * p.a * e_star < p.beta6 + p.mu),
+                  "cond_c_beta9_lt_beta7E": bool(p.beta9 < p.beta7 * e_star),
+                  "cond_d_beta8_beta7E_lt_mu": bool(p.beta8 + p.beta7 * e_star < p.mu)}
+    return {**conditions, "hypotheses_hold": all(conditions.values()),
+            "compound_column_dominant": dominance(j2, "cols"),
+            "compound_diag_negative": bool(np.diag(j2).max() < 0)}
+
+
+def _endemic_verdicts(p):
+    """The endemic point and its criterion verdicts, from one det J and J^[2]."""
+    end = endemic(p)
+    j = jacobian_closed(p, end.state)
+    return end, criterion_verdicts(j, determinant(j), add_compound(j, 2))
+
+
 def stability_report(p):
     """Everything the threshold and compound criteria say about both equilibria.
 
@@ -330,56 +364,23 @@ def stability_report(p):
     printed even where unsatisfiable; and exact plus sufficient criterion
     verdicts at both equilibria, which read the one det J and J^[2] built
     per equilibrium (at the disease-free point, those of the determinant
-    and dominance sections).  Where the endemic ratios or the endemic
-    point do not exist, the sections that need them hold
-    ``{"error": message}`` and the others stay.
+    and dominance sections).  Two sections survive a failure: where the
+    endemic ratios do not exist, ``unique_dfe_conditions`` holds
+    ``{"error": message}``; where the endemic point or its verdicts fail
+    with InfeasibleError or ArithmeticError, ``equilibria.endemic`` holds
+    the error and there are no endemic verdicts.
     """
-    point = dfe(p)
-    try:
-        alpha_hat, beta_hat = _linear_ratios(p)
-        unique = {"beta1_lt_beta10": bool(p.beta1 < p.beta10),
-                  "alpha_alphahat_lt_beta5_betahat_plus_beta9": bool(
-                      p.alpha * alpha_hat < p.beta5 * beta_hat + p.beta9)}
-    except InfeasibleError as exc:
-        unique = {"error": str(exc)}
-    r0 = r0_reduced(p)
-    r0_dfe = r0_full(p, point.state)
-    dj = det_jp0(p)
-
-    e_star = p.e_dfe
-    cond_a = p.beta3 < _beta_printed(p)
-    cond_b = 2.0 * p.a * e_star < p.beta6 + p.mu
-    cond_c = p.beta9 < p.beta7 * e_star
-    cond_d = p.beta8 + p.beta7 * e_star < p.mu
-    j_dfe = jacobian_closed(p, point.state)
-    j2 = add_compound(j_dfe, 2)
-    report = {
-        "params": p.to_dict(),
-        "r0": {
-            "reduced": r0,
-            "full_dfe": r0_dfe,
-            "threshold_verdict": _threshold_verdict(r0),
-        },
-        "unique_dfe_conditions": unique,
-        "dfe_determinant": dj.to_dict(),
-        "dfe_compound_dominance": {
-            "cond_a_beta3_lt_beta2_beta5_mu": bool(cond_a),
-            "cond_b_2aE_lt_beta6_mu": bool(cond_b),
-            "cond_c_beta9_lt_beta7E": bool(cond_c),
-            "cond_d_beta8_beta7E_lt_mu": bool(cond_d),
-            "hypotheses_hold": bool(cond_a and cond_b and cond_c and cond_d),
-            "compound_column_dominant": dominance(j2, "cols"),
-            "compound_diag_negative": bool(np.diag(j2).max() < 0),
-        },
-        "equilibria": {"dfe": point.to_dict()},
-        "verdicts": {"dfe": criterion_verdicts(j_dfe, dj.numeric, j2)},
-    }
-    try:
-        end = endemic(p)
-        report["equilibria"]["endemic"] = end.to_dict()
-        j_end = jacobian_closed(p, end.state)
-        report["verdicts"]["endemic"] = criterion_verdicts(j_end, determinant(j_end),
-                                                           add_compound(j_end, 2))
-    except (InfeasibleError, ArithmeticError) as exc:
-        report["equilibria"]["endemic"] = {"error": str(exc)}
-    return report
+    return model.report([
+        ("params", lambda r: p),
+        ("equilibria.dfe", lambda r: dfe(p)),
+        ("unique_dfe_conditions", lambda r: _unique_dfe_conditions(p), InfeasibleError),
+        ("r0.reduced", lambda r: r0_reduced(p)),
+        ("r0.full_dfe", lambda r: r0_full(p, r["equilibria.dfe"].state)),
+        ("r0.threshold_verdict", lambda r: _threshold_verdict(r["r0.reduced"])),
+        ("dfe_determinant", lambda r: det_jp0(p)),
+        ("_j", lambda r: jacobian_closed(p, r["equilibria.dfe"].state)),
+        ("_j2", lambda r: add_compound(r["_j"], 2)),
+        ("dfe_compound_dominance", lambda r: _dfe_dominance(p, r["_j2"])),
+        ("verdicts.dfe", lambda r: criterion_verdicts(r["_j"], r["dfe_determinant"].numeric, r["_j2"])),
+        ("equilibria.endemic verdicts.endemic", lambda r: _endemic_verdicts(p),
+         InfeasibleError, ArithmeticError)])

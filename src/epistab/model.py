@@ -10,6 +10,16 @@ population states and the central-difference Jacobian that serves as the
 ground-truth oracle, taken with the fixed step ``FD_STEP``.  ``Record`` is
 the base of every result record and holds its one JSON rule, ``to_dict``.
 
+Every report a command prints (``stability``, ``equilibria``, ``r0``,
+``paper-check`` and their ``seir`` forms, except ``seir r0``) is a list of
+named sections run in order by one evaluator, ``report``: each section
+computes one entry from the parameters and the entries before it.
+``report`` is the one place where a section's failure is caught, and each
+section names the exception classes it survives.  Two sections survive one,
+both in ``covid.stability_report``; every other failure ends its report.
+``csv_table`` is the one writer of the ``%.12g`` tables the commands print
+(trajectories, sweeps and compounds), ``CSV_BLOCK`` rows per ``%`` format.
+
 ``Params.batch`` gives a record whose one swept field holds a float64
 array: the formulas and guards that a swept R0 reads (``need_mu``,
 ``covid.r0_reduced``, ``seir.r0_seir``) run on it elementwise, so each
@@ -28,6 +38,8 @@ import numpy as np
 
 RESIDUAL_RTOL = 1e-10
 FD_STEP = 1e-6
+# table rows per % format: bounds the Python floats alive at once in a long table
+CSV_BLOCK = 1 << 16
 
 
 class InfeasibleError(ValueError):
@@ -39,9 +51,56 @@ class Record:
 
     def to_dict(self):
         """Fields in order, leaving out None and ""; an array or tuple as a
-        list, a complex number as [re, im]."""
-        return {k: _plain(v) for k, v in vars(self).items()  # never asks an array for its truth
-                if v is not None and (type(v) is not str or v)}
+        list, a complex number as [re, im]; a float, bool or str as itself,
+        with no call."""
+        return {k: v if type(v) in (float, bool, str) else _plain(v) for k, v in vars(self).items()
+                if v is not None and (type(v) is not str or v)}  # never asks an array for its truth
+
+
+def report(sections):
+    """The report that ``sections`` compute, run in order as a plain dict.
+
+    A section is ``(key, fn, *caught)``: ``fn(done)`` computes the entry
+    ``key`` from ``done``, the entries of the earlier sections by key.  This
+    is the one place where a section's failure is caught: an exception of a
+    class in ``caught`` makes its entry ``{"error": message}``, and any other
+    ends the report.  A key of several words names one entry per word, in
+    the tuple its section returns; when that section fails, the error takes
+    the first word and the others are left out.  In the report, a key
+    ``a.b`` is entry ``b`` of entry ``a``, a Record is written as its
+    ``to_dict()``, and a key that starts with ``_`` is left out: its entry
+    is for later sections only.
+    """
+    done, out = {}, {}
+    for key, fn, *caught in sections:
+        try:
+            done[key] = fn(done)
+        except tuple(caught) as exc:
+            key = key.split()[0]
+            done[key] = {"error": str(exc)}
+        if " " in key:  # one entry per word
+            done.update(zip(key.split(), done.pop(key)))
+    for key, value in done.items():
+        if key[0] != "_":
+            outer, dot, inner = key.partition(".")
+            node = out.setdefault(outer, {}) if dot else out
+            node[inner or outer] = value.to_dict() if isinstance(value, Record) else value
+    return out
+
+
+def csv_table(header, *columns):
+    """CSV text of ``np.column_stack(columns)``: the line ``header`` unless
+    it is None, then one line per row, each entry formatted ``%.12g``.
+
+    The rows are formatted ``CSV_BLOCK`` at a time, one ``%`` per block, so
+    however long the table, one block's Python floats are alive at once.
+    """
+    parts = [] if header is None else [header + "\n"]
+    for k in range(0, len(columns[0]), CSV_BLOCK):
+        block = np.column_stack([c[k:k + CSV_BLOCK] for c in columns])
+        row = ",".join(["%.12g"] * block.shape[1]) + "\n"
+        parts.append((row * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def _plain(v):

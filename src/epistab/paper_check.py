@@ -32,6 +32,10 @@ LAPACK call: it is both the oracle of the det V claim and the divisor of
 a_c..d_c.  R0 = rho(F V^-1) at the five probes comes from one stacked LU
 and one stacked eigenvalue call (``covid.ngm_radius``).
 
+``build_report`` runs one ``model.report`` section per claim group, in
+report order, after the disease-free point that several groups probe; no
+section survives a failure.
+
 The probe states and the two parameter-free claims (the cubic conjugate
 pair and the 10x10 compound display) are fixed by ``SEED``: they are
 computed once per process and shared, read-only, by every report.
@@ -397,21 +401,26 @@ def seeded_claims():
 
 
 def build_report(p, sp=None):
-    """All transcription claims for one parameter set (and a SEIR set)."""
+    """All transcription claims for one parameter set (and a SEIR set): one
+    report section per claim group, in order, after the disease-free point
+    that several groups probe."""
     if sp is None:
         sp = seir.figure_params()
     states, cubic, compound, seir_states = _seeded()
-    x_dfe = covid.dfe(p).state
-    claims = [claim_sum_identity(p, states), *claim_jacobian_entries(p, [x_dfe, *states]),
-              claim_dfe_jacobian_display(p, x_dfe), *claim_endemic_ratios(p),
-              *claim_ngm(p, [x_dfe, *states]), claim_dfe_determinant(p),
-              claim_splitting_cubic(p), cubic, compound, claim_seir_jacobian(sp, seir_states),
-              claim_seir_compound_display(sp), claim_seir_endemic_i1(sp)]
-    ids = [c.claim_id for c in claims]
-    if len(ids) != len(set(ids)):
+    groups = model.report([
+        ("_x_dfe", lambda r: covid.dfe(p).state),
+        ("sum_identity", lambda r: [claim_sum_identity(p, states)]),
+        ("jacobian_entries", lambda r: claim_jacobian_entries(p, [r["_x_dfe"], *states])),
+        ("dfe_jacobian_display", lambda r: [claim_dfe_jacobian_display(p, r["_x_dfe"])]),
+        ("endemic_ratios", lambda r: claim_endemic_ratios(p)),
+        ("ngm", lambda r: claim_ngm(p, [r["_x_dfe"], *states])),
+        ("dfe_determinant", lambda r: [claim_dfe_determinant(p)]),
+        ("splitting_cubic", lambda r: [claim_splitting_cubic(p)]),
+        ("seeded", lambda r: [cubic, compound]),
+        ("seir_jacobian", lambda r: [claim_seir_jacobian(sp, seir_states)]),
+        ("seir_compound_display", lambda r: [claim_seir_compound_display(sp)]),
+        ("seir_endemic_i1", lambda r: [claim_seir_endemic_i1(sp)])])
+    claims = [claim for group in groups.values() for claim in group]
+    if len({c.claim_id for c in claims}) != len(claims):
         raise RuntimeError("duplicate claim ids in transcription report")
     return claims
-
-
-def report_to_dicts(claims):
-    return [c.to_dict() for c in claims]

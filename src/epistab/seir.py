@@ -22,7 +22,9 @@ lower-triangular V in closed form, so no pivot floor refuses it.
 The record each ``seir`` command prints is built here: ``seir_r0_report``
 for ``seir r0`` (``r0_seir`` on a batch record for all points of ``--sweep``),
 ``seir_equilibria`` for ``seir equilibria`` and ``seir_stability`` for
-``seir stability``; ``seir simulate`` integrates ``flows3``.
+``seir stability``; ``seir simulate`` integrates ``flows3``.  The last two
+are named sections that ``model.report`` runs in order, none of which
+survives a failure.
 """
 
 from __future__ import annotations
@@ -165,7 +167,7 @@ def endemic3(p):
 
 def seir_equilibria(p):
     """The ``seir equilibria`` record: the disease-free and endemic points."""
-    return {"dfe": dfe3(p).to_dict(), "endemic": endemic3(p).to_dict()}
+    return model.report([("dfe", lambda r: dfe3(p)), ("endemic", lambda r: endemic3(p))])
 
 
 def endemic_conditions(p):
@@ -193,32 +195,33 @@ def endemic_conditions(p):
             "c3_det_negative": c3}
 
 
+def _transformed_compound(j2, end):
+    """What P J^[2] P^-1 shows, with P = diag(I2*, I1*, S*) at the endemic
+    point ``end`` applied as a scaling, p_i J^[2]_ij / p_j, entry by entry."""
+    s = end.state[::-1]  # the diagonal of P
+    m = (s[:, None] * j2) * (1.0 / s)
+    return {"row_dominant": dominance(m, "rows"), "diag_negative": bool(np.diag(m).max() < 0),
+            "measure_inf": measure(m, MeasureKind.INF)}
+
+
 def seir_stability(p):
     """Stability report at the endemic point via the similarity-transformed compound.
 
     Builds J at the endemic point (cross-checked against finite differences
-    by the test-suite), its determinant and second additive compound, the
-    diagonal similarity P = diag(I2*, I1*, S*) applied as a scaling, and
-    evaluates the three endemic conditions, row dominance of P J^[2] P^-1,
-    the Jacobian determinant sign, and the exact criteria from the same
-    det J and J^[2].
+    by the test-suite), its second additive compound and det J; then R0,
+    the disease-free point, the three endemic conditions, what P J^[2] P^-1
+    shows (row dominance, diagonal sign, mu_inf), and the exact criteria
+    from the same det J and J^[2].  The endemic point comes first, before
+    R0 and the disease-free point; no section survives a failure.
     """
-    end = endemic3(p)
-    j = jacobian3(p, end.state)
-    j2 = add_compound(j, 2)
-    s = end.state[::-1]  # the diagonal of P = diag(I2*, I1*, S*)
-    transformed = (s[:, None] * j2) * (1.0 / s)  # P J^[2] P^-1, entry by entry
-    det_j = determinant(j)
-    return {
-        "params": p.to_dict(),
-        "r0": r0_seir(p),
-        "equilibria": {"dfe": dfe3(p).to_dict(), "endemic": end.to_dict()},
-        "conditions": endemic_conditions(p),
-        "transformed_compound": {
-            "row_dominant": dominance(transformed, "rows"),
-            "diag_negative": bool(np.diag(transformed).max() < 0),
-            "measure_inf": measure(transformed, MeasureKind.INF),
-        },
-        "det_endemic_jacobian": det_j,
-        "verdicts": {"endemic": criterion_verdicts(j, det_j, j2)},
-    }
+    return model.report([
+        ("params", lambda r: p),
+        ("equilibria.endemic", lambda r: endemic3(p)),
+        ("_j", lambda r: jacobian3(p, r["equilibria.endemic"].state)),
+        ("_j2", lambda r: add_compound(r["_j"], 2)),
+        ("det_endemic_jacobian", lambda r: determinant(r["_j"])),
+        ("r0", lambda r: r0_seir(p)),
+        ("equilibria.dfe", lambda r: dfe3(p)),
+        ("conditions", lambda r: endemic_conditions(p)),
+        ("transformed_compound", lambda r: _transformed_compound(r["_j2"], r["equilibria.endemic"])),
+        ("verdicts.endemic", lambda r: criterion_verdicts(r["_j"], r["det_endemic_jacobian"], r["_j2"]))])

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import covid, seir
+from . import covid, model, seir
 from .covid import rhs as covid_rhs  # noqa: F401  the benchmark harness's tests pin this binding
 from .covid import sum_rate
 
@@ -349,7 +349,6 @@ def invariance_audit(traj, p):
 
 
 def trajectory_to_csv(traj, header):
-    """Render a trajectory as CSV text, 12 significant digits, newline-terminated."""
-    table = np.column_stack([traj.times, traj.states])
-    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
-    return header + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
+    """Render a trajectory as CSV text, 12 significant digits, newline-terminated,
+    through the one table writer ``model.csv_table``."""
+    return model.csv_table(header, traj.times, traj.states)

@@ -23,6 +23,9 @@ row write per step: the byte oracle of the generated kernels of
 ``epistab.sim._float_kernel``.  ``sweep_csv_per_point`` is the ``r0 --sweep``
 CSV built one point at a time, each R0 from its own record and each row by
 its own format: the byte oracle of ``epistab.cli._sweep_csv``.
+``matrix_text_per_entry`` formats a matrix one entry at a time with an
+f-string, as the ``compound`` command did before its output went through
+``epistab.model.csv_table``: that writer's byte oracle for matrices.
 ``add_compound_2d`` scatters A^[k] through 2-D (row, col) fancy indexing
 from a (row, col, i, j, sign) list, and ``measure_diag_matrix`` takes a
 Lozinskii measure from |A| - diag(diag(|A|)): the byte oracles of
@@ -136,6 +139,11 @@ def csv_per_row(traj, header):
     for t, state in zip(traj.times.tolist(), traj.states.tolist()):
         lines.append(",".join("%.12g" % v for v in [t] + state))
     return "\n".join(lines) + "\n"
+
+
+def matrix_text_per_entry(m):
+    """One line per row of ``np.atleast_2d(m)``, each entry formatted ``.12g`` alone."""
+    return "\n".join(",".join(f"{v:.12g}" for v in row) for row in np.atleast_2d(m)) + "\n"
 
 
 def sweep_csv_per_point(name, values, p, r0):

@@ -6,7 +6,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from reference import mult_compound_closed, sweep_csv_per_point, trajectory_from_csv
+from reference import (
+    matrix_text_per_entry,
+    mult_compound_closed,
+    sweep_csv_per_point,
+    trajectory_from_csv,
+)
 
 import epistab.cli as cli
 import epistab.compound as compound
@@ -663,6 +668,22 @@ def test_non_finite_output_exit_2(covid_config, tmp_path, capsys):
         assert capsys.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize("mode", ["additive", "multiplicative"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_compound_bytes_match_the_per_entry_reference(mode, k, tmp_path, capsys):
+    # signed zeros, integers past 12 digits, 1e12, 1e16 and subnormals
+    a = np.array([[-0.0, 0.0, 1e12, -1e16],
+                  [5e-324, -2.5e-310, 123456789012345.0, 1.0 / 3.0],
+                  [1e16 + 2.0, -7.0, 0.1, 999999999999.5],
+                  [2.0 ** 53, -1e-300, 3.0, -0.5]])
+    mat = tmp_path / "m.txt"
+    mat.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in a))
+    assert main(["compound", "--matrix", str(mat), "--k", str(k), "--mode", mode]) == 0
+    out, err = capsys.readouterr()
+    want = (compound.add_compound if mode == "additive" else compound.mult_compound)(a, k)
+    assert (out, err) == (matrix_text_per_entry(want), "")
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_multiplicative_compound_overflow_exit_2(k, tmp_path, capsys):
     # entries near 1e155: the products overflow to inf and meet as inf - inf
@@ -757,7 +778,7 @@ def test_sweep_bytes_match_the_per_point_reference(model, name, tmp_path, capsys
     config = tmp_path / "params.json"
     config.write_text(json.dumps(p.to_dict()))
     rng = np.random.default_rng([2804, len(name), ord(name[-1])])
-    monkeypatch.setattr(cli, "SWEEP_BLOCK", 1000)  # 4097 rows take five % formats
+    monkeypatch.setattr("epistab.model.CSV_BLOCK", 1000)  # 4097 rows take five % formats
     for count in (1, 2, 60, 4097):
         lo = getattr(p, name) * rng.uniform(0.5, 1.5)
         step = getattr(p, name) * rng.uniform(0.5, 1.5) / count

@@ -6,7 +6,7 @@ from reference import lu_solve
 
 from epistab import covid, paper_check, seir
 from epistab.linalg import SingularMatrixError, determinant
-from epistab.paper_check import FLAGGED, MATCH, build_report, report_to_dicts
+from epistab.paper_check import FLAGGED, MATCH, build_report
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +22,7 @@ def _by_id(report):
 def test_claim_ids_unique_and_schema(report):
     ids = [c.claim_id for c in report]
     assert len(ids) == len(set(ids))
-    for d in report_to_dicts(report):
+    for d in (c.to_dict() for c in report):
         assert set(d) >= {"claim_id", "paper_value", "oracle_value",
                           "max_abs_diff", "verdict"}
         assert d["verdict"] in (MATCH, FLAGGED)
@@ -92,8 +92,8 @@ def test_compound_display_gap_location(report):
 def test_report_is_deterministic():
     from epistab import table_params
     p = table_params(0.1)
-    a = report_to_dicts(build_report(p))
-    b = report_to_dicts(build_report(p))
+    a = [c.to_dict() for c in build_report(p)]
+    b = [c.to_dict() for c in build_report(p)]
     assert a == b
 
 

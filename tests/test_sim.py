@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -649,3 +650,30 @@ def test_trajectory_csv_matches_per_row_formatting():
         assert trajectory_to_csv(traj, header) == csv_per_row(traj, header)
     one_row = Trajectory(times=times[:1], states=states[:1])
     assert trajectory_to_csv(one_row, "t,a,b,c,d") == csv_per_row(one_row, "t,a,b,c,d")
+
+
+def test_trajectory_csv_blocks_match_per_row_formatting(monkeypatch):
+    # 7 rows in blocks of 3 take three % formats: 3, 3 and 1 rows
+    monkeypatch.setattr("epistab.model.CSV_BLOCK", 3)
+    rng = np.random.default_rng(3001)
+    for rows in (1, 3, 6, 7):
+        states = rng.normal(size=(rows, 4)) * 10.0 ** rng.uniform(-310, 300, size=(rows, 4))
+        traj = Trajectory(times=np.arange(rows) * 0.1, states=states)
+        assert trajectory_to_csv(traj, "t,a,b,c,d") == csv_per_row(traj, "t,a,b,c,d")
+
+
+def test_trajectory_csv_peak_memory_stays_near_the_text_size():
+    # 200,001 rows of 4 columns, about 10 MB of text.  At the peak the
+    # writer holds the blocks, the text joined from them and one block's
+    # Python floats: under 2.5 times the text.  Formatting the whole table
+    # with one % took 4.8 times the text.
+    traj = integrate(functools.partial(seir.flows3, seir.figure_params()),
+                     np.array([1.0, 0.5, 0.2]), dt=0.01, t_end=2000.0)
+    tracemalloc.start()
+    try:
+        text = trajectory_to_csv(traj, "t,S,I1,I2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 200001 and text.count("\n") == 200002
+    assert peak < 2.5 * len(text)
