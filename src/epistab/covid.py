@@ -25,9 +25,9 @@ of ``x.T`` and packed component-major by one ``np.array``.
 The record each model command prints is built here: ``r0_report`` for
 ``r0`` (``r0_reduced`` on a batch record for all points of ``r0 --sweep``),
 ``equilibria_report`` for ``equilibria`` and ``stability_report`` for
-``stability``; ``simulate`` integrates ``flows``.  Each record is a list of
-named sections that ``model.report`` runs in order.  Only two sections of
-``stability_report`` survive a failure: ``unique_dfe_conditions`` an
+``stability``; ``simulate`` integrates ``flows``.  The last two are lists
+of named sections that ``model.report`` runs in order.  Only two sections
+of ``stability_report`` survive a failure: ``unique_dfe_conditions`` an
 InfeasibleError, and the endemic point with its verdicts an InfeasibleError
 or ArithmeticError.
 """
@@ -216,10 +216,9 @@ def r0_reduced(p):
 
 
 def r0_report(p):
-    """The ``r0`` record: the full-NGM R0 at the disease-free point, then
-    the reduced R0 (which step fails first is pinned)."""
-    return model.report([("full_dfe", lambda r: r0_full(p, dfe(p).state)),
-                         ("reduced", lambda r: r0_reduced(p))])
+    """The ``r0`` record: the reduced R0 and the full-NGM R0 at the disease-free point."""
+    r0 = r0_full(p, dfe(p).state)  # before r0_reduced: which step fails first is pinned
+    return {"reduced": r0_reduced(p), "full_dfe": r0}
 
 
 def equilibria_report(p):
@@ -351,7 +350,7 @@ def _endemic_verdicts(p):
     """The endemic point and its criterion verdicts, from one det J and J^[2]."""
     end = endemic(p)
     j = jacobian_closed(p, end.state)
-    return end, criterion_verdicts(j, determinant(j), add_compound(j, 2))
+    return {"point": end, "verdicts": criterion_verdicts(j, determinant(j), add_compound(j, 2))}
 
 
 def stability_report(p):
@@ -382,5 +381,6 @@ def stability_report(p):
         ("_j2", lambda r: add_compound(r["_j"], 2)),
         ("dfe_compound_dominance", lambda r: _dfe_dominance(p, r["_j2"])),
         ("verdicts.dfe", lambda r: criterion_verdicts(r["_j"], r["dfe_determinant"].numeric, r["_j2"])),
-        ("equilibria.endemic verdicts.endemic", lambda r: _endemic_verdicts(p),
-         InfeasibleError, ArithmeticError)])
+        ("_endemic", lambda r: _endemic_verdicts(p), InfeasibleError, ArithmeticError),
+        ("equilibria.endemic", lambda r: r["_endemic"].get("point", r["_endemic"])),
+        ("verdicts.endemic", lambda r: r["_endemic"].get("verdicts"))])

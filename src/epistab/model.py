@@ -10,11 +10,10 @@ population states and the central-difference Jacobian that serves as the
 ground-truth oracle, taken with the fixed step ``FD_STEP``.  ``Record`` is
 the base of every result record and holds its one JSON rule, ``to_dict``.
 
-Every report a command prints (``stability``, ``equilibria``, ``r0``,
-``paper-check`` and their ``seir`` forms, except ``seir r0``) is a list of
-named sections run in order by one evaluator, ``report``: each section
-computes one entry from the parameters and the entries before it.
-``report`` is the one place where a section's failure is caught, and each
+The reports of ``stability``, ``seir stability``, ``equilibria`` and
+``paper-check`` are lists of named sections run in order by one evaluator,
+``report``: each section computes one entry from the parameters and the
+entries before it.  ``report`` is the one place where a section's failure is caught, and each
 section names the exception classes it survives.  Two sections survive one,
 both in ``covid.stability_report``; every other failure ends its report.
 ``csv_table`` is the one writer of the ``%.12g`` tables the commands print
@@ -51,10 +50,9 @@ class Record:
 
     def to_dict(self):
         """Fields in order, leaving out None and ""; an array or tuple as a
-        list, a complex number as [re, im]; a float, bool or str as itself,
-        with no call."""
-        return {k: v if type(v) in (float, bool, str) else _plain(v) for k, v in vars(self).items()
-                if v is not None and (type(v) is not str or v)}  # never asks an array for its truth
+        list, a complex number as [re, im]."""
+        return {k: _plain(v) for k, v in vars(self).items()  # never asks an array for its truth
+                if v is not None and (type(v) is not str or v)}
 
 
 def report(sections):
@@ -64,24 +62,19 @@ def report(sections):
     ``key`` from ``done``, the entries of the earlier sections by key.  This
     is the one place where a section's failure is caught: an exception of a
     class in ``caught`` makes its entry ``{"error": message}``, and any other
-    ends the report.  A key of several words names one entry per word, in
-    the tuple its section returns; when that section fails, the error takes
-    the first word and the others are left out.  In the report, a key
-    ``a.b`` is entry ``b`` of entry ``a``, a Record is written as its
-    ``to_dict()``, and a key that starts with ``_`` is left out: its entry
-    is for later sections only.
+    ends the report.  In the report, a key ``a.b`` is entry ``b`` of entry
+    ``a``, a Record is written as its ``to_dict()``, and an entry that is
+    None or whose key starts with ``_`` is left out: the latter is for
+    later sections only.
     """
     done, out = {}, {}
     for key, fn, *caught in sections:
         try:
             done[key] = fn(done)
         except tuple(caught) as exc:
-            key = key.split()[0]
             done[key] = {"error": str(exc)}
-        if " " in key:  # one entry per word
-            done.update(zip(key.split(), done.pop(key)))
     for key, value in done.items():
-        if key[0] != "_":
+        if key[0] != "_" and value is not None:
             outer, dot, inner = key.partition(".")
             node = out.setdefault(outer, {}) if dot else out
             node[inner or outer] = value.to_dict() if isinstance(value, Record) else value

@@ -22,8 +22,8 @@ lower-triangular V in closed form, so no pivot floor refuses it.
 The record each ``seir`` command prints is built here: ``seir_r0_report``
 for ``seir r0`` (``r0_seir`` on a batch record for all points of ``--sweep``),
 ``seir_equilibria`` for ``seir equilibria`` and ``seir_stability`` for
-``seir stability``; ``seir simulate`` integrates ``flows3``.  The last two
-are named sections that ``model.report`` runs in order, none of which
+``seir stability``; ``seir simulate`` integrates ``flows3``.  The last is a
+list of named sections that ``model.report`` runs in order, none of which
 survives a failure.
 """
 
@@ -167,7 +167,7 @@ def endemic3(p):
 
 def seir_equilibria(p):
     """The ``seir equilibria`` record: the disease-free and endemic points."""
-    return model.report([("dfe", lambda r: dfe3(p)), ("endemic", lambda r: endemic3(p))])
+    return {"dfe": dfe3(p).to_dict(), "endemic": endemic3(p).to_dict()}
 
 
 def endemic_conditions(p):

@@ -10,7 +10,7 @@ succeeds.
 
 import pytest
 
-from epistab import covid, figure_params, linalg, paper_check, seir, table_params
+from epistab import covid, figure_params, linalg, model, paper_check, seir, table_params
 
 SPIES = {
     covid: ("dfe", "endemic", "_linear_ratios", "r0_reduced", "r0_full", "det_jp0",
@@ -155,3 +155,23 @@ def test_an_uncaught_failure_ends_the_report(monkeypatch):
     monkeypatch.setattr(covid, "endemic", refuse)
     with pytest.raises(ValueError, match="^not a number$"):
         covid.stability_report(table_params(0.1))
+
+
+def test_the_evaluator_lays_out_its_entries():
+    # a dotted key nests, a "_" key and a None entry are left out, a Record
+    # is written through to_dict, and a caught failure becomes its entry
+    def infeasible(done):
+        raise model.InfeasibleError("no such point")
+
+    rep = model.report([
+        ("_x", lambda r: 2.0),
+        ("a.b", lambda r: r["_x"] + 1),
+        ("c", lambda r: None),
+        ("a.p", lambda r: figure_params()),
+        ("d", infeasible, model.InfeasibleError),
+        ("a.e", lambda r: r["d"])])
+    assert rep == {"a": {"b": 3.0, "p": figure_params().to_dict(),
+                         "e": {"error": "no such point"}},
+                   "d": {"error": "no such point"}}
+    with pytest.raises(model.InfeasibleError, match="^no such point$"):
+        model.report([("d", infeasible, ArithmeticError)])
