@@ -29,9 +29,10 @@ per process (with the finiteness check) and their text reused.
 swept field holds the points as an array (``model.Params.batch``);
 elementwise float64 arithmetic gives each point the bits it gets alone.
 Its rows, like those of ``simulate`` and ``compound``, go through the one
-table writer ``model.csv_table``, one ``%`` format per ``CSV_BLOCK`` rows.  Where the
-batch raises, the points are taken one by one, and the first failing point
-raises what it raises alone, its message ending in `` at name=value``.
+table writer ``model.csv_table``, one ``%`` format per ``CSV_BLOCK`` rows.
+Where the batch raises, the points are taken one by one, and the first
+failing point raises what it raises alone, its message ending in
+`` at name=value``.
 Where it returns, no point failed a guard, so its first non-finite R0, if
 any, names the failing point.
 

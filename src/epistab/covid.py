@@ -25,11 +25,10 @@ of ``x.T`` and packed component-major by one ``np.array``.
 The record each model command prints is built here: ``r0_report`` for
 ``r0`` (``r0_reduced`` on a batch record for all points of ``r0 --sweep``),
 ``equilibria_report`` for ``equilibria`` and ``stability_report`` for
-``stability``; ``simulate`` integrates ``flows``.  The last two are lists
-of named sections that ``model.report`` runs in order.  Only two sections
-of ``stability_report`` survive a failure: ``unique_dfe_conditions`` an
-InfeasibleError, and the endemic point with its verdicts an InfeasibleError
-or ArithmeticError.
+``stability``; ``simulate`` integrates ``flows``.  The last is a list of
+named sections that ``model.report`` runs in order.  Only two of them
+survive a failure: ``unique_dfe_conditions`` an InfeasibleError, and the
+endemic point with its verdicts an InfeasibleError or ArithmeticError.
 """
 
 from __future__ import annotations
@@ -227,7 +226,7 @@ def equilibria_report(p):
     if p.beta1 < p.beta10:
         raise InfeasibleError(
             "beta1 < beta10, so the disease-free point is the unique equilibrium")
-    return model.report([("dfe", lambda r: dfe(p)), ("endemic", lambda r: endemic(p))])
+    return {"dfe": dfe(p).to_dict(), "endemic": endemic(p).to_dict()}
 
 
 def ngm_matrices(p, x):

@@ -10,10 +10,9 @@ population states and the central-difference Jacobian that serves as the
 ground-truth oracle, taken with the fixed step ``FD_STEP``.  ``Record`` is
 the base of every result record and holds its one JSON rule, ``to_dict``.
 
-The reports of ``stability``, ``seir stability``, ``equilibria`` and
-``paper-check`` are lists of named sections run in order by one evaluator,
-``report``: each section computes one entry from the parameters and the
-entries before it.  ``report`` is the one place where a section's failure is caught, and each
+The reports of ``stability``, ``seir stability`` and ``paper-check`` are
+lists of named sections run in order by one evaluator, ``report``: each
+section computes one entry from the parameters and the entries before it.  ``report`` is the one place where a section's failure is caught, and each
 section names the exception classes it survives.  Two sections survive one,
 both in ``covid.stability_report``; every other failure ends its report.
 ``csv_table`` is the one writer of the ``%.12g`` tables the commands print
@@ -68,12 +67,12 @@ def report(sections):
     later sections only.
     """
     done, out = {}, {}
-    for key, fn, *caught in sections:
+    for section in sections:
+        key = section[0]
         try:
-            done[key] = fn(done)
-        except tuple(caught) as exc:
-            done[key] = {"error": str(exc)}
-    for key, value in done.items():
+            value = done[key] = section[1](done)
+        except section[2:] as exc:  # the classes the section names, if any
+            value = done[key] = {"error": str(exc)}
         if key[0] != "_" and value is not None:
             outer, dot, inner = key.partition(".")
             node = out.setdefault(outer, {}) if dot else out
