@@ -197,8 +197,13 @@ def endemic_conditions(p):
 
 def _transformed_compound(j2, end):
     """What P J^[2] P^-1 shows, with P = diag(I2*, I1*, S*) at the endemic
-    point ``end`` applied as a scaling, p_i J^[2]_ij / p_j, entry by entry."""
+    point ``end`` applied as a scaling, p_i J^[2]_ij / p_j, entry by entry.
+    A zero entry of P (I2* = delta*I1* is 0 at gamma = 0) raises
+    ArithmeticError, as P has no inverse."""
     s = end.state[::-1]  # the diagonal of P
+    for name, entry in zip(("I2*", "I1*", "S*"), s):
+        if entry == 0:
+            raise ArithmeticError(f"P = diag(I2*, I1*, S*) is singular: {name} = 0")
     m = (s[:, None] * j2) * (1.0 / s)
     return {"row_dominant": dominance(m, "rows"), "diag_negative": bool(np.diag(m).max() < 0),
             "measure_inf": measure(m, MeasureKind.INF)}

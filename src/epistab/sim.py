@@ -10,8 +10,8 @@ rows reach ``states`` a ``CHUNK`` at a time.  In the call path
 (:func:`_float_kernel`, compiled once per d) each stage hands ``f`` a list
 of d floats and unpacks exactly d values back.  When ``f`` is a model's flow
 function (``covid.flows``, ``seir.flows3``) bound to its parameters by
-``functools.partial``, each stage instead runs that function's own
-statements, read from its source and compiled once per process
+``functools.partial``, each stage instead performs the operations that
+one traced call of that function performed, compiled once per process
 (:func:`_inlined_kernel`), so no stage makes a call.  A batch of states
 steps on numpy arrays in the same operand order, so every path gives the
 same bits.
@@ -19,9 +19,7 @@ same bits.
 
 from __future__ import annotations
 
-import ast
 import functools
-import linecache
 import math
 from dataclasses import dataclass
 
@@ -61,14 +59,15 @@ def integrate(f, x0, dt, t_end):
     ``states`` every ``CHUNK`` steps.  If ``f`` is
     ``functools.partial(flows, p)``, with ``flows`` the very ``covid.flows``
     or ``seir.flows3``, no keywords and d the flow's length, the loop runs
-    the flow equations inline, built from that function's source.  Any other
-    ``f`` (a lambda, a wrapper, a patched module attribute) takes the call
-    path: each stage hands ``f`` a list of d floats and unpacks exactly d
-    values from what it returns, a list or a (d,) array; any other length
-    is a ValueError.  Any other shape of ``x0``, such as a batch of initial
-    states (..., d), runs component-major: the sums run on (d, ...) arrays,
-    laid out like a packed right-hand side's ``.T``, and ``f`` gets and
-    returns (..., d) arrays; an output of another shape is a ValueError.
+    the flow equations inline, recorded from one call of that function on
+    symbolic terms.  Any other ``f`` (a lambda, a wrapper, a patched module
+    attribute) takes the call path: each stage hands ``f`` a list of d
+    floats and unpacks exactly d values from what it returns, a list or a
+    (d,) array; any other length is a ValueError.  Any other shape of
+    ``x0``, such as a batch of initial states (..., d), runs
+    component-major: the sums run on (d, ...) arrays, laid out like a packed
+    right-hand side's ``.T``, and ``f`` gets and returns (..., d) arrays; an
+    output of another shape is a ValueError.
 
     Deterministic: identical inputs give bit-identical trajectories.
     """
@@ -182,121 +181,99 @@ def _float_kernel(d):
     return _compile_kernel(d, stages, "", f"d = {d}")
 
 
-class _NotInlinable(Exception):
-    """A flow function whose source is not of the shape the inliner takes."""
+# an operator on a term: {0} in ``text`` is the term, {1} the other operand
+def _binary(text):
+    return lambda term, other: _Term(term.tape, text, term, other)
 
 
-def _require(condition):
-    if not condition:
-        raise _NotInlinable
+class _Term:
+    """A value in one traced call of a flow function: ``text`` with ``{0}``,
+    ``{1}`` for its ``args``, the terms and finite int or float constants it
+    operates on.  Each operation appends its term to ``tape`` in the call's
+    order and counts a use of each term it reads.  Only ``+``, ``-``,
+    ``*``, ``/`` and unary minus record; anything that needs a number (a
+    truth test, a comparison, ``**``, ``abs``, ``math.exp``) raises
+    TypeError."""
+
+    def __init__(self, tape, text, *args):
+        for a in args:
+            if type(a) is _Term:
+                a.uses += 1
+            elif type(a) not in (int, float) or not math.isfinite(a):
+                raise TypeError(f"a traced flow may not operate on {a!r}")
+        self.tape, self.text, self.args, self.uses, self.name = tape, text, args, 0, None
+        tape.append(self)
+
+    __add__, __radd__ = _binary("({0} + {1})"), _binary("({1} + {0})")
+    __sub__, __rsub__ = _binary("({0} - {1})"), _binary("({1} - {0})")
+    __mul__, __rmul__ = _binary("({0} * {1})"), _binary("({1} * {0})")
+    __truediv__, __rtruediv__ = _binary("({0} / {1})"), _binary("({1} / {0})")
+    __bool__ = __eq__ = None  # a truth test or an equality test raises TypeError
+
+    def __neg__(self):
+        return _Term(self.tape, "(-{0})", self)
+
+    def expression(self):
+        """The name of this term's local, or its operation written out."""
+        return self.name or self.text.format(
+            *(a.expression() if type(a) is _Term else f"({a!r})" for a in self.args))
 
 
-# what a flow function's statements may hold: assignments and a return of
-# arithmetic on its locals, constants and parameter reads p.<name>
-_FLOW_NODES = (ast.Assign, ast.Return, ast.Name, ast.Attribute, ast.Constant, ast.BinOp,
-               ast.UnaryOp, ast.Tuple, ast.List, ast.operator, ast.unaryop, ast.expr_context)
+class _Params:
+    """The parameters of a traced call: a read ``p.<name>`` is the term
+    ``p_<name>``, and ``name`` joins ``read``."""
 
+    def __init__(self, tape):
+        self.tape, self.read = tape, set()
 
-class _Inliner(ast.NodeTransformer):
-    """Renames a flow function's locals ``v_<name>`` and its parameter reads
-    ``p.<name>`` ``p_<name>``; a read of any other name is not inlinable."""
-
-    def __init__(self, p, local_names):
-        self.p, self.local_names, self.params = p, local_names, set()
-
-    def visit_Attribute(self, node):
-        if isinstance(node.value, ast.Name) and node.value.id == self.p:
-            self.params.add(node.attr)
-            return ast.Name(f"p_{node.attr}", node.ctx)
-        return self.generic_visit(node)
-
-    def visit_Name(self, node):
-        _require(node.id in self.local_names)
-        return ast.Name(f"v_{node.id}", node.ctx)
-
-
-def _assignments(stmt):
-    """``a, b = u, v`` as ``a = u`` and ``b = v`` when no value reads a
-    target, which saves building and unpacking a tuple; else the statement."""
-    target, value = stmt.targets[0], stmt.value
-    if (isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
-            and len(target.elts) == len(value.elts)
-            and not {t.id for t in target.elts} & {n.id for n in ast.walk(value)
-                                                   if isinstance(n, ast.Name)}):
-        return [f"{ast.unparse(t)} = {ast.unparse(v)}" for t, v in zip(target.elts, value.elts)]
-    return [ast.unparse(stmt)]
-
-
-def _source(flows):
-    """The text of the module-level function ``flows``: its ``def`` line and
-    the lines after it up to the next one that starts in column 0.
-
-    ``inspect.getsource`` finds the same block with ``tokenize``, whose
-    first use costs more than building both kernels.  A block cut short,
-    inside a bracket or a string, fails to parse."""
-    code = flows.__code__
-    lines = linecache.getlines(code.co_filename)[code.co_firstlineno - 1:]
-    _require(lines)  # no source file to read
-    end = next((i for i, line in enumerate(lines) if i and line[:1] not in " \t\n#"),
-               len(lines))
-    return "".join(lines[:end])
-
-
-def _inlined_stages(flows):
-    """d, the four stages' statements and the parameter names they read, from
-    the source of ``flows(p, x)``: ``a, b, ... = x``, assignments, then
-    ``return [...]`` of as many values."""
-    fn = ast.parse(_source(flows)).body[0]
-    _require(isinstance(fn, ast.FunctionDef) and not fn.decorator_list
-             and len(fn.args.args) == 2)
-    p, x = (a.arg for a in fn.args.args)
-    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
-    _require(len(body) >= 2 and all(isinstance(n, _FLOW_NODES)
-                                    for stmt in body for n in ast.walk(stmt)))
-    unpack, *middle, ret = body
-    _require(all(isinstance(s, ast.Assign) and len(s.targets) == 1 for s in [unpack] + middle))
-    state = unpack.targets[0]
-    _require(isinstance(state, ast.Tuple) and isinstance(unpack.value, ast.Name)
-             and unpack.value.id == x and isinstance(ret, ast.Return)
-             and isinstance(ret.value, ast.List) and len(ret.value.elts) == len(state.elts))
-    targets = [n for s in [unpack] + middle
-               for n in (s.targets[0].elts if isinstance(s.targets[0], ast.Tuple)
-                         else s.targets)]
-    _require(all(isinstance(n, ast.Name) for n in targets))
-    local_names = {n.id for n in targets}
-    _require(not {p, x} & local_names)
-    inliner = _Inliner(p, local_names)
-    names = [inliner.visit(n).id for n in state.elts]
-    statements = [line for stmt in middle for line in _assignments(inliner.visit(stmt))]
-    values = [ast.unparse(inliner.visit(v)) for v in ret.value.elts]
-    stages = [[f"{name} = {arg.format(i)}" for i, name in enumerate(names)] + statements
-              + [f"k{s}_{i} = {value}" for i, value in enumerate(values)]
-              for s, arg in enumerate(_STAGES, 1)]
-    return len(names), stages, sorted(inliner.params)
+    def __getattr__(self, name):
+        if not name.isidentifier():
+            raise TypeError(f"parameter name {name!r} is not an identifier")
+        self.read.add(name)
+        return _Term(self.tape, f"p_{name}")
 
 
 @functools.cache
-def _inlined_kernel(flows):
-    """(d, kernel): the single-state RK4 loop with the statements of the
-    model flow function ``flows(p, x)`` inlined into each stage, compiled
-    once; None when its source cannot be read or is not of that shape.
+def _inlined_kernel(flows, d):
+    """The single-state RK4 loop for ``functools.partial(flows, p)`` on
+    states of ``d`` components, with the flow equations inlined into each
+    stage, compiled once; None when one call of ``flows`` cannot be traced.
 
-    The statements come from the function's source text through ``ast``:
-    its locals become ``v_<name>``, each ``p.<name>`` a local ``p_<name>``
-    read once per run from the partial's bound ``p``, the unpacking line
-    takes the stage's state and ``return [...]`` assigns the stage's k
-    names.  The expressions and their operand order are the flow
-    function's, so the bits are those of the call path.
+    ``flows`` is called once, on the state terms ``y0 .. y{d-1}`` and on
+    parameters whose reads ``p.<name>`` are the locals ``p_<name>``, bound
+    once per run from the partial's ``p`` in sorted name order.  Each stage
+    performs the operations of that call in the order it performed them: a
+    term read more than once becomes one local, assigned before its first
+    reader, and any other term is written out in full.  So the kernel
+    repeats the call's operations on the same operands and gives the call
+    path's bits.  The trace raises, and None is returned, when the call
+    does anything but ``+``, ``-``, ``*``, ``/`` and unary minus on its
+    terms and on finite int or float constants, reads a parameter name that
+    is not an identifier, or returns other than d values.
     """
+    tape = []
+    params = _Params(tape)
     try:
-        d, stages, params = _inlined_stages(flows)
-    except (SyntaxError, _NotInlinable):
+        out = flows(params, [_Term(tape, f"y{i}") for i in range(d)])
+        if len(out) != d:
+            raise ValueError(f"{len(out)} flows for {d} components")
+        ks = [_Term(tape, "{0}", v) for v in out]  # a value returned is a use too
+    except Exception:  # whatever the trace raises, f takes the call path
         return None
-    bind = "\n    ".join(["params = f.args[0]"] + [f"p_{a} = params.{a}" for a in params])
-    return d, _compile_kernel(d, stages, bind, f"{flows.__module__}.{flows.__name__}")
+    statements = []
+    for n, term in enumerate(tape):
+        if term.args and term.uses > 1:
+            statements.append(f"t{n} = {term.expression()}")
+            term.name = f"t{n}"
+    stages = [[f"y{i} = {arg.format(i)}" for i in range(d)] + statements
+              + [f"k{s}_{i} = {k.expression()}" for i, k in enumerate(ks)]
+              for s, arg in enumerate(_STAGES, 1)]
+    bind = "\n    ".join(["params = f.args[0]"]
+                         + [f"p_{a} = params.{a}" for a in sorted(params.read)])
+    return _compile_kernel(d, stages, bind, f"{flows.__module__}.{flows.__name__}")
 
 
-# the flow functions whose statements a single-state run inlines, compared
+# the flow functions whose operations a single-state run inlines, compared
 # by identity: a wrapper or a patched module attribute takes the call path
 _MODEL_FLOWS = (covid.flows, seir.flows3)
 
@@ -306,9 +283,7 @@ def _single_state_kernel(f, d):
     model's flow function of ``d`` values, else the call path's."""
     if (type(f) is functools.partial and len(f.args) == 1 and not f.keywords
             and any(f.func is flows for flows in _MODEL_FLOWS)):
-        inlined = _inlined_kernel(f.func)
-        if inlined is not None and inlined[0] == d:
-            return inlined[1]
+        return _inlined_kernel(f.func, d) or _float_kernel(d)
     return _float_kernel(d)
 
 

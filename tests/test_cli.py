@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import json
+import linecache
 import sys
 import warnings
 from collections import Counter
@@ -230,6 +232,18 @@ def test_simulate_runs_compile_one_kernel_per_state_size(covid_config, seir_conf
     info = sim._inlined_kernel.cache_info()
     assert (info.misses, info.hits) == (2, 2)
     assert sim._float_kernel.cache_info().currsize == 0
+
+
+def test_simulate_inlines_the_model_flows_without_their_source(covid_config, seir_config,
+                                                               tmp_path, capsys, monkeypatch):
+    # the flows are traced by one call, not read: with no source lines to
+    # read, both are still inlined and the runs write the README bytes
+    monkeypatch.setattr(linecache, "getlines", lambda *args: [])
+    sim._inlined_kernel.cache_clear()
+    for flows, p, d in ((covid.flows, table_params(0.1), 5), (seir.flows3, figure_params(), 3)):
+        assert sim._single_state_kernel(functools.partial(flows, p), d) is not sim._float_kernel(d)
+    for model in sorted(README_SIMULATE):
+        test_readme_simulate_golden_bytes(model, covid_config, seir_config, tmp_path, capsys)
 
 
 # the README's other examples: argv with {covid}, {seir}, {matrix} and {out}
@@ -1023,6 +1037,16 @@ def test_seir_stability_just_above_the_threshold(tmp_path, capsys):
     rep = json.loads(out)
     assert err == "" and rep["equilibria"]["endemic"]["feasible"] is True
     assert 0.0 < rep["equilibria"]["endemic"]["state"][1] < 1e-13
+
+
+def test_seir_stability_at_gamma_zero_is_a_numeric_failure(tmp_path, capsys):
+    # gamma = 0 gives delta = 0, so I2* = delta*I1* = 0 and P = diag(I2*, I1*, S*)
+    # has no inverse: the scaling p_i J^[2]_ij / p_j would divide by zero
+    path = tmp_path / "gamma0.json"
+    path.write_text(json.dumps(figure_params().replace(gamma=0.0).to_dict()))
+    assert main(["seir", "stability", "--config", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "numeric failure: P = diag(I2*, I1*, S*) is singular: I2* = 0\n")
 
 
 # per run of N = 200 steps: RK4 evaluates the flow function 4N times on

@@ -521,12 +521,12 @@ def _run(f, x0, dt, steps):
 def test_inlined_kernel_matches_the_listwise_loop_bytes(model):
     _, make, dim = MODELS[model]
     flows = FLOWS[model]
-    assert sim._inlined_kernel(flows)[0] == dim
+    assert sim._inlined_kernel(flows, dim) is not None
     for seed in range(2601, 2611):
         rng = np.random.default_rng(seed)
         p = _draw_params(rng, model)
         f = functools.partial(flows, p)
-        assert sim._single_state_kernel(f, dim) is sim._inlined_kernel(flows)[1]
+        assert sim._single_state_kernel(f, dim) is sim._inlined_kernel(flows, dim)
         dt = float(rng.choice([0.005, 0.01, 0.05]))
         steps = int(rng.choice([1, sim.CHUNK - 1, sim.CHUNK, sim.CHUNK + 1, 700]))
         x0 = abs(np.where(rng.random(dim) < 0.5, rng.choice(_SPECIAL, dim), rng.uniform(0, 3, dim)))
@@ -544,15 +544,14 @@ def test_inlined_kernel_matches_the_listwise_loop_bytes(model):
 
 def _flows_with_a_swap(p, x):
     a, b = x
-    a, b = p.rate * b, a  # its values read its targets, so it stays one statement
+    a, b = p.rate * b, a  # both values are read before either name is rebound
     return [a - b, b]
 
 
 def test_inlined_kernel_of_any_flow_function_of_that_shape_keeps_the_bits():
     p = types.SimpleNamespace(rate=-0.7)
     f = functools.partial(_flows_with_a_swap, p)
-    d, kernel = sim._inlined_kernel.__wrapped__(_flows_with_a_swap)
-    assert d == 2
+    kernel = sim._inlined_kernel.__wrapped__(_flows_with_a_swap, 2)
     for x0 in ([1.0, -0.0], [-0.0, 2.5], [0.3, 1e-310]):
         times = np.arange(301) * 0.01
         states = np.empty((301, 2))
@@ -571,7 +570,42 @@ def _flows_of_the_wrong_length(p, x):
     return [p.rate * a]
 
 
-def test_only_a_partial_of_a_model_flow_function_is_inlined(monkeypatch):
+def _flows_branching_on_a_comparison(p, x):
+    a, b = x
+    return [p.rate * a if a > 0 else b, a]
+
+
+def _flows_testing_truth(p, x):
+    a, b = x
+    return [p.rate * a if b else a, b]
+
+
+def _flows_testing_equality(p, x):
+    a, b = x
+    return [b if a == 0.0 else p.rate * a, a]
+
+
+def _flows_squaring(p, x):
+    return [p.rate * x[0] ** 2, x[0]]
+
+
+def _flows_calling_abs(p, x):
+    return [p.rate * abs(x[0]), x[1]]
+
+
+def _flows_calling_min(p, x):
+    return [p.rate * min(x[0], x[1]), x[0]]
+
+
+def _flows_with_an_infinite_constant(p, x):
+    return [math.inf * x[0], p.rate * x[1]]
+
+
+def _flows_reading_a_parameter_that_is_not_an_identifier(p, x):
+    return [getattr(p, "a b") * x[1], p.rate * x[0]]
+
+
+def test_only_a_partial_of_a_model_flow_function_is_inlined():
     p = covid.table_params(0.1)
     call_path = sim._float_kernel(5)
     for f in (lambda x: covid.flows(p, x), functools.partial(covid.flows, p=p),
@@ -583,12 +617,19 @@ def test_only_a_partial_of_a_model_flow_function_is_inlined(monkeypatch):
         f = functools.partial(FLOWS[model], MODELS[model][1]())
         with pytest.raises(ValueError):
             integrate(f, x0, dt=0.01, t_end=0.03)
-    # source of another shape, and source that cannot be read, are not inlined
+    # a flow whose one call does more than arithmetic, or returns another
+    # length, is not inlined, and integrate runs it on the call path
     build = sim._inlined_kernel.__wrapped__
-    assert build(_flows_calling_a_global) is None and build(_flows_of_the_wrong_length) is None
-    assert build(covid.flows)[0] == 5
-    monkeypatch.setattr(sim.linecache, "getlines", lambda filename: [])
-    assert build(covid.flows) is None and build(seir.flows3) is None
+    assert build(covid.flows, 5) is not None and build(_flows_of_the_wrong_length, 2) is None
+    p = types.SimpleNamespace(**{"rate": -0.7, "a b": 0.3})
+    for flows in (_flows_calling_a_global, _flows_branching_on_a_comparison, _flows_testing_truth,
+                  _flows_testing_equality, _flows_squaring, _flows_calling_abs, _flows_calling_min,
+                  _flows_with_an_infinite_constant,
+                  _flows_reading_a_parameter_that_is_not_an_identifier):
+        assert build(flows, 2) is None
+        f = functools.partial(flows, p)
+        for x0 in ([0.5, -0.0], [-0.25, 1.5]):
+            assert _run(f, x0, 0.01, 50) == _listwise(f, x0, 0.01, 50)
 
 
 # SHA-256 of times.tobytes(), then of states.tobytes() for a single x0 and for
