@@ -20,6 +20,7 @@ same bits.
 from __future__ import annotations
 
 import functools
+import keyword
 import math
 from dataclasses import dataclass
 
@@ -209,6 +210,7 @@ class _Term:
     __mul__, __rmul__ = _binary("({0} * {1})"), _binary("({1} * {0})")
     __truediv__, __rtruediv__ = _binary("({0} / {1})"), _binary("({1} / {0})")
     __bool__ = __eq__ = None  # a truth test or an equality test raises TypeError
+    __array_ufunc__ = None  # a numpy scalar operand reaches __init__ as itself, and is refused
 
     def __neg__(self):
         return _Term(self.tape, "(-{0})", self)
@@ -227,8 +229,8 @@ class _Params:
         self.tape, self.read = tape, set()
 
     def __getattr__(self, name):
-        if not name.isidentifier():
-            raise TypeError(f"parameter name {name!r} is not an identifier")
+        if not name.isidentifier() or keyword.iskeyword(name):
+            raise TypeError(f"parameter name {name!r} is not an attribute name")
         self.read.add(name)
         return _Term(self.tape, f"p_{name}")
 
@@ -249,7 +251,7 @@ def _inlined_kernel(flows, d):
     path's bits.  The trace raises, and None is returned, when the call
     does anything but ``+``, ``-``, ``*``, ``/`` and unary minus on its
     terms and on finite int or float constants, reads a parameter name that
-    is not an identifier, or returns other than d values.
+    is not an identifier or is a keyword, or returns other than d values.
     """
     tape = []
     params = _Params(tape)

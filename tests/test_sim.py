@@ -605,6 +605,14 @@ def _flows_reading_a_parameter_that_is_not_an_identifier(p, x):
     return [getattr(p, "a b") * x[1], p.rate * x[0]]
 
 
+def _flows_reading_a_parameter_named_by_a_keyword(p, x):
+    return [getattr(p, "if") * x[1], p.rate * x[0]]
+
+
+def _flows_with_a_numpy_constant(p, x):
+    return [np.float64(0.5) * x[0], p.rate * x[1]]  # np.float64 arithmetic, not float's
+
+
 def test_only_a_partial_of_a_model_flow_function_is_inlined():
     p = covid.table_params(0.1)
     call_path = sim._float_kernel(5)
@@ -621,11 +629,12 @@ def test_only_a_partial_of_a_model_flow_function_is_inlined():
     # length, is not inlined, and integrate runs it on the call path
     build = sim._inlined_kernel.__wrapped__
     assert build(covid.flows, 5) is not None and build(_flows_of_the_wrong_length, 2) is None
-    p = types.SimpleNamespace(**{"rate": -0.7, "a b": 0.3})
+    p = types.SimpleNamespace(**{"rate": -0.7, "a b": 0.3, "if": 0.2})
     for flows in (_flows_calling_a_global, _flows_branching_on_a_comparison, _flows_testing_truth,
                   _flows_testing_equality, _flows_squaring, _flows_calling_abs, _flows_calling_min,
-                  _flows_with_an_infinite_constant,
-                  _flows_reading_a_parameter_that_is_not_an_identifier):
+                  _flows_with_an_infinite_constant, _flows_with_a_numpy_constant,
+                  _flows_reading_a_parameter_that_is_not_an_identifier,
+                  _flows_reading_a_parameter_named_by_a_keyword):
         assert build(flows, 2) is None
         f = functools.partial(flows, p)
         for x0 in ([0.5, -0.0], [-0.25, 1.5]):
