@@ -9,7 +9,10 @@ the JSON record of its commands (``covid.r0_report``,
 ``seir.seir_r0_report``, ``seir.seir_equilibria``, ``seir.seir_stability``),
 ``paper_check.build_report`` the ``paper-check`` claims, and ``cubic`` joins
 ``stability.cardano`` and ``stability.cubic_stability`` (on the monic
-coefficients of ``stability.monic_cubic``) here.
+coefficients of ``stability.monic_cubic``) here.  ``simulate`` integrates
+``functools.partial(flows, p)`` of the flow function the model's record
+bound at import, so it runs the inlined RK4 kernel whatever
+``covid.flows`` or ``seir.flows3`` is rebound to later.
 
 ``main`` parses a leaf command (``r0``, ``seir r0``, ...) with the
 subparser ``build_parser`` holds for it, one argparse level, with the
@@ -22,8 +25,10 @@ whole, then written: two-space indent, sorted keys, ASCII escapes, each
 float the shortest repr of its 12-significant-digit value.  A NaN or
 infinite value in a JSON object, a sweep's R0 column or a compound matrix
 is a numeric failure, and nothing is printed.  The two seeded
-``paper-check`` claims, the same objects in every report, are rendered once
-per process (with the finiteness check) and their text reused.
+``paper-check`` claims, the same objects in every report, are rendered to
+text once per process (with the finiteness check), at the depth of a
+top-level list item, the one place a report writes them; ``_json`` writes
+that text unchanged.
 
 ``r0 --sweep`` takes R0 at all its points in one call, on a record whose
 swept field holds the points as an array (``model.Params.batch``);
@@ -88,7 +93,7 @@ def _json(value, indent="\n"):
         exp = int(s[s.index("e") + 1:])  # where repr prints fixed digits, or fewer digits
         return repr(float(s)) if 12 <= exp <= 15 or exp <= -308 else s
     if isinstance(value, str):
-        return _quote(value)
+        return value if type(value) is _Rendered else _quote(value)
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -102,28 +107,19 @@ def _json(value, indent="\n"):
     if isinstance(value, (list, tuple)):
         items = [inner + _json(v, inner) for v in value]
         return "[" + ",".join(items) + indent + "]" if items else "[]"
-    if type(value) is _Rendered:  # rendered, and so checked for finiteness, at its first use
-        if value.indent != indent:
-            value.text, value.indent = _json(value.value, indent), indent
-        return value.text
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-class _Rendered:
-    """A JSON node that ``_json`` renders once and then writes as text; only
-    a use at another depth renders it again."""
-
-    __slots__ = ("value", "indent", "text")
-
-    def __init__(self, value):
-        self.value, self.indent, self.text = value, None, ""
+class _Rendered(str):
+    """JSON text, already rendered and checked, that ``_json`` writes unchanged."""
 
 
 @functools.cache
 def _seeded_claims():
     """The seeded claims, the same objects in every ``paper-check`` report,
-    as rendered-once nodes keyed by object id."""
-    return {id(c): _Rendered(c.to_dict()) for c in paper_check.seeded_claims()}
+    as JSON text keyed by object id: each is rendered once, at the depth of
+    a top-level list item, the one place ``paper-check`` writes a claim."""
+    return {id(c): _Rendered(_json(c.to_dict(), "\n  ")) for c in paper_check.seeded_claims()}
 
 
 def _check_size(what, count):
@@ -191,7 +187,7 @@ def _cmd_simulate(args):
     x0 = population(_parse_state(args.x0, len(m.compartments)))
     if args.dt > 0:
         _check_size("trajectory rows", np.rint(args.t_end / args.dt) + 1)
-    traj = sim.integrate(m.flows(p), x0, args.dt, args.t_end)
+    traj = sim.integrate(functools.partial(m.flows, p), x0, args.dt, args.t_end)
     _write_text(args.out, sim.trajectory_to_csv(traj, ",".join(("t",) + m.compartments)))
     if m.audited:
         audit = sim.invariance_audit(traj, p)
@@ -294,9 +290,15 @@ def _cmd_paper_check(args):
 class _Model:
     """What the four model subcommands need to know about one model.
 
-    The callables reach model functions through their module when a command
-    runs, so a later rebinding of a module attribute takes effect.  The
-    three record callables each return the command's JSON object.
+    ``flows`` is the model's flow function itself, bound at import: the
+    single-state RK4 kernel inlines a flow function it picks by identity,
+    so a later rebinding of ``covid.flows`` or ``seir.flows3`` (a wrapper,
+    say) must not move ``simulate`` onto the call path.  The other
+    callables reach model functions through their module when a command
+    runs, so a rebinding takes effect there: the benchmark harness's traced
+    runs time the reports (``covid.stability_report``,
+    ``seir.seir_stability``, ...) that way.  The three record callables
+    each return the command's JSON object.
     """
 
     name: str
@@ -306,7 +308,7 @@ class _Model:
     r0_report: Callable     # p -> the ``r0`` record
     equilibria: Callable    # p -> the ``equilibria`` record
     stability: Callable     # p -> the ``stability`` record, with per-equilibrium "verdicts"
-    flows: Callable         # p -> the flow function x -> dx/dt as a list, bound to p
+    flows: Callable         # (p, x) -> dx/dt as a list; ``simulate`` binds p with a partial
     audited: bool           # ``simulate`` also prints the invariance audit
 
 
@@ -315,14 +317,14 @@ _COVID = _Model(
     r0=lambda p: covid.r0_reduced(p), r0_report=lambda p: covid.r0_report(p),
     equilibria=lambda p: covid.equilibria_report(p),
     stability=lambda p: covid.stability_report(p),
-    flows=lambda p: functools.partial(covid.flows, p), audited=True)
+    flows=covid.flows, audited=True)
 
 _SEIR = _Model(
     name="three-compartment", params=seir.SeirParams, compartments=("S", "I1", "I2"),
     r0=lambda sp: seir.r0_seir(sp), r0_report=lambda sp: seir.seir_r0_report(sp),
     equilibria=lambda sp: seir.seir_equilibria(sp),
     stability=lambda sp: seir.seir_stability(sp),
-    flows=lambda sp: functools.partial(seir.flows3, sp), audited=False)
+    flows=seir.flows3, audited=False)
 
 
 _MODEL_COMMANDS = {

@@ -7,9 +7,10 @@ properties of :class:`CovidParams`: a = beta1 - beta10, the I, C and H
 outflows alpha = beta2+beta6+beta8+mu, beta_c = beta3+beta5+mu and gamma_c =
 beta4+beta9+mu, and the disease-free ``e_dfe`` = B/mu.  ``e_dfe``, ``endemic``
 and ``r0_reduced`` raise through the one mu > 0 check, ``Params.need_mu``;
-``e_dfe`` also names a B/mu that overflows to inf.  Only ``det_jp0`` (with
-its grouping ``_beta_printed``) evaluates a closed form as printed in the
-source publication, because the stability report prints it; every other printed form lives in :mod:`epistab.paper_check`,
+``e_dfe`` also names a B/mu that overflows to inf (``Params.over_mu``).
+Only ``det_jp0`` (with its grouping ``_beta_printed``) evaluates a closed
+form as printed in the source publication, because the stability report
+prints it; every other printed form lives in :mod:`epistab.paper_check`,
 which diffs them against oracles.  The full-NGM R0, ``r0_full``, is the
 spectral radius of F V^-1 from ``ngm_matrices``, through ``ngm_radius``,
 which takes a stack of probes in one LU; a V or an F V^-1 that is not
@@ -82,13 +83,8 @@ class CovidParams(model.Params):
 
     @property
     def e_dfe(self):
-        """E at the disease-free point, B/mu; it exists only for mu > 0, and
-        a quotient that overflows (a subnormal mu) raises ArithmeticError."""
-        self.need_mu("disease-free equilibrium")
-        e = self.B / self.mu
-        if e == np.inf:
-            raise ArithmeticError("disease-free E* = B/mu overflows to inf")
-        return e
+        """E at the disease-free point, B/mu, through ``Params.over_mu``."""
+        return self.over_mu(self.B, "E* = B/mu")
 
 
 def table_params(beta10):
@@ -261,9 +257,8 @@ def ngm_radius(f, v, det_v):
     finite = np.isfinite(v).all(axis=(-2, -1)).tolist()
     bad = [not ok or abs(d) < 1e-300 for ok, d in zip(finite, det_v)]
     k = bad.index(True) if True in bad else len(bad)
-    ngm = f[:k] @ inverse(v[:k])  # the probes before the first guard failure
-    if not np.isfinite(ngm).all():
-        raise ArithmeticError("next-generation matrix F V^-1 is not finite")
+    # the probes before the first guard failure
+    ngm = model.finite(f[:k] @ inverse(v[:k]), "next-generation matrix F V^-1")
     if k < len(bad):
         if not finite[k]:
             raise ArithmeticError("transition matrix V is not finite")

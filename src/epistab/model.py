@@ -5,10 +5,13 @@ list (``covid.flows``, ``seir.flows3``); ``simulate`` integrates that list
 on Python floats.  Its right-hand side ``rhs(p, x)`` packs the same flows
 into a float64 array, through ``packed``, for equilibria, Jacobians
 and batches, and hands it to the helpers here: validated rate parameters
-with the one mu > 0 check, ``Params.need_mu``; residual-gated equilibria,
+with the one mu > 0 check, ``Params.need_mu``, and the one disease-free
+quotient over mu, ``Params.over_mu``; residual-gated equilibria,
 population states and the central-difference Jacobian that serves as the
-ground-truth oracle, taken with the fixed step ``FD_STEP``.  ``Record`` is
-the base of every result record and holds its one JSON rule, ``to_dict``.
+ground-truth oracle, taken with the fixed step ``FD_STEP``.  ``finite``
+makes a derived matrix that is not finite a numeric failure naming it.
+``Record`` is the base of every result record and holds its one JSON
+rule, ``to_dict``.
 
 The reports of ``stability``, ``seir stability`` and ``paper-check`` are
 lists of named sections run in order by one evaluator, ``report``: each
@@ -140,6 +143,16 @@ class Params(Record):
                 raise ValueError(f"parameter {k} must be a number, got {d[k]!r}")
         return cls(**{k: _float(d[k]) for k in keys})
 
+    def over_mu(self, num, name):
+        """``num``/mu, the disease-free value ``name``: it exists only for
+        mu > 0, and a quotient that overflows (a subnormal mu) raises
+        ArithmeticError."""
+        self.need_mu("disease-free equilibrium")
+        q = num / self.mu
+        if q == math.inf:
+            raise ArithmeticError(f"disease-free {name} overflows to inf")
+        return q
+
     def need_mu(self, what):
         """The one mu > 0 rule: ``what`` (a quantity that divides by mu)
         raises ValueError unless mu > 0, on a batch at every point.  A float
@@ -206,6 +219,14 @@ def equilibrium(rhs, p, state, kind):
         raise ArithmeticError(
             f"{kind} equilibrium residual {residual:.3e} exceeds gate {gate:.3e}")
     return Equilibrium(state, kind, feasible=bool((state > 0).all()), residual=residual)
+
+
+def finite(m, name):
+    """``m``, a matrix the program derived; an entry that is not finite is
+    a numeric failure, an ArithmeticError that names ``name``."""
+    if not np.isfinite(m).all():
+        raise ArithmeticError(f"{name} is not finite")
+    return m
 
 
 def population(values):

@@ -10,10 +10,10 @@ beta2 delta); ``delta``, ``beta_eff`` = beta1 + beta2 delta and the
 disease-free ``s_dfe`` = Lambda/mu are properties of :class:`SeirParams`,
 and ``s_dfe``, ``r0_seir`` and ``seir_ngm_matrices`` raise through the one
 mu > 0 check, ``Params.need_mu``; ``s_dfe`` also names a Lambda/mu that
-overflows to inf, and ``r0_seir`` a denominator that underflows to 0 or
-overflows to inf.  ``flows3`` gives the three derivatives as a list, and
-``rhs3`` packs them through ``model.packed`` as ``covid.rhs`` does, a batch
-component-major.  The stability report builds one det J and one J^[2] at
+overflows to inf (``Params.over_mu``), and ``r0_seir`` a denominator that
+underflows to 0 or overflows to inf.  ``flows3`` gives the three
+derivatives as a list, and ``rhs3`` packs them through ``model.packed`` as
+``covid.rhs`` does, a batch component-major.  The stability report builds one det J and one J^[2] at
 the endemic point, for its own sections and the criterion verdicts, and
 applies the diagonal similarity P = diag(I2*, I1*, S*) to J^[2] as a
 scaling, p_i J^[2]_ij / p_j, with no inverse.  ``seir r0`` inverts the
@@ -24,7 +24,9 @@ for ``seir r0`` (``r0_seir`` on a batch record for all points of ``--sweep``),
 ``seir_equilibria`` for ``seir equilibria`` and ``seir_stability`` for
 ``seir stability``; ``seir simulate`` integrates ``flows3``.  The last is a
 list of named sections that ``model.report`` runs in order, none of which
-survives a failure.
+survives a failure: a J, J^[2] or P J^[2] P^-1 that is not finite is a
+numeric failure naming it (``model.finite``), and so is a condition c1
+whose gamma/delta^2 cannot be evaluated.
 """
 
 from __future__ import annotations
@@ -60,13 +62,8 @@ class SeirParams(model.Params):
 
     @property
     def s_dfe(self):
-        """S at the disease-free point, Lambda/mu; it exists only for mu > 0,
-        and a quotient that overflows (a subnormal mu) raises ArithmeticError."""
-        self.need_mu("disease-free equilibrium")
-        s = self.Lambda / self.mu
-        if s == np.inf:
-            raise ArithmeticError("disease-free S* = Lambda/mu overflows to inf")
-        return s
+        """S at the disease-free point, Lambda/mu, through ``Params.over_mu``."""
+        return self.over_mu(self.Lambda, "S* = Lambda/mu")
 
 
 def figure_params(mu=0.1):
@@ -139,9 +136,8 @@ def seir_r0_report(p):
     fm, vm = seir_ngm_matrices(p)
     (a, _), (gamma, b) = vm.tolist()
     ngm = -fm @ np.array([[1.0 / a, -0.0], [-(gamma / a) / b, 1.0 / b]])
-    if not np.isfinite(ngm).all():  # an overflow here is a numeric failure, not a bad input
-        raise ArithmeticError("next-generation matrix -F V^-1 is not finite")
-    return {"r0": r0, "ngm_spectral_radius": spectral_radius(ngm)}
+    return {"r0": r0, "ngm_spectral_radius": spectral_radius(
+        model.finite(ngm, "next-generation matrix -F V^-1"))}
 
 
 def dfe3(p):
@@ -182,7 +178,12 @@ def endemic_conditions(p):
     dl = p.delta
     den = p.beta_eff
     feas_num = p.Lambda * den - p.mu * (p.mu + p.gamma)
-    c1 = bool(dl > 0 and p.beta2 < p.gamma / dl ** 2)
+    try:
+        c1 = bool(dl > 0 and p.beta2 < p.gamma / dl ** 2)
+    except ArithmeticError:  # delta^2 underflows to 0 or overflows
+        how = "underflows to 0" if dl < 1 else "overflows"
+        raise ArithmeticError(f"condition c1's gamma/delta^2 cannot be evaluated: "
+                              f"delta^2 {how} at delta = {dl:.12g}") from None
     if feas_num > 0:
         lhs = ((p.mu + p.gamma) * (p.mu + p.d) * den / feas_num
                + p.beta1 * (p.mu + p.gamma) / den)
@@ -204,7 +205,7 @@ def _transformed_compound(j2, end):
     for name, entry in zip(("I2*", "I1*", "S*"), s):
         if entry == 0:
             raise ArithmeticError(f"P = diag(I2*, I1*, S*) is singular: {name} = 0")
-    m = (s[:, None] * j2) * (1.0 / s)
+    m = model.finite((s[:, None] * j2) * (1.0 / s), "P J^[2] P^-1")
     return {"row_dominant": dominance(m, "rows"), "diag_negative": bool(np.diag(m).max() < 0),
             "measure_inf": measure(m, MeasureKind.INF)}
 
@@ -222,8 +223,9 @@ def seir_stability(p):
     return model.report([
         ("params", lambda r: p),
         ("equilibria.endemic", lambda r: endemic3(p)),
-        ("_j", lambda r: jacobian3(p, r["equilibria.endemic"].state)),
-        ("_j2", lambda r: add_compound(r["_j"], 2)),
+        ("_j", lambda r: model.finite(jacobian3(p, r["equilibria.endemic"].state),
+                                      "endemic Jacobian J")),
+        ("_j2", lambda r: model.finite(add_compound(r["_j"], 2), "endemic compound J^[2]")),
         ("det_endemic_jacobian", lambda r: determinant(r["_j"])),
         ("r0", lambda r: r0_seir(p)),
         ("equilibria.dfe", lambda r: dfe3(p)),

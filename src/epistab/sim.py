@@ -245,26 +245,29 @@ def _inlined_kernel(flows, d):
     parameters whose reads ``p.<name>`` are the locals ``p_<name>``, bound
     once per run from the partial's ``p`` in sorted name order.  Each stage
     performs the operations of that call in the order it performed them: a
-    term read more than once becomes one local, assigned before its first
-    reader, and any other term is written out in full.  So the kernel
-    repeats the call's operations on the same operands and gives the call
-    path's bits.  The trace raises, and None is returned, when the call
-    does anything but ``+``, ``-``, ``*``, ``/`` and unary minus on its
-    terms and on finite int or float constants, reads a parameter name that
-    is not an identifier or is a keyword, or returns other than d values.
+    term read more than once, or never, is assigned to one local in that
+    order, and any other term is written out in full in its one reader.
+    So the kernel repeats every operation of the call, one whose result
+    nothing reads included, on the same operands, and gives the call path's
+    bits, or its exception.  The trace raises, and None is returned,
+    when the call does anything but ``+``, ``-``, ``*``, ``/`` and unary
+    minus on its terms and on finite int or float constants, reads a
+    parameter name that is not an identifier or is a keyword, or returns
+    other than a list or tuple of d values (an array would carry numpy
+    scalars into the next stage).
     """
     tape = []
     params = _Params(tape)
     try:
         out = flows(params, [_Term(tape, f"y{i}") for i in range(d)])
-        if len(out) != d:
-            raise ValueError(f"{len(out)} flows for {d} components")
+        if not isinstance(out, (list, tuple)) or len(out) != d:
+            raise ValueError(f"{type(out).__name__} of flows for {d} components")
         ks = [_Term(tape, "{0}", v) for v in out]  # a value returned is a use too
     except Exception:  # whatever the trace raises, f takes the call path
         return None
     statements = []
-    for n, term in enumerate(tape):
-        if term.args and term.uses > 1:
+    for n, term in enumerate(tape[:len(tape) - d]):  # the call's own operations, not ks
+        if term.args and term.uses != 1:
             statements.append(f"t{n} = {term.expression()}")
             term.name = f"t{n}"
     stages = [[f"y{i} = {arg.format(i)}" for i in range(d)] + statements

@@ -234,6 +234,23 @@ def test_simulate_runs_compile_one_kernel_per_state_size(covid_config, seir_conf
     assert sim._float_kernel.cache_info().currsize == 0
 
 
+def test_simulate_integrates_the_flow_functions_bound_at_import(covid_config, seir_config,
+                                                                tmp_path, capsys, monkeypatch):
+    # rebinding the model flow functions does not move simulate onto the call
+    # path: no integration step calls the wrappers, and the runs write the
+    # README bytes; covid's invariance audit makes its one batch rhs call
+    calls = Counter()
+    for module, name in ((covid, "flows"), (seir, "flows3")):
+        def counting(*args, name=name, original=getattr(module, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, counting)
+    for model in sorted(README_SIMULATE):
+        calls.clear()
+        test_readme_simulate_golden_bytes(model, covid_config, seir_config, tmp_path, capsys)
+        assert calls == ({"flows": 1} if model == "covid" else {})
+
+
 def test_simulate_inlines_the_model_flows_without_their_source(covid_config, seir_config,
                                                                tmp_path, capsys, monkeypatch):
     # the flows are traced by one call, not read: with no source lines to
@@ -422,7 +439,7 @@ def test_seeded_claims_are_rendered_once_per_process(covid_config, monkeypatch, 
     claims, nodes = paper_check.seeded_claims(), cli._seeded_claims()
     assert main(["paper-check", "--config", covid_config]) == 0
     first = capsys.readouterr().out
-    texts = [nodes[id(c)].text for c in claims]
+    texts = [nodes[id(c)] for c in claims]
     assert texts == [cli._json(c.to_dict(), "\n  ") for c in claims]
     assert all(text in first for text in texts)
     rendered = []
@@ -435,7 +452,7 @@ def test_seeded_claims_are_rendered_once_per_process(covid_config, monkeypatch, 
     monkeypatch.setattr(cli, "_json", spy)
     assert main(["paper-check", "--config", covid_config]) == 0
     assert capsys.readouterr().out == first
-    assert all(nodes[id(c)].text is text for c, text in zip(claims, texts))
+    assert all(nodes[id(c)] is text for c, text in zip(claims, texts))
     # every other claim is rendered anew, the seeded ones never
     rendered_ids = [v["claim_id"] for v in rendered if isinstance(v, dict) and "claim_id" in v]
     assert len(rendered_ids) == first.count('"claim_id"') - len(claims)
@@ -1049,14 +1066,58 @@ def test_seir_stability_at_gamma_zero_is_a_numeric_failure(tmp_path, capsys):
         "", "numeric failure: P = diag(I2*, I1*, S*) is singular: I2* = 0\n")
 
 
-# per run of N = 200 steps: RK4 evaluates the flow function 4N times on
-# Python floats; only covid's invariance audit packs an array, one batch
-# through rhs, whose own flows call is the one more
+# valid parameters on which a derived quantity of ``seir stability``
+# overflows or underflows: each is a numeric failure that names it
+SEIR_STABILITY_FAILURES = [
+    ({"Lambda": 1e278, "beta1": 4e-05, "beta2": 3e-12, "mu": 35000.0, "gamma": 8700.0, "d": 3e-08},
+     "P J^[2] P^-1 is not finite"),
+    ({"Lambda": 2e-09, "beta1": 2e-08, "beta2": 1e302, "mu": 1000.0, "gamma": 0.0, "d": 1e-11},
+     "endemic Jacobian J is not finite"),
+    ({"gamma": 1e-310}, "condition c1's gamma/delta^2 cannot be evaluated: "
+                        "delta^2 underflows to 0 at delta = 7.14285714286e-310"),
+    ({"gamma": 1e200}, "condition c1's gamma/delta^2 cannot be evaluated: "
+                       "delta^2 overflows at delta = 7.14285714286e+200"),
+]
+
+
+@pytest.mark.parametrize("changes, message", SEIR_STABILITY_FAILURES,
+                         ids=["transformed-compound", "jacobian", "c1-underflow", "c1-overflow"])
+def test_seir_stability_overflow_is_a_named_numeric_failure(changes, message, tmp_path, capsys):
+    path = tmp_path / "seir.json"
+    path.write_text(json.dumps(figure_params().replace(**changes).to_dict()))
+    assert main(["seir", "stability", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"numeric failure: {message}\n")
+
+
+def test_malformed_sweep_spec_is_a_usage_error(covid_config, capsys):
+    assert main(["r0", "--config", covid_config, "--sweep", "mu=0.01:0.02:x"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(
+        "usage error: bad sweep spec 'mu=0.01:0.02:x', expected name=lo:hi:step\nusage: epistab")
+
+
+@pytest.mark.parametrize("changes, sweep, message", [
+    # the batch fails a denominator guard at a later point; one by one, the
+    # first point's R0 is already inf
+    ({"Lambda": 1e300}, ["--sweep", "mu=1e-100:1e200:1e195"], "non-finite R0 inf at mu=1e-100"),
+    ({"Lambda": 1e308, "beta1": 10.0, "mu": 1.0}, [],
+     "next-generation matrix -F V^-1 is not finite"),
+])
+def test_seir_r0_names_what_is_not_finite(changes, sweep, message, tmp_path, capsys):
+    path = tmp_path / "seir.json"
+    path.write_text(json.dumps(figure_params().replace(**changes).to_dict()))
+    assert main(["seir", "r0", "--config", str(path), *sweep]) == 2
+    assert capsys.readouterr() == ("", f"numeric failure: {message}\n")
+
+
+# per run of N = 200 steps: RK4 runs the flow function that the CLI bound at
+# import inlined, so no step calls a module attribute rebound later; only
+# covid's invariance audit packs an array, one batch through rhs and its flows
 @pytest.mark.parametrize("command, counted", [
     ("simulate --config {covid} --x0 1,1,1,1,1",
-     {"covid.rhs": 1, "covid.flows": 801, "seir.rhs3": 0, "seir.flows3": 0}),
+     {"covid.rhs": 1, "covid.flows": 1, "seir.rhs3": 0, "seir.flows3": 0}),
     ("seir simulate --config {seir} --x0 1,0.5,0.2",
-     {"covid.rhs": 0, "covid.flows": 0, "seir.rhs3": 0, "seir.flows3": 800}),
+     {"covid.rhs": 0, "covid.flows": 0, "seir.rhs3": 0, "seir.flows3": 0}),
 ])
 def test_simulate_steps_on_the_flows_not_the_rhs(command, counted, covid_config, seir_config,
                                                  monkeypatch, capsys):

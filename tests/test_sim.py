@@ -172,6 +172,13 @@ def test_region_trivial_compliance(covid_table):
     assert not audit["region_exited"]
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (3, 4, 5), (3,)])
+def test_invariance_audit_refuses_what_is_not_one_trajectory_of_5_vectors(shape, covid_table):
+    traj = Trajectory(times=np.arange(3) * 0.01, states=np.ones(shape))
+    with pytest.raises(ValueError, match="audit expects a single trajectory of 5-vectors"):
+        invariance_audit(traj, covid_table)
+
+
 def test_trajectory_csv_round_trip(covid_table):
     traj = integrate(lambda x: covid.rhs(covid_table, x), np.array([1.0, 0.5, 0.25, 0.125, 2.0]),
                      dt=0.05, t_end=1.0)
@@ -496,16 +503,20 @@ def test_float_kernel_is_compiled_once_per_state_size():
     assert sim._float_kernel(3) is not sim._float_kernel(5)
 
 
-def _listwise(f, x0, dt, steps):
-    """The list-comprehension reference loop on one state, as ``integrate``
-    would return it: its times and states bytes, or a DivergenceError time."""
+def _listwise(f, x0, dt, steps, loop=steps_floats_listwise):
+    """``loop``, the list-comprehension reference loop or a kernel, on one
+    state, as ``integrate`` would return it: its times and states bytes, a
+    DivergenceError time, or another exception's class and message."""
     times = np.arange(steps + 1) * dt
     states = np.empty((steps + 1, len(x0)))
     states[0] = x0
     try:
-        steps_floats_listwise(f, np.array(x0, dtype=float), dt, times, states)
+        with np.errstate(all="ignore"):
+            loop(f, np.array(x0, dtype=float), dt, times, states)
     except DivergenceError as exc:
         return exc.time
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
     return times.tobytes(), states.tobytes()
 
 
@@ -613,6 +624,21 @@ def _flows_with_a_numpy_constant(p, x):
     return [np.float64(0.5) * x[0], p.rate * x[1]]  # np.float64 arithmetic, not float's
 
 
+def _flows_with_a_dead_division(p, x):
+    q = p.rate / x[0]  # noqa: F841  nothing reads q, but a zero x[0] still raises
+    return [p.rate * x[1], x[0]]
+
+
+def _flows_returning_an_array(p, x):
+    # stage 2 divides by x[0] + (dt/2) * -200 / x[0] = 0 at x[0] = 1, dt = 0.01: a
+    # numpy scalar there gives -inf where a float raises ZeroDivisionError
+    return np.array([-200.0 / x[0], p.rate * x[1]])
+
+
+def _flows_negating(p, x):
+    return [-(p.rate * x[1]), -x[0] - p.rate]
+
+
 def test_only_a_partial_of_a_model_flow_function_is_inlined():
     p = covid.table_params(0.1)
     call_path = sim._float_kernel(5)
@@ -639,6 +665,17 @@ def test_only_a_partial_of_a_model_flow_function_is_inlined():
         f = functools.partial(flows, p)
         for x0 in ([0.5, -0.0], [-0.25, 1.5]):
             assert _run(f, x0, 0.01, 50) == _listwise(f, x0, 0.01, 50)
+    # an operation whose result nothing reads still runs, and only a list or
+    # tuple of flows is inlined: each kernel gives the reference's bytes or exception
+    for flows, inlined, x0 in ((_flows_with_a_dead_division, True, [0.0, 1.0]),
+                               (_flows_returning_an_array, False, [1.0, 0.5]),
+                               (_flows_negating, True, [0.5, -0.0])):
+        kernel = build(flows, 2)
+        assert (kernel is not None) == inlined
+        f = functools.partial(flows, p)
+        for x0 in (x0, [0.25, 1.5]):
+            assert (_listwise(f, x0, 0.01, 50, kernel or sim._float_kernel(2))
+                    == _listwise(f, x0, 0.01, 50))
 
 
 # SHA-256 of times.tobytes(), then of states.tobytes() for a single x0 and for
