@@ -1110,8 +1110,8 @@ def test_seir_r0_names_what_is_not_finite(changes, sweep, message, tmp_path, cap
     assert capsys.readouterr() == ("", f"numeric failure: {message}\n")
 
 
-# per run of N = 200 steps: RK4 runs the flow function that the CLI bound at
-# import inlined, so no step calls a module attribute rebound later; only
+# per run of N = 200 steps: the CLI bound the flow function at import and RK4
+# runs it inlined, so no step calls a module attribute rebound later; only
 # covid's invariance audit packs an array, one batch through rhs and its flows
 @pytest.mark.parametrize("command, counted", [
     ("simulate --config {covid} --x0 1,1,1,1,1",

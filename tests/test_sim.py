@@ -630,8 +630,8 @@ def _flows_with_a_dead_division(p, x):
 
 
 def _flows_returning_an_array(p, x):
-    # stage 2 divides by x[0] + (dt/2) * -200 / x[0] = 0 at x[0] = 1, dt = 0.01: a
-    # numpy scalar there gives -inf where a float raises ZeroDivisionError
+    # from x[0] = 1 with dt = 0.01, stage 2 divides by 1 + (dt/2) * -200 = 0: with
+    # numpy scalar k's that gives -inf, where Python floats raise ZeroDivisionError
     return np.array([-200.0 / x[0], p.rate * x[1]])
 
 
