@@ -1,13 +1,14 @@
 """A seeded differential corpus for the command-line contract.
 
-``cases()`` draws about 1,000 command lines from ``SEED``: ``r0``,
+``cases()`` draws 1,150 command lines from ``SEED``: ``r0``,
 ``equilibria`` and ``stability`` of both models and ``paper-check`` on
 drawn rates, short ``simulate`` runs (at most 200 steps), ``r0 --sweep``
 (at most 50 points), ``compound`` on matrices with signed zeros and
 subnormals, and ``cubic``.  Half the parameter sets are wild: each rate is
 0 with probability 8%, 5e-324 with 4%, 10^U(250, 308) with 4% and otherwise
 10^U(-12, 6); the other half scale each rate of the table or figure set by
-10^U(-1, 1).
+10^U(-1, 1).  The last cases set one or two rates of the table or figure
+set to 0 or 5e-324.
 
 ``outcome`` runs one case through ``epistab.cli.main`` in-process, in the
 current directory, and gives its exit code and the SHA-256 of its stdout,
@@ -66,6 +67,18 @@ def _params(rng, model):
     values = {k: _wild_rate(rng) if wild else getattr(base, k) * float(10.0 ** rng.uniform(-1, 1))
               for k in cls.keys()}
     return json.dumps(values)
+
+
+def _edge_case(rng):
+    """A model command on the table or figure set with one or two rates set
+    to 0 or 5e-324: the guards that a rescaled set never reaches."""
+    command = str(rng.choice(["r0", "equilibria", "stability", "paper-check"]))
+    model = "covid" if command == "paper-check" or rng.random() < 0.5 else "seir"
+    prefix, cls, base = _MODELS[model]
+    values = base.to_dict()
+    for k in rng.choice(cls.keys(), size=int(rng.integers(1, 3)), replace=False):
+        values[str(k)] = float(rng.choice([0.0, 5e-324]))
+    return [*prefix, command, "--config", "c.json"], {"c.json": json.dumps(values)}
 
 
 def _number(rng):
@@ -152,7 +165,8 @@ _KINDS = (("r0", 100, lambda rng: _model_case(rng, "r0")),
           ("simulate", 90, _simulate_case),
           ("sweep", 100, _sweep_case),
           ("compound", 170, _compound_case),
-          ("cubic", 110, _cubic_case))
+          ("cubic", 110, _cubic_case),
+          ("edge", 150, _edge_case))
 
 
 def cases():
